@@ -2,19 +2,30 @@
 
 A `Tape` is a Wengert list: every operation appends one `Var` node holding the
 primal value, references to its operand nodes, and a local adjoint rule.
-`backward(root)` zero-initializes all gradients, seeds the scalar root with 1,
-and walks the list in reverse. Because nodes are appended in evaluation order,
-the reversed list is a valid topological order and the walk is deterministic:
-identical tapes produce identical gradients bit for bit.
+`backward(root)` seeds the scalar root with 1 and walks the list in reverse.
+Because nodes are appended in evaluation order, the reversed list is a valid
+topological order and the walk is deterministic: identical tapes produce
+identical gradients bit for bit.
 
 Every public op accepts either `Var` operands or plain numpy arrays / scalars
 (treated as constants), so the same code path serves taped training and
-untaped evaluation. Mixed expressions work through the operator overloads;
-`__array_ufunc__ = None` keeps numpy from absorbing a `Var` into an object
-array.
+untaped evaluation. Untaped calls compute the primal value only. Mixed
+expressions work through the operator overloads; `__array_ufunc__ = None`
+keeps numpy from absorbing a `Var` into an object array.
 
-Gradients accumulate with `+=`, so a node used several times collects the sum
-of its downstream adjoints.
+Gradients are allocated lazily. A node's first adjoint contribution becomes
+its `.grad` (copied to C order when it is a strided view, such as the
+broadcast view `sum` pulls back, so that downstream reductions run in the
+same order as over a freshly allocated array); later contributions are
+added out of place, so a node used several times collects the sum of its
+downstream adjoints and no stored gradient is ever written through an
+alias. A node that no contribution reached runs no adjoint and ends the
+sweep with a zero gradient.
+
+A Tape and its Vars reference each other. Clearing `tape.nodes` once the
+gradients have been read breaks that cycle, so the arrays are freed by
+reference counting as soon as the last outside reference goes instead of
+waiting for the cyclic GC; `train()` does so at the end of every step.
 """
 
 from __future__ import annotations
@@ -131,25 +142,56 @@ def record(value, pulls, tape: Tape, op: str = "op") -> Var:
     node's output adjoint to that operand's gradient contribution.
     """
     out = Var(value, tape, op=op, parents=tuple(v for v, _ in pulls))
+
     def _bw(g):
         for v, pull in pulls:
-            v.grad += pull(g)
+            _accumulate(v, pull(g), op)
+
     out._backward = _bw
     return out
 
 
+def _accumulate(v: Var, contrib, op: str) -> None:
+    """Add one adjoint contribution, produced by an `op` node, to `v.grad`."""
+    shape = np.shape(contrib)
+    if shape != v.value.shape:
+        raise TapeError(
+            f"{op}: gradient contribution of shape {shape} for an operand "
+            f"of shape {v.value.shape}"
+        )
+    if v.grad is None:
+        v.grad = np.asarray(contrib, order="C")
+    else:
+        # out of place: a first contribution may be another node's gradient
+        # or a view of it, which an in-place add would change too
+        v.grad = v.grad + contrib
+
+
 def backward(root: Var) -> None:
-    """Reverse sweep from scalar `root`; fills `.grad` on every tape node."""
+    """Reverse sweep from scalar `root`; sets `.grad` on every tape node.
+
+    Gradients are allocated lazily (see the module docstring): only nodes the
+    root depends on run their adjoint. After the sweep every node holds an
+    ndarray gradient of its value's shape, zeros where nothing reached it,
+    and every leaf gradient owns writable memory. Forward values are kept.
+    A second call on the same tape recomputes every gradient from scratch.
+    """
     if not isinstance(root, Var):
         raise TapeError("backward root must be a Var")
     if np.size(root.value) != 1:
         raise TapeError(f"backward root must be scalar, got shape {root.value.shape}")
-    for node in root.tape.nodes:
-        node.grad = np.zeros_like(node.value)
-    root.grad = root.grad + 1.0
-    for node in reversed(root.tape.nodes):
-        if node._backward is not None:
+    nodes = root.tape.nodes
+    for node in nodes:
+        node.grad = None
+    root.grad = np.ones_like(root.value)
+    for node in reversed(nodes):
+        if node.grad is not None and node._backward is not None:
             node._backward(node.grad)
+    for node in nodes:
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
+        elif node.op == "leaf" and not (node.grad.flags.owndata and node.grad.flags.writeable):
+            node.grad = node.grad.copy()
 
 
 def _unbroadcast(g, shape):
@@ -483,11 +525,21 @@ def conv2d(x, k):
 
 
 def softmax(x, axis=-1):
-    """Softmax along `axis`; the max shift is detached (softmax is shift
-    invariant, so the gradient is unchanged)."""
-    shift = np.max(val(x), axis=axis, keepdims=True)
-    e = exp(sub(x, shift))
-    return div(e, sum(e, axis=axis, keepdims=True))
+    """Softmax along `axis`, recorded as one node that keeps only the output.
+
+    The max shift keeps exp finite and does not change the result. The
+    adjoint of P = softmax(x) is P * (g - sum(g * P, axis)), so no
+    intermediate of the forward pass stays on the tape.
+    """
+    xv = val(x)
+    e = np.exp(xv - np.max(xv, axis=axis, keepdims=True))
+    out = e / np.sum(e, axis=axis, keepdims=True)
+    if not isinstance(x, Var):
+        return out
+    return record(
+        out, [(x, lambda g: out * (g - np.sum(g * out, axis=axis, keepdims=True)))],
+        x.tape, "softmax",
+    )
 
 
 def log_softmax(x, axis=-1):

@@ -13,6 +13,11 @@ Core formulas:
     x (+) y    = ((1 + 2c<x,y> + c||y||^2) x + (1 - c||x||^2) y)
                  / (1 + 2c<x,y> + c^2 ||x||^2 ||y||^2)      (Mobius addition)
     d_c(x, y)  = (2/sqrt(c)) arctanh(sqrt(c) ||(-x) (+) y||)
+               = arcosh(1 + z) / sqrt(c) = log1p(z + sqrt(z (z + 2))) / sqrt(c),
+                 z = 2c ||x - y||^2 / ((1 - c||x||^2)(1 - c||y||^2))
+                 (the computed form; its adjoint divides by
+                 sinh(sqrt(c) d) = sqrt(z (z + 2)), floored at 1e-15, so
+                 d(x, x) = 0 has a zero gradient)
     x_K        = 2 x_D / (1 + c ||x_D||^2)                  (ball -> Klein)
     x_D        = x_K / (1 + sqrt(1 - c ||x_K||^2))          (Klein -> ball)
     midpoint   = sum_i gamma_i x_i / sum_i gamma_i  in Klein coordinates,
@@ -114,14 +119,46 @@ def mobius_add(x, y, cfg: BallConfig):
 
 
 def geodesic_distance(x, y, cfg: BallConfig):
-    """d_c(x, y) = (2/sqrt(c)) arctanh(sqrt(c) ||(-x) (+) y||).
+    """d_c(x, y) in the arcosh form, recorded as one tape node.
 
-    Symmetric, zero iff x == y. Raises DomainError when the arctanh argument
-    reaches 1 (operands outside the open ball).
+    With a = 1 - c||x||^2, b = 1 - c||y||^2 and s = ||x - y||^2, the adjoint
+    is dd/dx = 4 sqrt(c) (x - y + (c s / a) x) / (a b sinh(sqrt(c) d)), and
+    dd/dy the same with x and y swapped. The sinh is floored at 1e-15, as
+    `ad.norm` floors its denominator, so x == y yields a zero gradient.
+    Symmetric bit for bit, zero iff x == y. Raises DomainError when an
+    operand lies on or outside the ball.
     """
-    m = mobius_add(neg_point(x), y, cfg)
-    arg = cfg.sqrt_c * ad.norm(m)
-    return (2.0 / cfg.sqrt_c) * ad.arctanh(arg)
+    _check_same_width(x, y, "geodesic_distance")
+    c = cfg.c
+    xv, yv = val(x), val(y)
+    a = 1.0 - c * np.sum(xv * xv, axis=-1, keepdims=True)
+    b = 1.0 - c * np.sum(yv * yv, axis=-1, keepdims=True)
+    if np.any(a <= 0.0) or np.any(b <= 0.0):
+        raise DomainError("geodesic_distance: operand on or outside the ball")
+    diff = xv - yv
+    sq = np.sum(diff * diff, axis=-1, keepdims=True)
+    ab = a * b
+    z = 2.0 * c * sq / ab
+    sinh = np.sqrt(z * (z + 2.0))
+    out = np.log1p(z + sinh)[..., 0] / cfg.sqrt_c
+    if not (isinstance(x, ad.Var) or isinstance(y, ad.Var)):
+        return out
+    coef = 4.0 * cfg.sqrt_c / (ab * np.maximum(sinh, _TINY))
+
+    # The radial coefficient is summed over the broadcast axes before it
+    # meets the operand, so only x - y is scaled at the full broadcast size.
+    def pull(g, v, radial, sign):
+        w = g[..., None] * coef
+        vs = np.shape(v)
+        return (ad._unbroadcast(w * (c * sq / radial), vs[:-1] + (1,)) * v
+                + sign * ad._unbroadcast(w * diff, vs))
+
+    pulls = []
+    if isinstance(x, ad.Var):
+        pulls.append((x, lambda g: pull(g, xv, a, 1.0)))
+    if isinstance(y, ad.Var):
+        pulls.append((y, lambda g: pull(g, yv, b, -1.0)))
+    return ad.record(out, pulls, ad._tape_of(x, y), "geodesic")
 
 
 def flat_distance(x, y):

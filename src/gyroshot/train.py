@@ -270,6 +270,14 @@ def split_classes(dataset: Dataset, cfg: TrainConfig):
     classes = dataset.classes
     n_val = int(round(cfg.val_fraction * classes.size))
     if n_val < cfg.n_way or classes.size - n_val < cfg.n_way:
+        if cfg.val_fraction > 0.0:
+            log.warning(
+                "validation is off: val_fraction=%g of %d classes leaves %d validation "
+                "and %d training classes, and %d-way episodes need %d on each side; "
+                "the model is selected on training accuracy",
+                cfg.val_fraction, classes.size, n_val, classes.size - n_val,
+                cfg.n_way, cfg.n_way,
+            )
         return dataset, None
     return dataset.subset(classes[:-n_val]), dataset.subset(classes[-n_val:])
 
@@ -282,7 +290,9 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
     `init_state` warm-starts the model from a checkpoint state dict; the
     optimizer state always starts fresh, so a resumed run is a deterministic
     function of (checkpoint, config, seed) rather than a bit-level splice of
-    the original run.
+    the original run. A non-finite loss, or a non-finite gradient of any
+    parameter (named in the message), raises TrainingDivergedError before
+    the optimizer step.
     """
     h, w, c = dataset.dims
     if model_cfg is None:
@@ -332,10 +342,20 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
             flat_grads = {
                 f"{m}.{k}": pvars[m][k].grad for m in module_names for k in pvars[m]
             }
+            for name, g in flat_grads.items():
+                if not np.all(np.isfinite(g)):
+                    raise TrainingDivergedError(
+                        f"non-finite gradient for {name} at epoch {epoch} task {task} "
+                        f"(loss {info['loss']}, c={cfg.ball.c}, lr={cfg.learning_rate})"
+                    )
             optimizer.step(flat_params, flat_grads, scale)
             rows.append((epoch, task, info["accuracy"], info["loss"]))
             if on_episode is not None:
                 on_episode(info)
+            # break the Var<->Tape cycle and drop the root, so the step's
+            # arrays are freed now rather than by a later cyclic GC pass
+            tape.nodes.clear()
+            del loss
             step += 1
 
         if val_ds is not None:

@@ -89,6 +89,8 @@ def test_broadcast_gradients_have_operand_shapes():
         ("norm", lambda x: ad.sum(ad.norm(x)), 0.2, 1.0),
         ("mean", lambda x: ad.mean(x * x), -2.0, 2.0),
         ("softmax", lambda x: ad.sum(ad.softmax(x, axis=-1) ** 2), -2.0, 2.0),
+        ("softmax_axis0", lambda x: ad.sum(ad.softmax(x, axis=0) * np.arange(8.0).reshape(2, 4)),
+         -2.0, 2.0),
         ("log_softmax", lambda x: ad.sum(ad.log_softmax(x, axis=-1) * 0.3), -2.0, 2.0),
         ("div", lambda x: ad.sum(x / (2.0 + x)), -1.0, 1.0),
         ("pow", lambda x: ad.sum(x ** 3), 0.5, 1.5),
@@ -98,7 +100,7 @@ def test_broadcast_gradients_have_operand_shapes():
 )
 def test_primitive_gradients_match_finite_differences(name, fn, low, high):
     rng = np.random.default_rng(sum(name.encode()))
-    shape = (2, 4) if name in ("softmax", "log_softmax", "swapaxes") else (6,)
+    shape = (2, 4) if name in ("softmax", "softmax_axis0", "log_softmax", "swapaxes") else (6,)
     point = rng.uniform(low, high, shape)
     report = finite_diff_check(fn, point)
     assert report.passed, f"{name}: max rel err {report.max_rel_error} flagged {report.flagged}"
@@ -214,3 +216,64 @@ def test_finite_diff_report_flags_kink():
 def test_finite_diff_requires_var_result():
     with pytest.raises(TapeError):
         finite_diff_check(lambda x: float(np.sum(val(x))), np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# the lazy backward sweep
+
+
+def test_gradient_contribution_of_wrong_shape_names_the_op():
+    tape = Tape()
+    x = tape.var(np.ones(3))
+    y = ad.record(2.0 * x.value, [(x, lambda g: np.sum(g))], tape, "badpull")
+    with pytest.raises(TapeError, match="badpull"):
+        backward(ad.sum(y))
+    tape = Tape()
+    x = tape.var(np.ones(3))
+    y = ad.record(2.0 * x.value, [(x, lambda g: g[None, :])], tape, "badpull")
+    with pytest.raises(TapeError, match=r"badpull.*\(1, 3\)"):
+        backward(ad.sum(y))
+
+
+def test_leaf_gradients_own_writable_memory_of_the_leaf_shape():
+    tape = Tape()
+    viewed = tape.var(np.arange(6.0))        # reached only through a reshape view
+    summed = tape.var(np.ones((2, 3)))       # reached only through sum's broadcast view
+    shared = tape.var(np.ones((2, 3)))       # an add hands both operands one array
+    unused = tape.var(np.ones(4))
+    y = ad.reshape(viewed, (2, 3)) + shared
+    loss = ad.sum(y * 3.0) + ad.sum(summed)
+    backward(loss)
+    for leaf, expect in ((viewed, 3.0), (summed, 1.0), (shared, 3.0), (unused, 0.0)):
+        assert leaf.grad.shape == leaf.value.shape
+        assert leaf.grad.flags.owndata and leaf.grad.flags.writeable
+        assert leaf.grad.flags.c_contiguous
+        assert np.array_equal(leaf.grad, np.full(leaf.value.shape, expect))
+
+
+def test_unreached_nodes_run_no_adjoint_and_end_with_zero_gradients():
+    def never(g):
+        raise AssertionError("adjoint of an unreached node ran")
+
+    tape = Tape()
+    x = tape.var(np.array([1.0, 2.0]))
+    side = ad.record(x.value * 5.0, [(x, never)], tape, "side")
+    loss = ad.sum(x * x)
+    after = ad.record(np.ones(2), [(loss, never)], tape, "after")
+    backward(loss)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    for node in (side, after):
+        assert isinstance(node.grad, np.ndarray)
+        assert np.array_equal(node.grad, np.zeros(2))
+    assert all(isinstance(n.grad, np.ndarray) and n.grad.shape == n.value.shape
+               for n in tape.nodes)
+
+
+def test_repeated_backward_recomputes_instead_of_accumulating():
+    tape = Tape()
+    x = tape.var(np.array([0.5, -1.0, 2.0]))
+    y = ad.sum(ad.tanh(x) * x + x)
+    backward(y)
+    first = x.grad.copy()
+    backward(y)
+    assert np.array_equal(x.grad, first)

@@ -325,6 +325,69 @@ def test_midpoint_gradient_matches_finite_differences():
     assert finite_diff_check(f, pts).passed
 
 
+def points_at_radius(rng, shape, frac, cfg):
+    """Points of norm exactly frac * ball radius, uniform directions."""
+    v = rng.normal(size=shape)
+    return frac * cfg.radius * v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+# the two broadcast layouts the models use: pairwise_matrix's query patches
+# (NQ, 1, 1, HW, 1, C) against support patches (1, N, K, 1, HW, C), and the
+# prototype's query embeddings (NQ, 1, C) against class prototypes (1, N, C)
+GEODESIC_LAYOUTS = {
+    "pairwise": ((2, 1, 1, 3, 1, 4), (1, 2, 2, 1, 3, 4)),
+    "prototype": ((3, 1, 4), (1, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(GEODESIC_LAYOUTS))
+@pytest.mark.parametrize("frac", (0.5, 0.999))
+@pytest.mark.parametrize("c", (0.1, 0.7))
+def test_fused_geodesic_gradients_in_model_layouts(layout, frac, c):
+    cfg = BallConfig(c=c)
+    xs, ys = GEODESIC_LAYOUTS[layout]
+    rng = np.random.default_rng(int(1000 * frac) + int(10 * c))
+    x0 = points_at_radius(rng, xs, frac, cfg)
+    y0 = points_at_radius(rng, ys, frac, cfg)
+    # one pair coincides: its distance is 0 and its gradient the zero subgradient
+    x0.reshape(-1, 4)[0] = y0.reshape(-1, 4)[0]
+    w = rng.uniform(0.5, 1.5, size=np.broadcast_shapes(xs, ys)[:-1])
+
+    def check(f, point):
+        # the coincident pair is a kink: central differences straddle it with
+        # an error that grows like h times the squared conformal factor
+        # (~1e6 at 0.999 of the radius), hence the small step
+        report = finite_diff_check(f, point, step=1e-7)
+        assert report.passed, f"max rel err {report.max_rel_error} at {report.flagged}"
+        assert np.all(np.isfinite(report.analytic))
+
+    check(lambda x: ad.sum(geodesic_distance(x, y0, cfg) * w), x0)
+    check(lambda y: ad.sum(geodesic_distance(x0, y, cfg) * w), y0)
+
+
+@pytest.mark.parametrize("frac", (0.0, 0.5, 0.999))
+def test_fused_geodesic_zero_distance_has_zero_gradient(frac):
+    cfg = BallConfig(c=0.7)
+    p = points_at_radius(np.random.default_rng(5), (4,), frac, cfg)
+    tape = Tape()
+    x, y = tape.var(p), tape.var(p.copy())
+    d = geodesic_distance(x, y, cfg)
+    backward(d)
+    assert float(val(d)) == 0.0
+    assert np.array_equal(x.grad, np.zeros(4)) and np.array_equal(y.grad, np.zeros(4))
+
+
+def test_fused_geodesic_matches_mobius_form_near_the_boundary():
+    cfg = BallConfig(c=0.7)
+    rng = np.random.default_rng(6)
+    for frac in (0.5, 0.9, 0.999):
+        x = points_at_radius(rng, (200, 5), frac, cfg)
+        y = points_at_radius(rng, (200, 5), frac, cfg)
+        m = mobius_add(-x, y, cfg)
+        mobius_form = (2.0 / cfg.sqrt_c) * np.arctanh(cfg.sqrt_c * np.linalg.norm(m, axis=-1))
+        np.testing.assert_allclose(geodesic_distance(x, y, cfg), mobius_form, rtol=1e-9)
+
+
 def test_taped_distance_matches_untaped():
     cfg = BallConfig(c=0.7)
     rng = np.random.default_rng(47)

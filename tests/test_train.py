@@ -1,6 +1,8 @@
 """Training loop tests: forward recomposition, variants, optimizers, eval."""
 
 import csv
+import gc
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import importlib
 
 from gyroshot import autodiff as ad
-from gyroshot import metrics, netmods
+from gyroshot import geometry, metrics, netmods
 
 # the package re-exports the train() function under the submodule's name,
 # so the module itself must be fetched explicitly
@@ -329,6 +331,29 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match="nan"):
             tr.train(tiny_dataset(), tiny_cfg(), MODEL)
 
+    def test_non_finite_gradient_names_the_parameter(self, monkeypatch):
+        def nan_relu(x):
+            out = np.maximum(ad.val(x), 0.0)
+            if not isinstance(x, ad.Var):
+                return out
+            return ad.record(out, [(x, lambda g: np.full(g.shape, np.nan))], x.tape, "relu")
+
+        monkeypatch.setattr(ad, "relu", nan_relu)
+        seen = []
+        with pytest.raises(TrainingDivergedError, match=r"non-finite gradient for encoder\.w1"):
+            tr.train(tiny_dataset(), tiny_cfg(), MODEL, on_episode=seen.append)
+        assert seen == []   # the loss was finite; no optimizer step was taken
+
+    def test_no_tape_outlives_training(self):
+        gc.collect()
+        gc.disable()
+        try:
+            tr.train(tiny_dataset(), tiny_cfg(tasks_per_epoch=3), MODEL)
+            alive = sum(isinstance(o, ad.Tape) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0
+
     def test_validation_split_used(self):
         ds = tiny_dataset()
         cfg = tiny_cfg(val_fraction=0.4, val_tasks=2)  # 5 classes -> 2 held out
@@ -338,11 +363,27 @@ class TestTrainLoop:
         result = tr.train(ds, cfg, MODEL)
         assert len(result.val_history) == cfg.epochs
 
-    def test_split_none_when_too_few_classes(self):
+    def test_split_none_when_too_few_classes(self, caplog):
         ds = tiny_dataset()
-        train_ds, val_ds = tr.split_classes(ds, tiny_cfg(val_fraction=0.1))
+        with caplog.at_level(logging.WARNING, logger="gyroshot"):
+            train_ds, val_ds = tr.split_classes(ds, tiny_cfg(val_fraction=0.1))
         assert val_ds is None
         assert train_ds.classes.size == 5
+        assert "validation is off" in caplog.text
+        assert "of 5 classes leaves 0 validation and 5 training classes" in caplog.text
+
+    def test_default_val_fraction_warns_on_twenty_classes(self, caplog):
+        ds = generate_synthetic(SyntheticConfig(n_classes=20, samples_per_class=2), BALL)
+        with caplog.at_level(logging.WARNING, logger="gyroshot"):
+            _, val_ds = tr.split_classes(ds, tr.TrainConfig())
+        assert val_ds is None
+        assert "val_fraction=0.2 of 20 classes leaves 4 validation and 16 training" in caplog.text
+        assert "5-way episodes need 5 on each side" in caplog.text
+
+    def test_no_warning_when_validation_not_requested(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="gyroshot"):
+            tr.split_classes(tiny_dataset(), tiny_cfg(val_fraction=0.0))
+        assert caplog.text == ""
 
 
 class TestEvaluate:
@@ -436,3 +477,71 @@ class TestCsvWriters:
             back = list(csv.reader(f))
         assert back[0] == ["variant", "n_outliers", "accuracy", "ci95"]
         assert back[1] == ["a", "2", "0.625", "0.03125"]
+
+
+# ---------------------------------------------------------------------------
+# the lazy backward against an eager reference sweep
+
+
+def _eager_record(value, pulls, tape, op="op"):
+    """The reference engine's node: each adjoint adds in place into a
+    pre-zeroed gradient."""
+    out = ad.Var(value, tape, op=op, parents=tuple(v for v, _ in pulls))
+
+    def bw(g):
+        for v, pull in pulls:
+            v.grad += pull(g)
+
+    out._backward = bw
+    return out
+
+
+def _eager_backward(root):
+    for node in root.tape.nodes:
+        node.grad = np.zeros_like(node.value)
+    root.grad = root.grad + 1.0
+    for node in reversed(root.tape.nodes):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def _composite_softmax(x, axis=-1):
+    shift = np.max(ad.val(x), axis=axis, keepdims=True)
+    e = ad.exp(ad.sub(x, shift))
+    return ad.div(e, ad.sum(e, axis=axis, keepdims=True))
+
+
+def _composite_geodesic(x, y, cfg):
+    m = geometry.mobius_add(geometry.neg_point(x), y, cfg)
+    return (2.0 / cfg.sqrt_c) * ad.arctanh(cfg.sqrt_c * ad.norm(m))
+
+
+def test_lazy_backward_matches_eager_sweep_bit_for_bit(monkeypatch):
+    """Same tape, two engines: parameter gradients of one default app2s
+    episode agree exactly. The tape uses the composite softmax and geodesic,
+    whose many nodes and fan-outs exercise accumulation."""
+    monkeypatch.setattr(ad, "softmax", _composite_softmax)
+    monkeypatch.setattr(metrics, "geodesic_distance", _composite_geodesic)
+    ball = BallConfig(c=0.7)
+    ds = generate_synthetic(SyntheticConfig(), ball)
+    cfg = tr.TrainConfig(ball=ball)
+    model_cfg = ModelConfig(in_dim=8, grid=(3, 3))
+    episode = sample_episode(ds, cfg.episode_spec(), index=0)
+
+    def param_grads(sweep):
+        bundle = ModelBundle(model_cfg, seed=cfg.seed)
+        tape = ad.Tape()
+        modules = bundle.modules()
+        pvars = {m: {k: tape.var(v) for k, v in modules[m].params.items()}
+                 for m in tr.trainable_modules(cfg)}
+        loss, _ = tr.episode_forward(episode, bundle, cfg, params=pvars, train=True,
+                                     rng=np.random.default_rng([cfg.seed, 7, 0]))
+        sweep(loss)
+        return {f"{m}.{k}": v.grad for m in pvars for k, v in pvars[m].items()}
+
+    lazy = param_grads(ad.backward)
+    monkeypatch.setattr(ad, "record", _eager_record)
+    eager = param_grads(_eager_backward)
+    assert lazy.keys() == eager.keys() and len(lazy) > 30
+    for name, g in eager.items():
+        np.testing.assert_array_equal(lazy[name], g, err_msg=name)
