@@ -29,7 +29,6 @@ from .errors import (
 )
 from .geometry import (
     BallConfig,
-    TangentVec,
     clip_to_ball,
     conformal_factor,
     einstein_midpoint,
@@ -42,7 +41,6 @@ from .geometry import (
     poincare_to_klein,
 )
 from .metrics import (
-    FeatureMap,
     adaptive_combine,
     adaptive_p2s,
     hausdorff_bidirectional,
@@ -86,7 +84,6 @@ __all__ = [
     "Episode",
     "EpisodeSpec",
     "EvalReport",
-    "FeatureMap",
     "GyroshotError",
     "InsufficientDataError",
     "ModelBundle",
@@ -96,7 +93,6 @@ __all__ = [
     "ShapeError",
     "SignatureGenerator",
     "SyntheticConfig",
-    "TangentVec",
     "Tape",
     "TapeError",
     "TrainConfig",

@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .episodes import (
@@ -33,6 +32,7 @@ from .train import (
     evaluate,
     run_robustness,
     train,
+    variant_spec,
     write_metrics_csv,
     write_robustness_csv,
 )
@@ -40,7 +40,7 @@ from . import verify as verify_mod
 
 log = logging.getLogger("gyroshot")
 
-# key -> (kind, default); kinds: int, float, optfloat, bool, str, optstr, intlist
+# key -> (kind, default); kinds: int, float, optfloat, str, optstr, intlist
 _SCHEMA = {
     "c": ("optfloat", None),
     "eps": ("float", 1e-5),
@@ -67,11 +67,7 @@ _SCHEMA = {
     "epochs": ("int", 5),
     "tasks_per_epoch": ("int", 100),
     "temperature": ("float", 1.0),
-    "use_fphi": ("bool", True),
-    "use_fomega": ("bool", True),
-    "use_fzeta": ("bool", True),
-    "euclidean_mode": ("bool", False),
-    "objective": ("str", "app2s"),
+    "variant": ("str", "app2s"),
     "val_fraction": ("float", 0.2),
     "val_tasks": ("int", 20),
     "eval_epochs": ("int", 10),
@@ -97,10 +93,6 @@ def _coerce(key: str, kind: str, value):
         if value is None:
             return None
         return _coerce(key, "float", value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be a boolean, got {value!r}")
-        return value
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
@@ -128,6 +120,7 @@ class RunConfig:
         self._values = {}
         for key, (kind, default) in _SCHEMA.items():
             self._values[key] = _coerce(key, kind, values[key]) if key in values else default
+        variant_spec(self.variant)
 
     def __getattr__(self, key):
         try:
@@ -192,11 +185,7 @@ class RunConfig:
             epochs=self.epochs,
             tasks_per_epoch=self.tasks_per_epoch,
             temperature=self.temperature,
-            use_fphi=self.use_fphi,
-            use_fomega=self.use_fomega,
-            use_fzeta=self.use_fzeta,
-            euclidean_mode=self.euclidean_mode,
-            objective=self.objective,
+            variant_name=self.variant,
             val_fraction=self.val_fraction,
             val_tasks=self.val_tasks,
             seed=self.seed,
@@ -286,9 +275,7 @@ def cmd_robustness(cfg: RunConfig, out: Path) -> int:
     dataset = load_features(_require(cfg, "dataset"), cfg.ball())
     variants = {}
     for name in _ROBUSTNESS_VARIANTS:
-        vcfg = cfg.train_cfg().variant(name)
-        if name == "euclidean_ap2s":
-            vcfg = replace(vcfg, ball=BallConfig(c=1e-8, eps=cfg.eps))
+        vcfg = cfg.override(variant=name).train_cfg()
         log.info("training variant %s", name)
         result = train(dataset, vcfg, cfg.model_cfg(dataset.dims))
         result.bundle.save(out / f"checkpoint_{name}.bin")
@@ -308,9 +295,9 @@ def cmd_robustness(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out: Path, fast: bool = False) -> int:
+def cmd_verify(cfg: RunConfig, out: Path) -> int:
     _echo_config(cfg, out)
-    checks = verify_mod.run_all(fast=fast)
+    checks = verify_mod.run_all()
     lines = [c.line() for c in checks]
     print("\n".join(lines))
     n_fail = sum(not c.passed for c in checks)

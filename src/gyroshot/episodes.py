@@ -206,7 +206,7 @@ def _duplicate(sample: np.ndarray, dataset: Dataset, rng) -> np.ndarray:
     if dataset.synth is not None and dataset.ball is not None:
         ball = dataset.ball
         origin = np.zeros(sample.shape[-1])
-        tangent = log_map(origin, sample, ball).vec
+        tangent = log_map(origin, sample, ball)
         tangent = tangent + rng.normal(0.0, dataset.synth.within_spread, sample.shape)
         return clip_to_ball(exp_map(origin, tangent, ball), ball)[None]
     return sample[None].copy()

@@ -27,7 +27,7 @@ Core formulas:
     exp_x(v)   = x (+) (tanh(sqrt(c) lambda_x ||v|| / 2) v / (sqrt(c) ||v||))
 
 As c -> 0 the distance tends to 2||x - y|| and Mobius addition to x + y;
-`flat_distance` implements that limit for the flat-space switch.
+`flat_distance` implements that limit for the euclidean_ap2s variant.
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ class BallConfig:
     def max_norm(self) -> float:
         """Clip bound mu = (1 - eps) / sqrt(c)."""
         return (1.0 - self.eps) / math.sqrt(self.c)
-
-
-@dataclass
-class TangentVec:
-    """A tangent vector `vec` attached to base point `base`."""
-
-    base: object
-    vec: object
 
 
 def _check_same_width(x, y, op: str) -> None:
@@ -188,16 +180,11 @@ def klein_to_poincare(k, cfg: BallConfig):
 def einstein_midpoint(points, cfg: BallConfig, axis: int = -2):
     """Gamma-weighted average of ball points, computed in Klein coordinates.
 
-    `points` stacks the set along `axis` (a list of vectors is stacked along
-    a new axis -2). In the plain-array path the weighted summands are sorted
-    per coordinate before reduction, so any permutation of the inputs yields
-    a bit-identical result; the taped path keeps evaluation order.
+    `points` stacks the set along `axis`. In the plain-array path the
+    weighted summands are sorted per coordinate before reduction, so any
+    permutation of the inputs yields a bit-identical result; the taped path
+    keeps evaluation order.
     """
-    if isinstance(points, (list, tuple)):
-        if len(points) == 0:
-            raise ShapeError("einstein_midpoint: empty point set")
-        points = np.stack([np.asarray(val(p), dtype=np.float64) for p in points], axis=-2) \
-            if not any(isinstance(p, ad.Var) for p in points) else _stack_vars(points)
     if np.shape(val(points))[axis] == 0:
         raise ShapeError("einstein_midpoint: empty point set")
     k = poincare_to_klein(points, cfg)
@@ -212,19 +199,12 @@ def einstein_midpoint(points, cfg: BallConfig, axis: int = -2):
     return klein_to_poincare(num / den, cfg)
 
 
-def _stack_vars(points):
-    expanded = []
-    for p in points:
-        shp = np.shape(val(p))
-        target = shp[:-1] + (1,) + shp[-1:]
-        expanded.append(ad.reshape(p, target))
-    return ad.concat(expanded, axis=-2)
-
-
-def log_map(x, y, cfg: BallConfig) -> TangentVec:
+def log_map(x, y, cfg: BallConfig):
     """Tangent vector at x pointing to y; zero when y == x.
 
-    Satisfies lambda_x * ||log_x(y)|| = d_c(x, y) and exp_x(log_x(y)) = y.
+    Returns the raw coordinates (an array, or a Var when an operand is one),
+    broadcast over the leading axes of x and y. Satisfies
+    lambda_x * ||log_x(y)|| = d_c(x, y) and exp_x(log_x(y)) = y.
     """
     m = mobius_add(neg_point(x), y, cfg)
     n = ad.norm(m, keepdims=True)
@@ -232,16 +212,12 @@ def log_map(x, y, cfg: BallConfig) -> TangentVec:
     n_safe = ad.where(nz, n, np.ones_like(val(n)))
     lam = conformal_factor(x, cfg, keepdims=True)
     coef = (2.0 / (cfg.sqrt_c * lam)) * ad.arctanh(cfg.sqrt_c * n) / n_safe
-    return TangentVec(base=x, vec=coef * m)
+    return coef * m
 
 
 def exp_map(x, v, cfg: BallConfig):
-    """Point reached from x along tangent vector v; inverse of log_map.
-
-    `v` may be a TangentVec (its base is trusted to be x) or a raw array.
-    """
-    if isinstance(v, TangentVec):
-        v = v.vec
+    """Point reached from x along v, raw tangent coordinates at x such as
+    log_map returns; inverse of log_map."""
     _check_same_width(x, v, "exp_map")
     n = ad.norm(v, keepdims=True)
     nz = val(n) > _TINY

@@ -1,6 +1,7 @@
 """Distances between patch sets on the ball.
 
-A feature map is a set of HW patch embeddings, one point each. Classical
+A feature map is an array (or tape Var) of shape (..., HW, C): a set of HW
+patch embeddings, one point each. Classical
 point-to-set reductions (min / max / Hausdorff) operate on plain arrays and
 are evaluation-only. The learned set-to-set distance and the adaptive
 combination run through the generic autodiff ops, so the same functions serve
@@ -14,49 +15,16 @@ query block against a (1, N, K, HW, C) support block yields the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
 from .errors import DomainError, ShapeError
-from .geometry import BallConfig, geodesic_distance, in_ball
+from .geometry import BallConfig, geodesic_distance
 
 
-@dataclass
-class FeatureMap:
-    """HW patch embeddings with their spatial grid (H, W, C)."""
-
-    patches: object
-    dims: tuple[int, int, int]
-
-    def __post_init__(self):
-        h, w, c = self.dims
-        if h < 1 or w < 1 or c < 1:
-            raise ShapeError(f"feature map dims must be positive, got {self.dims}")
-        shape = np.shape(val(self.patches))
-        if len(shape) < 2 or shape[-2] != h * w or shape[-1] != c:
-            raise ShapeError(
-                f"patches shape {shape} does not match dims {self.dims} (expect (..., {h * w}, {c}))"
-            )
-
-    @property
-    def hw(self) -> int:
-        return self.dims[0] * self.dims[1]
-
-
-def _patches(m):
-    return m.patches if isinstance(m, FeatureMap) else m
-
-
-def _as_set(S):
-    """Coerce a set argument (FeatureMap, array, or list of points) to (..., P, C)."""
-    S = _patches(S)
-    if isinstance(S, (list, tuple)):
-        if len(S) == 0:
-            raise ShapeError("empty point set")
-        S = np.stack([np.asarray(val(p), dtype=np.float64) for p in S])
+def _check_set(S):
+    """Check that a set argument is (..., P>=1, C)."""
     shape = np.shape(val(S))
     if len(shape) < 2 or shape[-2] == 0:
         raise ShapeError(f"point set must be (..., P>=1, C), got {shape}")
@@ -67,9 +35,10 @@ def pairwise_matrix(q, s, cfg: BallConfig, dist_fn=None):
     """All geodesic distances between the patches of `q` and of `s`.
 
     Returns (..., HWq, HWs); entry [h, w] is the distance from query patch h
-    to support patch w. `dist_fn` overrides the metric (flat-space switch).
+    to support patch w. `dist_fn` overrides the metric (the flat distance of
+    the euclidean_ap2s variant).
     """
-    qp, sp = _as_set(q), _as_set(s)
+    qp, sp = _check_set(q), _check_set(s)
     qs, ss = np.shape(val(qp)), np.shape(val(sp))
     if qs[-1] != ss[-1]:
         raise ShapeError(f"patch widths differ: {qs[-1]} vs {ss[-1]}")
@@ -96,7 +65,7 @@ def _point_to_set(p, S, cfg, dist_fn):
     pv = np.asarray(val(p), dtype=np.float64)
     if pv.ndim != 1:
         raise ShapeError(f"point must be 1-D, got shape {pv.shape}")
-    Sv = np.asarray(val(_as_set(S)), dtype=np.float64)
+    Sv = np.asarray(val(_check_set(S)), dtype=np.float64)
     if Sv.ndim != 2:
         raise ShapeError(f"set must be (P, C), got shape {Sv.shape}")
     if dist_fn is None:
@@ -106,8 +75,8 @@ def _point_to_set(p, S, cfg, dist_fn):
 
 def hausdorff_one_sided(A, B, cfg: BallConfig, dist_fn=None) -> float:
     """max over a in A of min over b in B of d(a, b). Not symmetric."""
-    Av = np.asarray(val(_as_set(A)), dtype=np.float64)
-    Bv = np.asarray(val(_as_set(B)), dtype=np.float64)
+    Av = np.asarray(val(_check_set(A)), dtype=np.float64)
+    Bv = np.asarray(val(_check_set(B)), dtype=np.float64)
     D = pairwise_matrix(Av, Bv, cfg, dist_fn)
     return float(D.min(axis=-1).max())
 
@@ -176,8 +145,3 @@ def adaptive_p2s(q, class_maps, weights, net, cfg: BallConfig, *, dist_fn=None,
     out = adaptive_combine(svals, weights)
     return (out, svals) if return_parts else out
 
-
-def check_maps_in_ball(maps, cfg: BallConfig) -> None:
-    """Raise unless every patch lies strictly inside the ball."""
-    if not in_ball(_patches(maps), cfg):
-        raise DomainError("feature map patches must lie strictly inside the ball")

@@ -32,10 +32,12 @@ from . import autodiff as ad
 from .autodiff import val
 from .errors import ConfigError, DataFormatError, ShapeError
 from .geometry import BallConfig, clip_to_ball, in_ball, log_map
-from .metrics import FeatureMap
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
+#: checkpoint header version; 2 is the first without the seven bias tensors
+#: that received no gradient
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -85,15 +87,25 @@ def dropout(x, p: float, rng):
     return x * mask
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5):
+def _shift(x, beta):
+    """x + beta; beta=None records no node."""
+    return x if beta is None else x + beta
+
+
+def layer_norm(x, gamma, beta=None, eps: float = 1e-5):
+    """Normalize over the last axis; beta=None leaves out the shift."""
     mu = ad.mean(x, axis=-1, keepdims=True)
     d = x - mu
     var = ad.mean(d * d, axis=-1, keepdims=True)
-    return gamma * (d / ad.sqrt(var + eps)) + beta
+    return _shift(gamma * (d / ad.sqrt(var + eps)), beta)
 
 
 def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool):
-    """Normalize over all axes but the last; running buffers updated in train mode."""
+    """Normalize over all axes but the last; running buffers updated in train mode.
+
+    beta=None leaves out the shift. A bias that feeds straight into batch norm
+    is cancelled by its mean subtraction, so the layers before it have none.
+    """
     if train:
         axes = tuple(range(np.ndim(val(x)) - 1))
         mu = ad.mean(x, axis=axes, keepdims=True)
@@ -103,8 +115,8 @@ def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool):
         mean_buf += _BN_MOMENTUM * np.asarray(val(mu)).reshape(-1)
         var_buf *= 1.0 - _BN_MOMENTUM
         var_buf += _BN_MOMENTUM * np.asarray(val(var)).reshape(-1)
-        return gamma * (d / ad.sqrt(var + _BN_EPS)) + beta
-    return gamma * ((x - mean_buf) / np.sqrt(var_buf + _BN_EPS)) + beta
+        return _shift(gamma * (d / ad.sqrt(var + _BN_EPS)), beta)
+    return _shift(gamma * ((x - mean_buf) / np.sqrt(var_buf + _BN_EPS)), beta)
 
 
 def sinusoidal_grid_encoding(h: int, w: int, c: int) -> np.ndarray:
@@ -166,15 +178,13 @@ class Encoder:
         return out
 
 
-def encode(x, encoder: Encoder, ball: BallConfig) -> FeatureMap:
-    """Embed raw patches (..., HW, in_dim) as a FeatureMap on the ball."""
-    patches = encoder(x, ball)
-    h, w = encoder.cfg.grid
-    return FeatureMap(patches=patches, dims=(h, w, encoder.cfg.feat_dim))
-
-
 class SignatureGenerator:
-    """Single-head transformer encoder block over support descriptors."""
+    """Single-head transformer encoder block over support descriptors.
+
+    The key projection has no bias (softmax over the keys is invariant to
+    it), and the output layer norm has no shift: the signature only reaches
+    the relation net's first conv, whose batch norm cancels it.
+    """
 
     def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
@@ -184,12 +194,13 @@ class SignatureGenerator:
         self.params = {}
         for name in ("wq", "wk", "wv", "wo"):
             self.params[name] = _linear_init(rng, c, c)
-            self.params[name.replace("w", "b")] = np.zeros(c)
+            if name != "wk":
+                self.params[name.replace("w", "b")] = np.zeros(c)
         self.params.update(
             ln1_g=np.ones(c), ln1_b=np.zeros(c),
             ffw1=_linear_init(rng, c, ff), ffb1=np.zeros(ff),
             ffw2=_linear_init(rng, ff, c), ffb2=np.zeros(c),
-            ln2_g=np.ones(c), ln2_b=np.zeros(c),
+            ln2_g=np.ones(c),
         )
         self.buffers: dict[str, np.ndarray] = {}
 
@@ -198,14 +209,14 @@ class SignatureGenerator:
         p = params if params is not None else self.params
         c = self.cfg.feat_dim
         q = ad.matmul(tokens, p["wq"]) + p["bq"]
-        k = ad.matmul(tokens, p["wk"]) + p["bk"]
+        k = ad.matmul(tokens, p["wk"])
         v = ad.matmul(tokens, p["wv"]) + p["bv"]
         scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(c))
         att = ad.matmul(ad.softmax(scores, axis=-1), v)
         att = ad.matmul(att, p["wo"]) + p["bo"]
         h = layer_norm(tokens + att, p["ln1_g"], p["ln1_b"])
         f = ad.matmul(ad.relu(ad.matmul(h, p["ffw1"]) + p["ffb1"]), p["ffw2"]) + p["ffb2"]
-        return layer_norm(h + f, p["ln2_g"], p["ln2_b"])
+        return layer_norm(h + f, p["ln2_g"])
 
     def refine(self, proj, params=None):
         """Attend jointly over all support maps.
@@ -232,10 +243,9 @@ def project_support(support, qbar, cfg: BallConfig):
     support (..., HW, C) against base qbar (..., C); the base is expanded on
     the patch axis and the two broadcast. Returns raw tangent coordinates.
     """
-    support = support.patches if isinstance(support, FeatureMap) else support
     qshape = np.shape(val(qbar))
     base = ad.reshape(qbar, qshape[:-1] + (1, qshape[-1]))
-    return log_map(base, support, cfg).vec
+    return log_map(base, support, cfg)
 
 
 def class_signature(refined, axis: int = -3):
@@ -244,7 +254,10 @@ def class_signature(refined, axis: int = -3):
 
 
 class RelationGenerator:
-    """Convolutional scorer of (projected map, class signature) agreement."""
+    """Convolutional scorer of (projected map, class signature) agreement.
+
+    The convs have no bias: each feeds straight into batch norm.
+    """
 
     def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
@@ -255,11 +268,9 @@ class RelationGenerator:
         cin, f = 2 * cfg.feat_dim, cfg.relation_filters
         self.params = {
             "conv1_w": _conv_init(rng, self.k1[0], self.k1[1], cin, f),
-            "conv1_b": np.zeros(f),
             "bn1_g": np.ones(f),
             "bn1_b": np.zeros(f),
             "conv2_w": _conv_init(rng, self.k2[0], self.k2[1], f, 1),
-            "conv2_b": np.zeros(1),
             "bn2_g": np.ones(1),
             "bn2_b": np.zeros(1),
         }
@@ -283,11 +294,11 @@ class RelationGenerator:
                 f"relation input must be (B, {self.cfg.grid[0]}, {self.cfg.grid[1]}, "
                 f"{2 * self.cfg.feat_dim}), got {shape}"
             )
-        x = ad.conv2d(g, p["conv1_w"]) + p["conv1_b"]
+        x = ad.conv2d(g, p["conv1_w"])
         x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
                        self.buffers["bn1_var"], train)
         x = dropout(ad.relu(x), 0.5, rng if train else None)
-        x = ad.conv2d(x, p["conv2_w"]) + p["conv2_b"]
+        x = ad.conv2d(x, p["conv2_w"])
         x = batch_norm(x, p["bn2_g"], p["bn2_b"], self.buffers["bn2_mean"],
                        self.buffers["bn2_var"], train)
         s = ad.sigmoid(x)
@@ -316,7 +327,13 @@ def relation_scores(proj, signature, relation: RelationGenerator,
 
 
 class S2SNetwork:
-    """Two-layer scorer of flattened pairwise-distance matrices."""
+    """Two-layer scorer of flattened pairwise-distance matrices.
+
+    The linears have no bias (each feeds straight into batch norm), and the
+    last batch norm has no shift: it would move every per-sample distance by
+    the same amount, which the convex combination passes on to every class
+    and the log-softmax over classes cancels.
+    """
 
     def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
@@ -324,13 +341,10 @@ class S2SNetwork:
         self.in_width = hw * hw
         self.params = {
             "w1": _linear_init(rng, self.in_width, hw),
-            "b1": np.zeros(hw),
             "bn1_g": np.ones(hw),
             "bn1_b": np.zeros(hw),
             "w2": _linear_init(rng, hw, 1),
-            "b2": np.zeros(1),
             "bn2_g": np.ones(1),
-            "bn2_b": np.zeros(1),
         }
         self.buffers = {
             "bn1_mean": np.zeros(hw),
@@ -345,12 +359,12 @@ class S2SNetwork:
         shape = np.shape(val(d))
         if len(shape) != 2 or shape[-1] != self.in_width:
             raise ShapeError(f"s2s input must be (B, {self.in_width}), got {shape}")
-        x = ad.matmul(d, p["w1"]) + p["b1"]
+        x = ad.matmul(d, p["w1"])
         x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
                        self.buffers["bn1_var"], train)
         x = dropout(ad.relu(x), 0.5, rng if train else None)
-        x = ad.matmul(x, p["w2"]) + p["b2"]
-        x = batch_norm(x, p["bn2_g"], p["bn2_b"], self.buffers["bn2_mean"],
+        x = ad.matmul(x, p["w2"])
+        x = batch_norm(x, p["bn2_g"], None, self.buffers["bn2_mean"],
                        self.buffers["bn2_var"], train)
         return ad.reshape(x, (shape[0],))
 
@@ -422,8 +436,10 @@ class ModelBundle:
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """One JSON header line (names, shapes, dtype) then raw little-endian blocks."""
+    """One JSON header line (format version, names, shapes, dtype) then raw
+    little-endian blocks."""
     header = {
+        "format_version": CHECKPOINT_FORMAT,
         "tensors": [
             {"name": k, "shape": list(np.shape(v)), "dtype": "<f8"} for k, v in tensors.items()
         ]
@@ -442,9 +458,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise DataFormatError(f"{path}: missing header line")
     try:
         header = json.loads(raw[:nl].decode("utf-8"))
+        version = header.get("format_version")
         entries = header["tensors"]
-    except (ValueError, KeyError, UnicodeDecodeError) as e:
+    except (ValueError, KeyError, AttributeError, UnicodeDecodeError) as e:
         raise DataFormatError(f"{path}: bad checkpoint header ({e})") from e
+    if version != CHECKPOINT_FORMAT:
+        raise DataFormatError(
+            f"{path}: checkpoint format_version {version}, expected {CHECKPOINT_FORMAT}"
+        )
     out = {}
     offset = nl + 1
     for entry in entries:

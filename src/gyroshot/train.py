@@ -13,10 +13,13 @@ One episode's forward pass (full objective):
      distances; class scores are softmax(-d / temperature) and the loss is
      the mean cross-entropy over queries.
 
-Ablation switches: use_fphi off -> uniform weights, use_fomega off -> the
-signature is the mean of the unrefined maps, use_fzeta off -> per-sample
-distance is the plain mean of the pairwise matrix, euclidean_mode swaps the
-geodesic for 2||x - y||. objective="prototype" replaces steps 2-5 with
+Ablation variants: `TrainConfig.variant_name` names one of the six specs in
+VARIANTS, which decide everything that differs between them. A module trains
+exactly when its stage runs: without the relation net the weights are
+uniform, without the signature refiner the signature is the mean of the
+unrefined maps, and without the s2s net the per-sample distance is the plain
+mean of the pairwise matrix. euclidean_ap2s swaps the geodesic for
+2||x - y|| and runs at c = 1e-8, and prototype replaces steps 2-5 with
 nearest Einstein-midpoint class prototypes under the same encoder.
 """
 
@@ -39,18 +42,44 @@ from .netmods import ModelBundle, ModelConfig
 
 log = logging.getLogger("gyroshot")
 
-#: ablation variants -> switch overrides
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """What one ablation variant runs and trains.
+
+    `modules` lists the modules that train, in the order their tape leaves
+    are made; the signature refiner, relation net and s2s net run exactly
+    when they are listed. `prototype` replaces the point-to-set steps with
+    nearest class prototypes, `flat` replaces the geodesic with 2||x - y||,
+    and `curvature`, when set, replaces the configured c.
+    """
+
+    modules: tuple[str, ...]
+    prototype: bool = False
+    flat: bool = False
+    curvature: float | None = None
+
+
+_ALL_MODULES = ("encoder", "relation", "signature", "s2s")
+
+#: ablation variant name -> spec
 VARIANTS = {
-    "prototype": {"objective": "prototype"},
-    "p2s_uniform": {"use_fphi": False, "use_fomega": False},
-    "p2s_relation": {"use_fomega": False},
-    "euclidean_ap2s": {"euclidean_mode": True},
-    "ap2s_mean_s2s": {"use_fzeta": False},
-    "app2s": {},
+    "prototype": VariantSpec(("encoder",), prototype=True),
+    "p2s_uniform": VariantSpec(("encoder", "s2s")),
+    "p2s_relation": VariantSpec(("encoder", "relation", "s2s")),
+    "euclidean_ap2s": VariantSpec(_ALL_MODULES, flat=True, curvature=1e-8),
+    "ap2s_mean_s2s": VariantSpec(("encoder", "relation", "signature")),
+    "app2s": VariantSpec(_ALL_MODULES),
 }
 
 _OPTIMIZERS = ("sgd", "adam")
-_OBJECTIVES = ("app2s", "prototype")
+
+
+def variant_spec(name: str) -> VariantSpec:
+    """The spec of a named variant; ConfigError for an unknown name."""
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown variant {name!r}, choose from {sorted(VARIANTS)}")
+    return VARIANTS[name]
 
 
 @dataclass(frozen=True)
@@ -65,11 +94,7 @@ class TrainConfig:
     epochs: int = 5
     tasks_per_epoch: int = 100
     temperature: float = 1.0
-    use_fphi: bool = True
-    use_fomega: bool = True
-    use_fzeta: bool = True
-    euclidean_mode: bool = False
-    objective: str = "app2s"
+    variant_name: str = "app2s"
     val_fraction: float = 0.2
     val_tasks: int = 20
     seed: int = 0
@@ -77,8 +102,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in _OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
-        if self.objective not in _OBJECTIVES:
-            raise ConfigError(f"objective must be one of {_OBJECTIVES}, got {self.objective!r}")
+        c = self.spec.curvature
+        if c is not None:
+            object.__setattr__(self, "ball", BallConfig(c=c, eps=self.ball.eps))
         if self.temperature <= 0.0:
             raise ConfigError("temperature must be positive")
         if self.learning_rate <= 0.0 or self.epochs < 1 or self.tasks_per_epoch < 1:
@@ -86,13 +112,17 @@ class TrainConfig:
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigError("val_fraction must lie in [0, 1)")
 
+    @property
+    def spec(self) -> VariantSpec:
+        return variant_spec(self.variant_name)
+
     def variant(self, name: str) -> "TrainConfig":
-        """Config for a named ablation variant (see VARIANTS)."""
-        if name not in VARIANTS:
-            raise ConfigError(f"unknown variant {name!r}, choose from {sorted(VARIANTS)}")
-        base = replace(self, objective="app2s", use_fphi=True, use_fomega=True,
-                       use_fzeta=True, euclidean_mode=False)
-        return replace(base, **VARIANTS[name])
+        """This config with another ablation variant (see VARIANTS).
+
+        A variant that fixes the curvature replaces `ball`; a config derived
+        from it keeps that ball.
+        """
+        return replace(self, variant_name=name)
 
     def episode_spec(self, n_outliers: int = 0, seed: int | None = None) -> EpisodeSpec:
         return EpisodeSpec(
@@ -105,23 +135,8 @@ class TrainConfig:
 
 
 def trainable_modules(cfg: TrainConfig) -> tuple[str, ...]:
-    """Modules that receive gradients under the given switches."""
-    if cfg.objective == "prototype":
-        return ("encoder",)
-    names = ["encoder"]
-    if cfg.use_fphi:
-        names.append("relation")
-        if cfg.use_fomega:
-            names.append("signature")
-    if cfg.use_fzeta:
-        names.append("s2s")
-    return tuple(names)
-
-
-def _dist_fn(cfg: TrainConfig):
-    if cfg.euclidean_mode:
-        return lambda a, b: flat_distance(a, b)
-    return None
+    """Modules that receive gradients under the config's variant."""
+    return cfg.spec.modules
 
 
 def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
@@ -134,6 +149,7 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
     """
     p = params or {}
     ball = cfg.ball
+    spec = cfg.spec
     n, k_eff, hw, _ = episode.support.shape
     nq = episode.query.shape[1]
     n_query_total = n * nq
@@ -142,28 +158,24 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
     que = episode.query.reshape(n_query_total, hw, -1)
     enc_s = bundle.encoder(sup, ball, params=p.get("encoder"))
     enc_q = bundle.encoder(que, ball, params=p.get("encoder"))
-    dist_fn = _dist_fn(cfg)
 
     svals = None
     weights = None
-    if cfg.objective == "prototype":
+    if spec.prototype:
         emb_q = einstein_midpoint(enc_q, ball, axis=-2)
         emb_s = einstein_midpoint(enc_s, ball, axis=-2)
         protos = einstein_midpoint(ad.reshape(emb_s, (n, k_eff, feat)), ball, axis=-2)
         q_e = ad.reshape(emb_q, (n_query_total, 1, feat))
         p_e = ad.reshape(protos, (1, n, feat))
-        if dist_fn is None:
-            dists = geodesic_distance(q_e, p_e, ball)
-        else:
-            dists = dist_fn(q_e, p_e)
+        dists = geodesic_distance(q_e, p_e, ball)
     else:
         q4 = ad.reshape(enc_q, (n_query_total, 1, 1, hw, feat))
         s4 = ad.reshape(enc_s, (1, n, k_eff, hw, feat))
-        if cfg.use_fphi:
+        if "relation" in spec.modules:
             qbar = einstein_midpoint(enc_q, ball, axis=-2)
             qb = ad.reshape(qbar, (n_query_total, 1, 1, 1, feat))
             proj = netmods.project_support(s4, qb, ball)
-            if cfg.use_fomega:
+            if "signature" in spec.modules:
                 flat = ad.reshape(proj, (n_query_total, n * k_eff, hw, feat))
                 refined = bundle.signature.refine(flat, params=p.get("signature"))
                 refined = ad.reshape(refined, (n_query_total, n, k_eff, hw, feat))
@@ -176,9 +188,9 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
             )
         else:
             weights = np.full((n_query_total, n, k_eff), 1.0 / k_eff)
-        net = bundle.s2s if cfg.use_fzeta else None
+        net = bundle.s2s if "s2s" in spec.modules else None
         dists, svals = metrics.adaptive_p2s(
-            q4, s4, weights, net, ball, dist_fn=dist_fn,
+            q4, s4, weights, net, ball, dist_fn=flat_distance if spec.flat else None,
             train=train, rng=rng, params=p.get("s2s"), return_parts=True,
         )
 
@@ -206,12 +218,6 @@ def episode_loss(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
                  params=None, train: bool = False, rng=None):
     """Scalar episode objective (a Var when `params` carries Vars)."""
     return episode_forward(episode, bundle, cfg, params=params, train=train, rng=rng)[0]
-
-
-def prototype_baseline(episode: Episode, bundle: ModelBundle, cfg: TrainConfig) -> np.ndarray:
-    """Predicted labels by nearest Einstein-midpoint class prototype."""
-    _, info = episode_forward(episode, bundle, replace(cfg, objective="prototype"))
-    return info["predictions"]
 
 
 class Sgd:
@@ -435,8 +441,11 @@ def run_robustness(dataset: Dataset, variants: dict, *, outlier_grid=(0, 1, 2, 3
                    seed: int = 10_000) -> list[dict]:
     """Evaluate trained variants under growing support corruption.
 
-    `variants` maps a name to (bundle, train_cfg). All variants and outlier
-    levels share the same episode stream seed, so rows are comparable.
+    `variants` maps a name to (bundle, train_cfg). Every variant sees the
+    same episodes at a given outlier level, since all rows share one episode
+    stream seed. Rows at different outlier levels are not paired: each
+    class's outliers come from the stream that then picks the next class's
+    samples, so adding outliers also changes the clean part of an episode.
     """
     if not variants:
         raise ConfigError("robustness study needs at least one model variant")

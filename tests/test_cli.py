@@ -56,12 +56,26 @@ class TestRunConfig:
     def test_type_coercion_errors(self):
         with pytest.raises(ConfigError, match="integer"):
             RunConfig({"epochs": 2.5})
-        with pytest.raises(ConfigError, match="boolean"):
-            RunConfig({"use_fphi": 1})
+        with pytest.raises(ConfigError, match="string"):
+            RunConfig({"variant": 1})
         with pytest.raises(ConfigError, match="number"):
             RunConfig({"temperature": "hot"})
         with pytest.raises(ConfigError, match="list of integers"):
             RunConfig({"outlier_grid": [0, "1"]})
+
+    def test_variant_validated(self):
+        assert RunConfig({}).variant == "app2s"
+        assert RunConfig({"variant": "p2s_uniform"}).train_cfg().variant_name == "p2s_uniform"
+        with pytest.raises(ConfigError, match="unknown variant"):
+            RunConfig({"variant": "ap2s"})
+
+    @pytest.mark.parametrize("key,value", [
+        ("use_fphi", False), ("use_fomega", False), ("use_fzeta", False),
+        ("euclidean_mode", True), ("objective", "prototype"),
+    ])
+    def test_removed_switch_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            RunConfig({key: value})
 
     def test_int_accepted_for_float(self):
         assert RunConfig({"temperature": 2}).temperature == 2.0

@@ -13,10 +13,8 @@ from gyroshot import autodiff as ad
 from gyroshot.errors import DomainError, ShapeError
 from gyroshot.geometry import BallConfig, geodesic_distance
 from gyroshot.metrics import (
-    FeatureMap,
     adaptive_combine,
     adaptive_p2s,
-    check_maps_in_ball,
     hausdorff_bidirectional,
     hausdorff_one_sided,
     p2s_max,
@@ -71,10 +69,6 @@ class TestPairwiseMatrix:
     def test_width_mismatch_raises(self):
         with pytest.raises(ShapeError):
             pairwise_matrix(np.zeros((3, 2)), np.zeros((3, 4)), C1)
-
-    def test_list_of_points_accepted(self):
-        D = pairwise_matrix([SET_A[0], SET_A[1]], SET_B, C1)
-        assert D.shape == (2, 1)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ShapeError):
@@ -228,23 +222,3 @@ class TestAdaptiveP2S:
         report = ad.finite_diff_check(f, self.q)
         assert report.passed, report
 
-
-class TestFeatureMap:
-    def test_hw_property(self):
-        m = FeatureMap(patches=np.zeros((6, 3)), dims=(2, 3, 3))
-        assert m.hw == 6
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            FeatureMap(patches=np.zeros((5, 3)), dims=(2, 3, 3))
-        with pytest.raises(ShapeError):
-            FeatureMap(patches=np.zeros((6, 2)), dims=(2, 3, 3))
-        with pytest.raises(ShapeError):
-            FeatureMap(patches=np.zeros((6, 3)), dims=(0, 3, 3))
-
-    def test_check_maps_in_ball(self):
-        inside = np.zeros((2, 2)) + 0.1
-        check_maps_in_ball(inside, C1)
-        outside = np.array([[0.9, 0.9]])
-        with pytest.raises(DomainError):
-            check_maps_in_ball(outside, C1)

@@ -1,8 +1,11 @@
 """Network module tests: shapes, invariances, normalization, checkpoint IO."""
 
+import json
+
 import numpy as np
 import pytest
 
+from gyroshot import autodiff as ad
 from gyroshot.errors import ConfigError, DataFormatError, ShapeError
 from gyroshot.geometry import BallConfig, geodesic_distance, in_ball, log_map
 from gyroshot.netmods import (
@@ -15,7 +18,6 @@ from gyroshot.netmods import (
     batch_norm,
     class_signature,
     dropout,
-    encode,
     layer_norm,
     load_checkpoint,
     project_support,
@@ -120,6 +122,20 @@ class TestNormalization:
         np.testing.assert_allclose(y, expect, rtol=1e-12)
         np.testing.assert_array_equal(mean_buf, 0.5)  # eval must not touch buffers
 
+    def test_missing_beta_records_no_shift(self):
+        x = rng(8).random((4, 3))
+        for norm in (
+            lambda v, beta: layer_norm(v, np.ones(3), beta),
+            lambda v, beta: batch_norm(v, np.ones(3), beta, np.zeros(3), np.ones(3), True),
+        ):
+            counts, outs = [], []
+            for beta in (None, np.zeros(3)):
+                tape = ad.Tape()
+                outs.append(ad.val(norm(tape.var(x), beta)))
+                counts.append(len(tape.nodes))
+            assert counts[0] + 1 == counts[1]
+            np.testing.assert_array_equal(outs[0], outs[1])
+
     def test_batch_norm_normalizes_over_all_leading_axes(self):
         x = rng(7).random((4, 5, 3))
         y = batch_norm(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), train=True)
@@ -145,12 +161,6 @@ class TestEncoder:
         enc = Encoder(CFG, rng(11))
         with pytest.raises(ShapeError):
             enc(np.zeros((2, CFG.hw, CFG.in_dim + 1)), BALL)
-
-    def test_encode_returns_feature_map(self):
-        enc = Encoder(CFG, rng(12))
-        m = encode(rng(13).standard_normal((CFG.hw, CFG.in_dim)), enc, BALL)
-        assert m.dims == (2, 3, CFG.feat_dim)
-        assert m.patches.shape == (CFG.hw, CFG.feat_dim)
 
 
 class TestSignatureGenerator:
@@ -201,7 +211,7 @@ class TestProjectSupport:
         assert out.shape == (3, 5, 4)
         for i in range(3):
             for j in range(5):
-                expect = log_map(base, support[i, j], BALL).vec
+                expect = log_map(base, support[i, j], BALL)
                 np.testing.assert_array_equal(out[i, j], expect)
 
     def test_zero_at_base(self):
@@ -351,11 +361,30 @@ class TestCheckpointFile:
         path.write_bytes(b"{not json\n" + b"\x00" * 8)
         with pytest.raises(DataFormatError, match="header"):
             load_checkpoint(path)
+        path.write_bytes(b"[1, 2]\n" + b"\x00" * 8)
+        with pytest.raises(DataFormatError, match="header"):
+            load_checkpoint(path)
 
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "t.bin"
-        path.write_bytes(b'{"tensors": [{"name": "a", "shape": [1], "dtype": "<f4"}]}\n' + b"\x00" * 4)
+        path.write_bytes(b'{"format_version": 2, "tensors": [{"name": "a", "shape": [1], '
+                         b'"dtype": "<f4"}]}\n' + b"\x00" * 4)
         with pytest.raises(DataFormatError, match="dtype"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_other_format_version_rejected(self, tmp_path, version):
+        path = tmp_path / "t.bin"
+        save_checkpoint(path, self.tensors())
+        raw = path.read_bytes()
+        header, body = raw.split(b"\n", 1)
+        header = json.loads(header)
+        if version is None:
+            del header["format_version"]
+        else:
+            header["format_version"] = version
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(DataFormatError, match=f"format_version {version}, expected 2"):
             load_checkpoint(path)
 
     def test_truncated_data(self, tmp_path):

@@ -2,8 +2,8 @@
 
 import csv
 import gc
+import itertools
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ import importlib
 
 from gyroshot import autodiff as ad
 from gyroshot import geometry, metrics, netmods
+from gyroshot.cli import RunConfig
 
 # the package re-exports the train() function under the submodule's name,
 # so the module itself must be fetched explicitly
@@ -48,8 +49,8 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             tiny_cfg(optimizer="lbfgs")
-        with pytest.raises(ConfigError):
-            tiny_cfg(objective="margin")
+        with pytest.raises(ConfigError, match="unknown variant"):
+            tiny_cfg(variant_name="ap2s")
         with pytest.raises(ConfigError):
             tiny_cfg(temperature=0.0)
         with pytest.raises(ConfigError):
@@ -57,38 +58,44 @@ class TestTrainConfig:
 
     def test_variant_switches(self):
         cfg = tiny_cfg()
-        assert cfg.variant("prototype").objective == "prototype"
-        v = cfg.variant("p2s_uniform")
-        assert not v.use_fphi and not v.use_fomega and v.use_fzeta
-        v = cfg.variant("p2s_relation")
-        assert v.use_fphi and not v.use_fomega
-        assert cfg.variant("euclidean_ap2s").euclidean_mode
-        assert not cfg.variant("ap2s_mean_s2s").use_fzeta
-        full = cfg.variant("app2s")
-        assert full.use_fphi and full.use_fomega and full.use_fzeta
-        assert not full.euclidean_mode and full.objective == "app2s"
+        assert cfg.variant_name == "app2s"
+        assert len(tr.VARIANTS) == 6
+        for name, spec in tr.VARIANTS.items():
+            v = cfg.variant(name)
+            assert isinstance(v, tr.TrainConfig)
+            assert v.variant_name == name and v.spec is spec
+            assert v.spec.prototype == (name == "prototype")
+            assert v.spec.flat == (name == "euclidean_ap2s")
+            if name != "euclidean_ap2s":
+                assert v.ball == cfg.ball
 
     def test_variant_resets_previous_overrides(self):
-        cfg = tiny_cfg(use_fphi=False, euclidean_mode=True)
-        v = cfg.variant("app2s")
-        assert v.use_fphi and not v.euclidean_mode
+        assert tiny_cfg(variant_name="p2s_uniform").variant("app2s") == tiny_cfg()
+
+    def test_euclidean_curvature_same_on_every_path(self):
+        ball = BallConfig(c=0.5, eps=1e-4)
+        expect = BallConfig(c=1e-8, eps=1e-4)
+        built = tr.TrainConfig(ball=ball, variant_name="euclidean_ap2s")
+        derived = tr.TrainConfig(ball=ball).variant("euclidean_ap2s")
+        cli = RunConfig({"c": 0.5, "eps": 1e-4, "variant": "euclidean_ap2s"}).train_cfg()
+        assert built.ball == derived.ball == cli.ball == expect
+        assert built == derived == cli
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             tiny_cfg().variant("unknown")
 
     def test_trainable_modules(self):
-        assert tr.trainable_modules(tiny_cfg(objective="prototype")) == ("encoder",)
-        assert set(tr.trainable_modules(tiny_cfg())) == {
-            "encoder", "relation", "signature", "s2s"
-        }
-        assert set(tr.trainable_modules(tiny_cfg(use_fphi=False))) == {"encoder", "s2s"}
-        assert set(tr.trainable_modules(tiny_cfg(use_fomega=False))) == {
-            "encoder", "relation", "s2s"
-        }
-        assert set(tr.trainable_modules(tiny_cfg(use_fzeta=False))) == {
-            "encoder", "relation", "signature"
-        }
+        def modules(name):
+            return tr.trainable_modules(tiny_cfg(variant_name=name))
+
+        full = ("encoder", "relation", "signature", "s2s")
+        assert modules("prototype") == ("encoder",)
+        assert modules("app2s") == full
+        assert modules("euclidean_ap2s") == full
+        assert modules("p2s_uniform") == ("encoder", "s2s")
+        assert modules("p2s_relation") == ("encoder", "relation", "s2s")
+        assert modules("ap2s_mean_s2s") == ("encoder", "relation", "signature")
 
 
 class TestEpisodeForward:
@@ -143,13 +150,13 @@ class TestEpisodeForward:
         assert any(np.any(v.grad != 0) for v in pvars["encoder"].values())
 
     def test_uniform_weights_without_fphi(self):
-        cfg = tiny_cfg(use_fphi=False)
+        cfg = tiny_cfg(variant_name="p2s_uniform")
         episode, _ = tiny_episode(cfg)
         _, info = tr.episode_forward(episode, ModelBundle(MODEL, seed=5), cfg)
         np.testing.assert_array_equal(info["weights"], 0.5)
 
     def test_mean_s2s_without_fzeta(self):
-        cfg = tiny_cfg(use_fzeta=False)
+        cfg = tiny_cfg(variant_name="ap2s_mean_s2s")
         episode, _ = tiny_episode(cfg)
         bundle = ModelBundle(MODEL, seed=6)
         _, info = tr.episode_forward(episode, bundle, cfg)
@@ -161,7 +168,7 @@ class TestEpisodeForward:
         assert info["s2s"][0, 1, 0] == pytest.approx(float(np.mean(D)), rel=1e-12)
 
     def test_prototype_objective_recomposition(self):
-        cfg = tiny_cfg(objective="prototype")
+        cfg = tiny_cfg(variant_name="prototype")
         episode, _ = tiny_episode(cfg)
         bundle = ModelBundle(MODEL, seed=7)
         _, info = tr.episode_forward(episode, bundle, cfg)
@@ -178,18 +185,29 @@ class TestEpisodeForward:
                 assert info["distances"][m, j] == pytest.approx(expect, rel=1e-12)
 
     def test_euclidean_mode_uses_flat_distance(self):
-        cfg = tiny_cfg(objective="prototype", euclidean_mode=True)
+        cfg = tiny_cfg(variant_name="euclidean_ap2s")
+        assert cfg.ball == BallConfig(c=1e-8, eps=BALL.eps)
         episode, _ = tiny_episode(cfg)
         bundle = ModelBundle(MODEL, seed=8)
         _, info = tr.episode_forward(episode, bundle, cfg)
         n, k_eff, hw, _ = episode.support.shape
-        enc_s = bundle.encoder(episode.support.reshape(-1, hw, 3), BALL)
-        enc_q = bundle.encoder(episode.query.reshape(-1, hw, 3), BALL)
-        emb_s = einstein_midpoint(enc_s, BALL, axis=-2).reshape(n, k_eff, -1)
-        q_emb = einstein_midpoint(enc_q[0], BALL, axis=-2)
-        proto = einstein_midpoint(emb_s[0], BALL, axis=-2)
-        expect = 2.0 * np.linalg.norm(q_emb - proto)
-        assert info["distances"][0, 0] == pytest.approx(expect, rel=1e-12)
+        enc_s = bundle.encoder(episode.support.reshape(-1, hw, 3), cfg.ball)
+        enc_q = bundle.encoder(episode.query.reshape(-1, hw, 3), cfg.ball)
+        s_cls = enc_s.reshape(n, k_eff, hw, -1)
+        flat = 2.0 * np.linalg.norm(enc_q[0][:, None, :] - s_cls[1, 0][None, :, :], axis=-1)
+        expect = bundle.s2s(flat.reshape(1, -1))[0]
+        assert info["s2s"][0, 1, 0] == pytest.approx(float(expect), rel=1e-12)
+
+    def test_every_variant_gives_a_different_forward(self):
+        cfg = tiny_cfg()
+        episode, _ = tiny_episode(cfg)
+        bundle = ModelBundle(MODEL, seed=8)
+        dists = {
+            name: tr.episode_forward(episode, bundle, cfg.variant(name))[1]["distances"]
+            for name in tr.VARIANTS
+        }
+        for a, b in itertools.combinations(dists, 2):
+            assert not np.allclose(dists[a], dists[b], rtol=1e-6, atol=0), (a, b)
 
     def test_predictions_are_argmin(self):
         cfg = tiny_cfg()
@@ -197,14 +215,6 @@ class TestEpisodeForward:
         _, info = tr.episode_forward(episode, ModelBundle(MODEL, seed=9), cfg)
         np.testing.assert_array_equal(info["predictions"], info["distances"].argmin(axis=-1))
         assert info["accuracy"] == np.mean(info["predictions"] == info["labels"])
-
-    def test_prototype_baseline_predictions(self):
-        cfg = tiny_cfg()
-        episode, _ = tiny_episode(cfg)
-        bundle = ModelBundle(MODEL, seed=10)
-        preds = tr.prototype_baseline(episode, bundle, cfg)
-        _, info = tr.episode_forward(episode, bundle, replace(cfg, objective="prototype"))
-        np.testing.assert_array_equal(preds, info["predictions"])
 
     def test_gradient_with_dropout_mask_fixed(self):
         """FD check through the train-mode path (dropout active, same mask)."""
@@ -516,32 +526,42 @@ def _composite_geodesic(x, y, cfg):
     return (2.0 / cfg.sqrt_c) * ad.arctanh(cfg.sqrt_c * ad.norm(m))
 
 
+def _default_param_grads(cfg, sweep=ad.backward):
+    """Parameter gradients of the first train-mode episode of a default
+    5-way 5-shot run (3x3 grid, C=16), as train() computes them."""
+    ds = generate_synthetic(SyntheticConfig(), BallConfig(c=0.7))
+    episode = sample_episode(ds, cfg.episode_spec(), index=0)
+    bundle = ModelBundle(ModelConfig(in_dim=8, grid=(3, 3)), seed=cfg.seed)
+    tape = ad.Tape()
+    modules = bundle.modules()
+    pvars = {m: {k: tape.var(v) for k, v in modules[m].params.items()}
+             for m in tr.trainable_modules(cfg)}
+    loss, _ = tr.episode_forward(episode, bundle, cfg, params=pvars, train=True,
+                                 rng=np.random.default_rng([cfg.seed, 7, 0]))
+    sweep(loss)
+    return {f"{m}.{k}": v.grad for m in pvars for k, v in pvars[m].items()}
+
+
+@pytest.mark.parametrize("name", sorted(tr.VARIANTS))
+def test_every_trainable_parameter_gets_a_gradient(name):
+    """No parameter a variant trains is dead: each one's gradient on a
+    default episode exceeds the 1e-12 the benchmark trace calls dead."""
+    cfg = tr.TrainConfig(ball=BallConfig(c=0.7)).variant(name)
+    grads = _default_param_grads(cfg)
+    dead = sorted(k for k, g in grads.items() if not np.max(np.abs(g)) > 1e-12)
+    assert dead == []
+
+
 def test_lazy_backward_matches_eager_sweep_bit_for_bit(monkeypatch):
     """Same tape, two engines: parameter gradients of one default app2s
     episode agree exactly. The tape uses the composite softmax and geodesic,
     whose many nodes and fan-outs exercise accumulation."""
     monkeypatch.setattr(ad, "softmax", _composite_softmax)
     monkeypatch.setattr(metrics, "geodesic_distance", _composite_geodesic)
-    ball = BallConfig(c=0.7)
-    ds = generate_synthetic(SyntheticConfig(), ball)
-    cfg = tr.TrainConfig(ball=ball)
-    model_cfg = ModelConfig(in_dim=8, grid=(3, 3))
-    episode = sample_episode(ds, cfg.episode_spec(), index=0)
-
-    def param_grads(sweep):
-        bundle = ModelBundle(model_cfg, seed=cfg.seed)
-        tape = ad.Tape()
-        modules = bundle.modules()
-        pvars = {m: {k: tape.var(v) for k, v in modules[m].params.items()}
-                 for m in tr.trainable_modules(cfg)}
-        loss, _ = tr.episode_forward(episode, bundle, cfg, params=pvars, train=True,
-                                     rng=np.random.default_rng([cfg.seed, 7, 0]))
-        sweep(loss)
-        return {f"{m}.{k}": v.grad for m in pvars for k, v in pvars[m].items()}
-
-    lazy = param_grads(ad.backward)
+    cfg = tr.TrainConfig(ball=BallConfig(c=0.7))
+    lazy = _default_param_grads(cfg)
     monkeypatch.setattr(ad, "record", _eager_record)
-    eager = param_grads(_eager_backward)
-    assert lazy.keys() == eager.keys() and len(lazy) > 30
+    eager = _default_param_grads(cfg, _eager_backward)
+    assert lazy.keys() == eager.keys() and len(lazy) == 29
     for name, g in eager.items():
         np.testing.assert_array_equal(lazy[name], g, err_msg=name)
