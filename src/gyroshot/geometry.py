@@ -185,8 +185,9 @@ def einstein_midpoint(points, cfg: BallConfig, axis: int = -2):
     permutation of the inputs yields a bit-identical result; the taped path
     keeps evaluation order.
     """
-    if np.shape(val(points))[axis] == 0:
-        raise ShapeError("einstein_midpoint: empty point set")
+    shape = np.shape(val(points))
+    if len(shape) < 2 or shape[axis] == 0:
+        raise ShapeError(f"einstein_midpoint: point set must be (..., P>=1, C), got {shape}")
     k = poincare_to_klein(points, cfg)
     gamma = 1.0 / ad.sqrt(1.0 - cfg.c * _sq_norm(k))
     weighted = gamma * k

@@ -102,9 +102,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in _OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
-        c = self.spec.curvature
-        if c is not None:
-            object.__setattr__(self, "ball", BallConfig(c=c, eps=self.ball.eps))
+        variant_spec(self.variant_name)
         if self.temperature <= 0.0:
             raise ConfigError("temperature must be positive")
         if self.learning_rate <= 0.0 or self.epochs < 1 or self.tasks_per_epoch < 1:
@@ -116,12 +114,14 @@ class TrainConfig:
     def spec(self) -> VariantSpec:
         return variant_spec(self.variant_name)
 
-    def variant(self, name: str) -> "TrainConfig":
-        """This config with another ablation variant (see VARIANTS).
+    @property
+    def run_ball(self) -> BallConfig:
+        """The ball the variant runs in: `ball`, with the variant's curvature if it fixes one."""
+        c = self.spec.curvature
+        return self.ball if c is None else BallConfig(c=c, eps=self.ball.eps)
 
-        A variant that fixes the curvature replaces `ball`; a config derived
-        from it keeps that ball.
-        """
+    def variant(self, name: str) -> "TrainConfig":
+        """This config with another ablation variant (see VARIANTS)."""
         return replace(self, variant_name=name)
 
     def episode_spec(self, n_outliers: int = 0, seed: int | None = None) -> EpisodeSpec:
@@ -148,7 +148,7 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
     class distances, per-sample distances, weights, predictions, accuracy.
     """
     p = params or {}
-    ball = cfg.ball
+    ball = cfg.run_ball
     spec = cfg.spec
     n, k_eff, hw, _ = episode.support.shape
     nq = episode.query.shape[1]
@@ -339,7 +339,7 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
             if not np.isfinite(info["loss"]):
                 raise TrainingDivergedError(
                     f"loss {info['loss']} at epoch {epoch} task {task} "
-                    f"(c={cfg.ball.c}, lr={cfg.learning_rate})"
+                    f"(c={cfg.run_ball.c}, lr={cfg.learning_rate})"
                 )
             ad.backward(loss)
             flat_params = {
@@ -352,7 +352,7 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
                 if not np.all(np.isfinite(g)):
                     raise TrainingDivergedError(
                         f"non-finite gradient for {name} at epoch {epoch} task {task} "
-                        f"(loss {info['loss']}, c={cfg.ball.c}, lr={cfg.learning_rate})"
+                        f"(loss {info['loss']}, c={cfg.run_ball.c}, lr={cfg.learning_rate})"
                     )
             optimizer.step(flat_params, flat_grads, scale)
             rows.append((epoch, task, info["accuracy"], info["loss"]))

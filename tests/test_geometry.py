@@ -115,6 +115,8 @@ def test_conformal_factor_outside_ball_rejected():
 
 def test_midpoint_empty_set_rejected():
     with pytest.raises(ShapeError):
+        einstein_midpoint([], BallConfig(c=1.0))
+    with pytest.raises(ShapeError):
         einstein_midpoint(np.zeros((0, 3)), BallConfig(c=1.0))
 
 

@@ -66,11 +66,13 @@ class TestTrainConfig:
             assert v.variant_name == name and v.spec is spec
             assert v.spec.prototype == (name == "prototype")
             assert v.spec.flat == (name == "euclidean_ap2s")
+            assert v.ball == cfg.ball
             if name != "euclidean_ap2s":
-                assert v.ball == cfg.ball
+                assert v.run_ball == cfg.ball
 
     def test_variant_resets_previous_overrides(self):
         assert tiny_cfg(variant_name="p2s_uniform").variant("app2s") == tiny_cfg()
+        assert tiny_cfg(variant_name="euclidean_ap2s").variant("app2s") == tiny_cfg()
 
     def test_euclidean_curvature_same_on_every_path(self):
         ball = BallConfig(c=0.5, eps=1e-4)
@@ -78,8 +80,9 @@ class TestTrainConfig:
         built = tr.TrainConfig(ball=ball, variant_name="euclidean_ap2s")
         derived = tr.TrainConfig(ball=ball).variant("euclidean_ap2s")
         cli = RunConfig({"c": 0.5, "eps": 1e-4, "variant": "euclidean_ap2s"}).train_cfg()
-        assert built.ball == derived.ball == cli.ball == expect
+        assert built.run_ball == derived.run_ball == cli.run_ball == expect
         assert built == derived == cli
+        assert built.ball == ball
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
@@ -186,13 +189,13 @@ class TestEpisodeForward:
 
     def test_euclidean_mode_uses_flat_distance(self):
         cfg = tiny_cfg(variant_name="euclidean_ap2s")
-        assert cfg.ball == BallConfig(c=1e-8, eps=BALL.eps)
+        assert cfg.run_ball == BallConfig(c=1e-8, eps=BALL.eps)
         episode, _ = tiny_episode(cfg)
         bundle = ModelBundle(MODEL, seed=8)
         _, info = tr.episode_forward(episode, bundle, cfg)
         n, k_eff, hw, _ = episode.support.shape
-        enc_s = bundle.encoder(episode.support.reshape(-1, hw, 3), cfg.ball)
-        enc_q = bundle.encoder(episode.query.reshape(-1, hw, 3), cfg.ball)
+        enc_s = bundle.encoder(episode.support.reshape(-1, hw, 3), cfg.run_ball)
+        enc_q = bundle.encoder(episode.query.reshape(-1, hw, 3), cfg.run_ball)
         s_cls = enc_s.reshape(n, k_eff, hw, -1)
         flat = 2.0 * np.linalg.norm(enc_q[0][:, None, :] - s_cls[1, 0][None, :, :], axis=-1)
         expect = bundle.s2s(flat.reshape(1, -1))[0]
