@@ -22,6 +22,12 @@ downstream adjoints and no stored gradient is ever written through an
 alias. A node that no contribution reached runs no adjoint and ends the
 sweep with a zero gradient.
 
+Softmax, single-head attention and normalization are fused: each is one
+node with a hand-written adjoint, whose forward runs the arithmetic of the
+composite form so that untaped results are unchanged. `attention` keeps only
+the softmax probabilities, not the scores, and `normalize` only its output
+and σ; the adjoints rebuild what they need per call and keep nothing after.
+
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
 gradients have been read breaks that cycle, so the arrays are freed by
 reference counting as soon as the last outside reference goes instead of
@@ -429,14 +435,6 @@ def reshape(x, shape):
     return record(out, [(x, lambda g: np.reshape(g, xv.shape))], x.tape, "reshape")
 
 
-def swapaxes(x, a, b):
-    xv = val(x)
-    out = np.swapaxes(xv, a, b)
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: np.swapaxes(g, a, b))], x.tape, "swapaxes")
-
-
 def broadcast_to(x, shape):
     xv = val(x)
     out = np.broadcast_to(xv, shape)
@@ -540,6 +538,96 @@ def softmax(x, axis=-1):
         out, [(x, lambda g: out * (g - np.sum(g * out, axis=axis, keepdims=True)))],
         x.tape, "softmax",
     )
+
+
+def _joint_pulls(operands, grads):
+    """(operand, pull) pairs for `record` whose contributions all come from
+    one call of `grads(g)`, which returns one per operand in order.
+
+    `record` runs a node's pulls in order within one adjoint call: the first
+    makes every contribution, each hands out its own, and the last drops the
+    rest, so nothing computed for one call is kept for the next.
+    """
+    held = []
+    wanted = [i for i, o in enumerate(operands) if isinstance(o, Var)]
+
+    def pull(i):
+        def take(g):
+            if i == wanted[0]:
+                held[:] = grads(g)
+            contrib = held[i]
+            if i == wanted[-1]:
+                held.clear()
+            return contrib
+        return take
+
+    return [(operands[i], pull(i)) for i in wanted]
+
+
+def attention(q, k, v):
+    """softmax(q kᵀ / √C) v over (..., T, C) stacks, recorded as one node.
+
+    The forward runs the arithmetic of the composite form (scaled scores,
+    row-max shift, exp, row normalization, product with v) in place on one
+    T×T buffer, and the node keeps only the probabilities P. With
+    g = dL/d(out), the score adjoint is dS = P ⊙ (g vᵀ − rowsum(g ⊙ out)) / √C:
+    rowsum(g ⊙ out) equals rowsum((g vᵀ) ⊙ P), so no second T×T array is
+    formed. dS is built once per adjoint call and gives dq = dS k and
+    dk = dSᵀ q; dv = Pᵀ g.
+    """
+    qv, kv, vv = val(q), val(k), val(v)
+    if np.ndim(qv) < 2 or np.shape(qv) != np.shape(kv) or np.shape(kv)[:-1] != np.shape(vv)[:-1]:
+        raise ShapeError(
+            f"attention expects q, k of one shape (..., T, C) and v of (..., T, Cv), "
+            f"got {np.shape(qv)}, {np.shape(kv)}, {np.shape(vv)}"
+        )
+    scale = 1.0 / np.sqrt(qv.shape[-1])
+    p = qv @ np.swapaxes(kv, -1, -2)
+    p *= scale
+    p -= np.max(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    out = p @ vv
+    operands = (q, k, v)
+    if not any(isinstance(o, Var) for o in operands):
+        return out
+
+    def grads(g):
+        gs = g * scale
+        ds = gs @ np.swapaxes(vv, -1, -2)
+        ds -= np.sum(gs * out, axis=-1, keepdims=True)
+        ds *= p
+        return ds @ kv, np.swapaxes(ds, -1, -2) @ qv, np.swapaxes(p, -1, -2) @ g
+
+    return record(out, _joint_pulls(operands, grads), _tape_of(*operands), "attention")
+
+
+def normalize(x, axes, eps):
+    """Standardize `x` over `axes`, recorded as one node.
+
+    Returns (x̂, μ, var): x̂ = (x − μ) / σ with σ = sqrt(var + eps), μ and
+    var the (biased) mean and variance as plain arrays of the reduced shape
+    with kept dimensions. The forward is the arithmetic of the composite
+    form; the adjoint is (g − mean(g) − x̂ · mean(g ⊙ x̂)) / σ, means over
+    `axes`.
+    """
+    xv = val(x)
+    axes = _normalize_axes(axes, np.ndim(xv))
+    inv_n = 1.0 / float(np.prod([xv.shape[a] for a in axes]))
+    mu = np.sum(xv, axis=axes, keepdims=True) * inv_n
+    out = xv - mu
+    var = np.sum(out * out, axis=axes, keepdims=True) * inv_n
+    sigma = np.sqrt(var + eps)
+    out /= sigma
+    if not isinstance(x, Var):
+        return out, mu, var
+
+    def pull(g):
+        mean_g = np.sum(g, axis=axes, keepdims=True) * inv_n
+        mean_gx = np.sum(g * out, axis=axes, keepdims=True) * inv_n
+        return (g - mean_g - out * mean_gx) / sigma
+
+    return record(out, [(x, pull)], x.tape, "normalize"), mu, var
 
 
 def log_softmax(x, axis=-1):

@@ -25,6 +25,7 @@ from .episodes import (
     save_dataset,
 )
 from .errors import ConfigError, GyroshotError
+from .fileio import atomic_write
 from .geometry import BallConfig
 from .netmods import ModelBundle, ModelConfig, load_checkpoint
 from .train import (
@@ -203,11 +204,14 @@ class RunConfig:
         )
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _echo_config(cfg: RunConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_text(out / "config.json", json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _require(cfg: RunConfig, key: str) -> str:
@@ -241,7 +245,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     write_metrics_csv(result.metrics_rows, out / "metrics.csv")
     lines = [f"best validation accuracy: {result.best_val_accuracy:.4f}"]
     lines += [f"epoch {i}: val accuracy {a:.4f}" for i, a in enumerate(result.val_history)]
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / "report.txt", "\n".join(lines) + "\n")
     print(lines[0])
     return 0
 
@@ -262,7 +266,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
     write_metrics_csv(rows, out / "metrics.csv")
     line = (f"accuracy {report.mean_accuracy * 100:.2f}% +/- {report.ci95 * 100:.2f}% "
             f"over {report.n_tasks} tasks (outliers per class: {cfg.n_outliers})")
-    (out / "report.txt").write_text(line + "\n", encoding="utf-8")
+    _write_text(out / "report.txt", line + "\n")
     print(line)
     return 0
 
@@ -290,7 +294,7 @@ def cmd_robustness(cfg: RunConfig, out: Path) -> int:
         f"accuracy {r['accuracy'] * 100:.2f}% +/- {r['ci95'] * 100:.2f}%"
         for r in rows
     ]
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / "report.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
@@ -303,7 +307,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     n_fail = sum(not c.passed for c in checks)
     summary = f"{len(checks) - n_fail}/{len(checks)} properties hold"
     print(summary)
-    (out / "report.txt").write_text("\n".join(lines + [summary]) + "\n", encoding="utf-8")
+    _write_text(out / "report.txt", "\n".join(lines + [summary]) + "\n")
     return 1 if n_fail else 0
 
 

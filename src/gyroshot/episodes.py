@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, InsufficientDataError, ShapeError
+from .fileio import atomic_write
 from .geometry import BallConfig, clip_to_ball, exp_map, log_map
 
 _HEADER_KEYS = {"n_samples", "H", "W", "C", "n_classes"}
@@ -235,7 +236,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     body = np.empty(dataset.n_samples, dtype=rec)
     body["label"] = dataset.labels
     body["feat"] = dataset.features.reshape(dataset.n_samples, -1)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         f.write(body.tobytes())
 

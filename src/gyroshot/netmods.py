@@ -31,6 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import val
 from .errors import ConfigError, DataFormatError, ShapeError
+from .fileio import atomic_write
 from .geometry import BallConfig, clip_to_ball, in_ball, log_map
 
 _BN_EPS = 1e-5
@@ -93,29 +94,27 @@ def _shift(x, beta):
 
 
 def layer_norm(x, gamma, beta=None, eps: float = 1e-5):
-    """Normalize over the last axis; beta=None leaves out the shift."""
-    mu = ad.mean(x, axis=-1, keepdims=True)
-    d = x - mu
-    var = ad.mean(d * d, axis=-1, keepdims=True)
-    return _shift(gamma * (d / ad.sqrt(var + eps)), beta)
+    """Normalize over the last axis with one `ad.normalize` node, then scale
+    by gamma; beta=None leaves out the shift."""
+    xhat, _, _ = ad.normalize(x, -1, eps)
+    return _shift(gamma * xhat, beta)
 
 
 def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool):
     """Normalize over all axes but the last; running buffers updated in train mode.
 
-    beta=None leaves out the shift. A bias that feeds straight into batch norm
-    is cancelled by its mean subtraction, so the layers before it have none.
+    Train mode normalizes with one `ad.normalize` node over the batch
+    statistics; eval mode reads the running buffers. beta=None leaves out
+    the shift. A bias that feeds straight into batch norm is cancelled by its
+    mean subtraction, so the layers before it have none.
     """
     if train:
-        axes = tuple(range(np.ndim(val(x)) - 1))
-        mu = ad.mean(x, axis=axes, keepdims=True)
-        d = x - mu
-        var = ad.mean(d * d, axis=axes, keepdims=True)
+        xhat, mu, var = ad.normalize(x, tuple(range(np.ndim(val(x)) - 1)), _BN_EPS)
         mean_buf *= 1.0 - _BN_MOMENTUM
-        mean_buf += _BN_MOMENTUM * np.asarray(val(mu)).reshape(-1)
+        mean_buf += _BN_MOMENTUM * mu.reshape(-1)
         var_buf *= 1.0 - _BN_MOMENTUM
-        var_buf += _BN_MOMENTUM * np.asarray(val(var)).reshape(-1)
-        return _shift(gamma * (d / ad.sqrt(var + _BN_EPS)), beta)
+        var_buf += _BN_MOMENTUM * var.reshape(-1)
+        return _shift(gamma * xhat, beta)
     return _shift(gamma * ((x - mean_buf) / np.sqrt(var_buf + _BN_EPS)), beta)
 
 
@@ -181,9 +180,12 @@ class Encoder:
 class SignatureGenerator:
     """Single-head transformer encoder block over support descriptors.
 
-    The key projection has no bias (softmax over the keys is invariant to
-    it), and the output layer norm has no shift: the signature only reaches
-    the relation net's first conv, whose batch norm cancels it.
+    Attention is one fused `ad.attention` node that keeps only the T×T
+    softmax probabilities, and each layer norm one `ad.normalize` node plus
+    its scale (and shift). The key projection has no bias (softmax over the
+    keys is invariant to it), and the output layer norm has no shift: the
+    signature only reaches the relation net's first conv, whose batch norm
+    cancels it.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -207,13 +209,10 @@ class SignatureGenerator:
     def __call__(self, tokens, params=None):
         """One post-LN block on (..., T, C) token stacks."""
         p = params if params is not None else self.params
-        c = self.cfg.feat_dim
         q = ad.matmul(tokens, p["wq"]) + p["bq"]
         k = ad.matmul(tokens, p["wk"])
         v = ad.matmul(tokens, p["wv"]) + p["bv"]
-        scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(c))
-        att = ad.matmul(ad.softmax(scores, axis=-1), v)
-        att = ad.matmul(att, p["wo"]) + p["bo"]
+        att = ad.matmul(ad.attention(q, k, v), p["wo"]) + p["bo"]
         h = layer_norm(tokens + att, p["ln1_g"], p["ln1_b"])
         f = ad.matmul(ad.relu(ad.matmul(h, p["ffw1"]) + p["ffb1"]), p["ffw2"]) + p["ffb2"]
         return layer_norm(h + f, p["ln2_g"])
@@ -437,14 +436,14 @@ class ModelBundle:
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     """One JSON header line (format version, names, shapes, dtype) then raw
-    little-endian blocks."""
+    little-endian blocks, written atomically."""
     header = {
         "format_version": CHECKPOINT_FORMAT,
         "tensors": [
             {"name": k, "shape": list(np.shape(v)), "dtype": "<f8"} for k, v in tensors.items()
         ]
     }
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         for v in tensors.values():
             f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())

@@ -19,8 +19,11 @@ exactly when its stage runs: without the relation net the weights are
 uniform, without the signature refiner the signature is the mean of the
 unrefined maps, and without the s2s net the per-sample distance is the plain
 mean of the pairwise matrix. euclidean_ap2s swaps the geodesic for
-2||x - y|| and runs at c = 1e-8, and prototype replaces steps 2-5 with
-nearest Einstein-midpoint class prototypes under the same encoder.
+2||x - y|| and runs at c = 1e-8; the encoder scales by the ball radius, so
+its points sit as close to the boundary as at any c, and steps 2 and 4 stay
+as hyperbolic as in app2s: only the distance is flat. prototype replaces
+steps 2-5 with nearest Einstein-midpoint class prototypes under the same
+encoder.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from . import metrics, netmods
 from .autodiff import Tape, val
 from .episodes import Dataset, Episode, EpisodeSpec, sample_episode
 from .errors import ConfigError, InsufficientDataError, TrainingDivergedError
+from .fileio import atomic_write
 from .geometry import BallConfig, einstein_midpoint, flat_distance, geodesic_distance
 from .netmods import ModelBundle, ModelConfig
 
@@ -51,7 +55,10 @@ class VariantSpec:
     are made; the signature refiner, relation net and s2s net run exactly
     when they are listed. `prototype` replaces the point-to-set steps with
     nearest class prototypes, `flat` replaces the geodesic with 2||x - y||,
-    and `curvature`, when set, replaces the configured c.
+    and `curvature`, when set, replaces the configured c. The encoder scales
+    by the ball radius, so sqrt(c)||x|| is the same at every c: a `flat`
+    variant at a small curvature keeps a hyperbolic midpoint and tangent
+    projection, and only its distance is Euclidean.
     """
 
     modules: tuple[str, ...]
@@ -469,7 +476,7 @@ def run_robustness(dataset: Dataset, variants: dict, *, outlier_grid=(0, 1, 2, 3
 
 def write_metrics_csv(rows, path) -> None:
     """CSV rows (epoch, task, accuracy, loss) with the fixed header."""
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "task", "accuracy", "loss"])
         for epoch, task, acc, loss in rows:
@@ -477,7 +484,7 @@ def write_metrics_csv(rows, path) -> None:
 
 
 def write_robustness_csv(rows, path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["variant", "n_outliers", "accuracy", "ci95"])
         for r in rows:

@@ -95,12 +95,11 @@ def test_broadcast_gradients_have_operand_shapes():
         ("div", lambda x: ad.sum(x / (2.0 + x)), -1.0, 1.0),
         ("pow", lambda x: ad.sum(x ** 3), 0.5, 1.5),
         ("where", lambda x: ad.sum(ad.where(val(x) > 0.5, x * 2.0, x * x)), 0.0, 1.0),
-        ("swapaxes", lambda x: ad.sum(ad.swapaxes(x, -1, -2) ** 2) if val(x).ndim > 1 else ad.sum(x), -1.0, 1.0),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, fn, low, high):
     rng = np.random.default_rng(sum(name.encode()))
-    shape = (2, 4) if name in ("softmax", "softmax_axis0", "log_softmax", "swapaxes") else (6,)
+    shape = (2, 4) if name in ("softmax", "softmax_axis0", "log_softmax") else (6,)
     point = rng.uniform(low, high, shape)
     report = finite_diff_check(fn, point)
     assert report.passed, f"{name}: max rel err {report.max_rel_error} flagged {report.flagged}"
@@ -277,3 +276,118 @@ def test_repeated_backward_recomputes_instead_of_accumulating():
     first = x.grad.copy()
     backward(y)
     assert np.array_equal(x.grad, first)
+
+
+# ---------------------------------------------------------------------------
+# fused attention and normalization
+
+
+def _attention_inputs(seed=5):
+    """q, k, v of shape (2, 4, 3); query row (0, 1) is saturated: each of
+    its scores is more than 745 below the row's largest, so the shifted exp
+    underflows to exactly 0 everywhere but there."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(2, 4, 3)) for _ in range(3))
+    q[0, 1] = [400.0, 0.0, 0.0]
+    k[0, :, 0] = [-2.0, -1.0, 3.0, -1.5]
+    return q, k, v
+
+
+def _composite_attention(q, k, v):
+    """The unfused forward: scaled scores, shifted exp, row sums, product."""
+    s = (q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    return (e / np.sum(e, axis=-1, keepdims=True)) @ v
+
+
+def test_attention_test_inputs_saturate_one_row():
+    q, k, _ = _attention_inputs()
+    s = (q[0, 1] @ k[0].T) / np.sqrt(3.0)
+    gaps = np.delete(s.max() - s, np.argmax(s))
+    assert np.all(gaps > 745.0) and np.all(np.exp(-gaps) == 0.0)
+
+
+@pytest.mark.parametrize("wrt", [0, 1, 2], ids=["q", "k", "v"])
+def test_attention_gradients_match_finite_differences(wrt):
+    args = _attention_inputs()
+    w = np.random.default_rng(6).normal(size=(2, 4, 3))
+
+    def f(x):
+        return ad.sum(ad.attention(*(x if i == wrt else a for i, a in enumerate(args))) * w)
+
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        report = finite_diff_check(f, args[wrt].copy())
+    assert report.passed, f"max rel err {report.max_rel_error} flagged {report.flagged}"
+    assert np.all(np.isfinite(report.analytic))
+
+
+@pytest.mark.parametrize("axes,shape", [(-1, (3, 5)), ((0, 1), (4, 3, 2))],
+                         ids=["last_axis", "leading_axes"])
+def test_normalize_gradients_match_finite_differences(axes, shape):
+    rng = np.random.default_rng(7)
+    x0 = rng.normal(size=shape) * 2.0 + 1.0
+    w = rng.normal(size=shape)
+    report = finite_diff_check(lambda x: ad.sum(ad.normalize(x, axes, 1e-5)[0] * w), x0)
+    assert report.passed, f"max rel err {report.max_rel_error} flagged {report.flagged}"
+
+
+def test_untaped_attention_equals_composite_bit_for_bit():
+    q, k, v = _attention_inputs()
+    np.testing.assert_array_equal(ad.attention(q, k, v), _composite_attention(q, k, v))
+
+
+def test_normalize_returns_batch_statistics():
+    x = np.random.default_rng(8).normal(size=(6, 3))
+    xhat, mu, var = ad.normalize(x, (0,), 1e-5)
+    np.testing.assert_allclose(mu, x.mean(axis=0, keepdims=True), rtol=1e-14)
+    np.testing.assert_allclose(var, x.var(axis=0, keepdims=True), rtol=1e-14)
+    np.testing.assert_allclose(xhat, (x - mu) / np.sqrt(var + 1e-5), rtol=1e-14)
+
+
+def test_attention_rejects_mismatched_shapes():
+    q = np.ones((4, 3))
+    with pytest.raises(ShapeError):
+        ad.attention(q, np.ones((5, 3)), np.ones((5, 3)))
+    with pytest.raises(ShapeError):
+        ad.attention(q, q, np.ones((5, 3)))
+
+
+def _fused_tape():
+    tape = Tape()
+    q, k, v = (tape.var(a) for a in _attention_inputs())
+    h = ad.normalize(ad.attention(q, k, v), -1, 1e-5)[0]
+    y = ad.normalize(h, (0, 1), 1e-5)[0]
+    rng = np.random.default_rng(9)
+    losses = [ad.sum(y * rng.normal(size=(2, 4, 3))) for _ in range(2)]
+    return (q, k, v), losses
+
+
+def test_fused_ops_keep_nothing_between_backward_calls():
+    """A second sweep, from another root on the same tape, gives the
+    gradients a fresh tape gives: no adjoint reuses what an earlier call
+    computed."""
+    leaves, (first, second) = _fused_tape()
+    backward(first)
+    grads_first = [x.grad.copy() for x in leaves]
+    backward(second)
+    fresh_leaves, (_, fresh_second) = _fused_tape()
+    backward(fresh_second)
+    for x, fresh in zip(leaves, fresh_leaves):
+        np.testing.assert_array_equal(x.grad, fresh.grad)
+    backward(first)
+    for x, g in zip(leaves, grads_first):
+        np.testing.assert_array_equal(x.grad, g)
+
+
+def test_fused_ops_do_not_write_through_their_inputs():
+    arrays = _attention_inputs()
+    saved = [a.copy() for a in arrays]
+    ad.attention(*arrays)
+    ad.normalize(arrays[0], -1, 1e-5)
+    leaves, (loss, _) = _fused_tape()
+    values = [x.value.copy() for x in leaves]
+    backward(loss)
+    for a, s in zip(arrays, saved):
+        np.testing.assert_array_equal(a, s)
+    for x, s in zip(leaves, values):
+        np.testing.assert_array_equal(x.value, s)

@@ -136,6 +136,52 @@ class TestNormalization:
             assert counts[0] + 1 == counts[1]
             np.testing.assert_array_equal(outs[0], outs[1])
 
+    @staticmethod
+    def _composite_layer_norm(x, gamma, beta, eps=1e-5):
+        mu = ad.mean(x, axis=-1, keepdims=True)
+        d = x - mu
+        var = ad.mean(d * d, axis=-1, keepdims=True)
+        return gamma * (d / ad.sqrt(var + eps)) + beta
+
+    @staticmethod
+    def _composite_batch_norm(x, gamma, beta, eps=1e-5):
+        axes = tuple(range(np.ndim(ad.val(x)) - 1))
+        mu = ad.mean(x, axis=axes, keepdims=True)
+        d = x - mu
+        var = ad.mean(d * d, axis=axes, keepdims=True)
+        return gamma * (d / ad.sqrt(var + eps)) + beta, mu, var
+
+    def test_fused_forms_equal_composites_bit_for_bit(self):
+        r = rng(9)
+        for shape in ((7, 3), (4, 5, 3)):
+            x = r.normal(size=shape) * 3.0 + 1.5
+            gamma, beta = r.normal(size=3), r.normal(size=3)
+            np.testing.assert_array_equal(layer_norm(x, gamma, beta),
+                                          self._composite_layer_norm(x, gamma, beta))
+            mean_buf, var_buf = np.zeros(3), np.ones(3)
+            y = batch_norm(x, gamma, beta, mean_buf, var_buf, train=True)
+            expect, mu, var = self._composite_batch_norm(x, gamma, beta)
+            np.testing.assert_array_equal(y, expect)
+            np.testing.assert_array_equal(mean_buf, 0.1 * mu.reshape(-1))
+            np.testing.assert_array_equal(var_buf, 0.9 + 0.1 * var.reshape(-1))
+
+    def test_fused_gradients_match_composites(self):
+        r = rng(10)
+        x0 = r.normal(size=(6, 4)) * 2.0
+        gamma, beta, w = r.normal(size=4), r.normal(size=4), r.normal(size=(6, 4))
+        for fused, composite in (
+            (lambda v: layer_norm(v, gamma, beta), lambda v: self._composite_layer_norm(v, gamma, beta)),
+            (lambda v: batch_norm(v, gamma, beta, np.zeros(4), np.ones(4), True),
+             lambda v: self._composite_batch_norm(v, gamma, beta)[0]),
+        ):
+            grads = []
+            for f in (fused, composite):
+                tape = ad.Tape()
+                x = tape.var(x0)
+                ad.backward(ad.sum(f(x) * w))
+                grads.append(x.grad)
+            np.testing.assert_allclose(grads[0], grads[1], rtol=1e-10, atol=1e-13)
+
     def test_batch_norm_normalizes_over_all_leading_axes(self):
         x = rng(7).random((4, 5, 3))
         y = batch_norm(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), train=True)

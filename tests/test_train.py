@@ -555,10 +555,28 @@ def test_every_trainable_parameter_gets_a_gradient(name):
     assert dead == []
 
 
+def test_refine_records_at_most_23_nodes(monkeypatch):
+    """The signature stage of a default app2s episode: one fused attention
+    node and one normalize node per layer norm, 23 nodes in all."""
+    refine, counts = netmods.SignatureGenerator.refine, []
+
+    def counted(self, proj, params=None):
+        before = len(proj.tape)
+        out = refine(self, proj, params=params)
+        counts.append(len(proj.tape) - before)
+        return out
+
+    monkeypatch.setattr(netmods.SignatureGenerator, "refine", counted)
+    _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)))
+    assert len(counts) == 1 and counts[0] <= 23
+
+
 def test_lazy_backward_matches_eager_sweep_bit_for_bit(monkeypatch):
     """Same tape, two engines: parameter gradients of one default app2s
     episode agree exactly. The tape uses the composite softmax and geodesic,
-    whose many nodes and fan-outs exercise accumulation."""
+    whose many nodes and fan-outs exercise accumulation, the fused attention
+    node, whose three pulls share one adjoint computation, and the fused
+    normalize nodes."""
     monkeypatch.setattr(ad, "softmax", _composite_softmax)
     monkeypatch.setattr(metrics, "geodesic_distance", _composite_geodesic)
     cfg = tr.TrainConfig(ball=BallConfig(c=0.7))
