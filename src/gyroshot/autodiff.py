@@ -9,9 +9,17 @@ identical gradients bit for bit.
 
 Every public op accepts either `Var` operands or plain numpy arrays / scalars
 (treated as constants), so the same code path serves taped training and
-untaped evaluation. Untaped calls compute the primal value only. Mixed
-expressions work through the operator overloads; `__array_ufunc__ = None`
-keeps numpy from absorbing a `Var` into an object array.
+untaped evaluation. Mixed expressions work through the operator overloads;
+`__array_ufunc__ = None` keeps numpy from absorbing a `Var` into an object
+array.
+
+An op computes its value and returns `_node(value, op, (operand, pull), ...)`
+with one pair per operand. `_node` drops the pairs whose operand is a
+constant and returns the plain value when none is left; otherwise it checks
+that the kept operands share one tape (`TapeError` if not) and calls
+`record`, the only place a node is made. Pulls run only in `backward`, so
+work that only an adjoint needs (a mask, a floored denominator) sits inside
+them and untaped calls compute the primal value only.
 
 Gradients are allocated lazily. A node's first adjoint contribution becomes
 its `.grad` (copied to C order when it is a strided view, such as the
@@ -128,19 +136,6 @@ def val(x):
     return x.value if isinstance(x, Var) else x
 
 
-def _tape_of(*operands) -> Tape:
-    tape = None
-    for o in operands:
-        if isinstance(o, Var):
-            if tape is None:
-                tape = o.tape
-            elif o.tape is not tape:
-                raise TapeError("operands live on different tapes")
-    if tape is None:
-        raise TapeError("no Var operand found")
-    return tape
-
-
 def record(value, pulls, tape: Tape, op: str = "op") -> Var:
     """Append a node with primal `value` and adjoint rules `pulls`.
 
@@ -155,6 +150,24 @@ def record(value, pulls, tape: Tape, op: str = "op") -> Var:
 
     out._backward = _bw
     return out
+
+
+def _node(out, op: str, *pulls):
+    """`out` as an `op` node, or `out` itself when no operand is a Var.
+
+    `pulls` holds one (operand, pull fn) pair per operand; pairs whose
+    operand is a constant are dropped. The kept operands must share a tape.
+    `record` is looked up when called, so a wrapper installed as
+    `autodiff.record` (perfbench's stage tracing) sees every node.
+    """
+    kept = [p for p in pulls if isinstance(p[0], Var)]
+    if not kept:
+        return out
+    tape = kept[0][0].tape
+    for v, _ in kept:
+        if v.tape is not tape:
+            raise TapeError(f"{op}: operands live on different tapes")
+    return record(out, kept, tape, op)
 
 
 def _accumulate(v: Var, contrib, op: str) -> None:
@@ -221,69 +234,40 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     av, bv = val(a), val(b)
-    out = av + bv
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: _unbroadcast(g, np.shape(av))))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: _unbroadcast(g, np.shape(bv))))
-    if not pulls:
-        return out
-    return record(out, pulls, _tape_of(a, b), "add")
+    return _node(av + bv, "add",
+                 (a, lambda g: _unbroadcast(g, np.shape(av))),
+                 (b, lambda g: _unbroadcast(g, np.shape(bv))))
 
 
 def sub(a, b):
     av, bv = val(a), val(b)
-    out = av - bv
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: _unbroadcast(g, np.shape(av))))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: _unbroadcast(-g, np.shape(bv))))
-    if not pulls:
-        return out
-    return record(out, pulls, _tape_of(a, b), "sub")
+    return _node(av - bv, "sub",
+                 (a, lambda g: _unbroadcast(g, np.shape(av))),
+                 (b, lambda g: _unbroadcast(-g, np.shape(bv))))
 
 
 def mul(a, b):
     av, bv = val(a), val(b)
-    out = av * bv
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: _unbroadcast(g * bv, np.shape(av))))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: _unbroadcast(g * av, np.shape(bv))))
-    if not pulls:
-        return out
-    return record(out, pulls, _tape_of(a, b), "mul")
+    return _node(av * bv, "mul",
+                 (a, lambda g: _unbroadcast(g * bv, np.shape(av))),
+                 (b, lambda g: _unbroadcast(g * av, np.shape(bv))))
 
 
 def div(a, b):
     av, bv = val(a), val(b)
-    out = av / bv
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: _unbroadcast(g / bv, np.shape(av))))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: _unbroadcast(-g * av / (bv * bv), np.shape(bv))))
-    if not pulls:
-        return out
-    return record(out, pulls, _tape_of(a, b), "div")
+    return _node(av / bv, "div",
+                 (a, lambda g: _unbroadcast(g / bv, np.shape(av))),
+                 (b, lambda g: _unbroadcast(-g * av / (bv * bv), np.shape(bv))))
 
 
 def neg(x):
-    if not isinstance(x, Var):
-        return -x
-    return record(-x.value, [(x, lambda g: -g)], x.tape, "neg")
+    return _node(-val(x), "neg", (x, lambda g: -g))
 
 
 def pow_(x, p):
     """x ** p for a constant real exponent p."""
     xv = val(x)
-    out = xv ** p
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: g * p * xv ** (p - 1))], x.tape, "pow")
+    return _node(xv ** p, "pow", (x, lambda g: g * p * xv ** (p - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +275,23 @@ def pow_(x, p):
 
 
 def sqrt(x):
-    xv = val(x)
-    out = np.sqrt(xv)
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: g * 0.5 / out)], x.tape, "sqrt")
+    out = np.sqrt(val(x))
+    return _node(out, "sqrt", (x, lambda g: g * 0.5 / out))
 
 
 def exp(x):
-    xv = val(x)
-    out = np.exp(xv)
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: g * out)], x.tape, "exp")
+    out = np.exp(val(x))
+    return _node(out, "exp", (x, lambda g: g * out))
 
 
 def log(x):
     xv = val(x)
-    out = np.log(xv)
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: g / xv)], x.tape, "log")
+    return _node(np.log(xv), "log", (x, lambda g: g / xv))
 
 
 def tanh(x):
-    xv = val(x)
-    out = np.tanh(xv)
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: g * (1.0 - out * out))], x.tape, "tanh")
+    out = np.tanh(val(x))
+    return _node(out, "tanh", (x, lambda g: g * (1.0 - out * out)))
 
 
 def arctanh(x):
@@ -327,10 +299,7 @@ def arctanh(x):
     if np.any(np.abs(xv) >= 1.0):
         worst = float(np.max(np.abs(xv)))
         raise DomainError(f"arctanh argument magnitude {worst} >= 1")
-    out = np.arctanh(xv)
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: g / (1.0 - xv * xv))], x.tape, "arctanh")
+    return _node(np.arctanh(xv), "arctanh", (x, lambda g: g / (1.0 - xv * xv)))
 
 
 def sigmoid(x):
@@ -338,33 +307,21 @@ def sigmoid(x):
     # exp only of non-positive numbers: stable for large |x|
     z = np.exp(-np.abs(xv))
     out = np.where(xv >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: g * out * (1.0 - out))], x.tape, "sigmoid")
+    return _node(out, "sigmoid", (x, lambda g: g * out * (1.0 - out)))
 
 
 def relu(x):
     xv = val(x)
-    out = np.maximum(xv, 0.0)
-    if not isinstance(x, Var):
-        return out
-    mask = xv > 0
-    return record(out, [(x, lambda g: g * mask)], x.tape, "relu")
+    return _node(np.maximum(xv, 0.0), "relu", (x, lambda g: g * (xv > 0)))
 
 
 def where(cond, a, b):
     """Elementwise select by a plain boolean mask (the mask is not traced)."""
     cond = np.asarray(cond, dtype=bool)
     av, bv = val(a), val(b)
-    out = np.where(cond, av, bv)
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: _unbroadcast(np.where(cond, g, 0.0), np.shape(av))))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: _unbroadcast(np.where(cond, 0.0, g), np.shape(bv))))
-    if not pulls:
-        return out
-    return record(out, pulls, _tape_of(a, b), "where")
+    return _node(np.where(cond, av, bv), "where",
+                 (a, lambda g: _unbroadcast(np.where(cond, g, 0.0), np.shape(av))),
+                 (b, lambda g: _unbroadcast(np.where(cond, 0.0, g), np.shape(bv))))
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +338,14 @@ def _normalize_axes(axis, ndim):
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
     xv = val(x)
-    out = np.sum(xv, axis=axis, keepdims=keepdims)
-    if not isinstance(x, Var):
-        return out
-    axes = _normalize_axes(axis, np.ndim(xv))
 
     def pull(g):
+        axes = _normalize_axes(axis, np.ndim(xv))
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
         return np.broadcast_to(g, xv.shape)
 
-    return record(out, [(x, pull)], x.tape, "sum")
+    return _node(np.sum(xv, axis=axis, keepdims=keepdims), "sum", (x, pull))
 
 
 def mean(x, axis=None, keepdims=False):
@@ -410,17 +364,13 @@ def norm(x, keepdims=False):
     """
     xv = val(x)
     out_keep = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True))
-    out = out_keep if keepdims else out_keep[..., 0]
-    if not isinstance(x, Var):
-        return out
-    denom = np.maximum(out_keep, _SAFE_NORM_FLOOR)
 
     def pull(g):
         if not keepdims:
             g = np.asarray(g)[..., None]
-        return g * xv / denom
+        return g * xv / np.maximum(out_keep, _SAFE_NORM_FLOOR)
 
-    return record(out, [(x, pull)], x.tape, "norm")
+    return _node(out_keep if keepdims else out_keep[..., 0], "norm", (x, pull))
 
 
 # ---------------------------------------------------------------------------
@@ -429,31 +379,25 @@ def norm(x, keepdims=False):
 
 def reshape(x, shape):
     xv = val(x)
-    out = np.reshape(xv, shape)
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: np.reshape(g, xv.shape))], x.tape, "reshape")
+    return _node(np.reshape(xv, shape), "reshape", (x, lambda g: np.reshape(g, xv.shape)))
 
 
 def broadcast_to(x, shape):
     xv = val(x)
-    out = np.broadcast_to(xv, shape)
-    if not isinstance(x, Var):
-        return out
-    return record(out, [(x, lambda g: _unbroadcast(g, xv.shape))], x.tape, "broadcast")
+    return _node(np.broadcast_to(xv, shape), "broadcast", (x, lambda g: _unbroadcast(g, xv.shape)))
 
 
 def concat(parts, axis=-1):
     vals = [val(p) for p in parts]
-    out = np.concatenate(vals, axis=axis)
-    if not any(isinstance(p, Var) for p in parts):
-        return out
-    splits = np.cumsum([v.shape[axis] for v in vals[:-1]])
-    pulls = []
-    for i, p in enumerate(parts):
-        if isinstance(p, Var):
-            pulls.append((p, lambda g, i=i: np.split(g, splits, axis=axis)[i]))
-    return record(out, pulls, _tape_of(*parts), "concat")
+
+    def pull(i):
+        def take(g):
+            splits = np.cumsum([v.shape[axis] for v in vals[:-1]])
+            return np.split(g, splits, axis=axis)[i]
+        return take
+
+    return _node(np.concatenate(vals, axis=axis), "concat",
+                 *[(p, pull(i)) for i, p in enumerate(parts)])
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +408,9 @@ def matmul(a, b):
     av, bv = val(a), val(b)
     if np.ndim(av) < 2 or np.ndim(bv) < 2:
         raise ShapeError("matmul operands must have ndim >= 2")
-    out = av @ bv
-    pulls = []
-    if isinstance(a, Var):
-        pulls.append((a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)))
-    if isinstance(b, Var):
-        pulls.append((b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
-    if not pulls:
-        return out
-    return record(out, pulls, _tape_of(a, b), "matmul")
+    return _node(av @ bv, "matmul",
+                 (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+                 (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
 
 
 def conv2d(x, k):
@@ -494,28 +432,24 @@ def conv2d(x, k):
     for di in range(kh):
         for dj in range(kw):
             out += xv[:, di:di + Ho, dj:dj + Wo, :] @ kv[di, dj]
-    pulls = []
-    if isinstance(x, Var):
-        def pull_x(g):
-            gx = np.zeros_like(xv)
-            for di in range(kh):
-                for dj in range(kw):
-                    gx[:, di:di + Ho, dj:dj + Wo, :] += g @ kv[di, dj].T
-            return gx
-        pulls.append((x, pull_x))
-    if isinstance(k, Var):
-        def pull_k(g):
-            gk = np.zeros_like(kv)
-            for di in range(kh):
-                for dj in range(kw):
-                    gk[di, dj] = np.tensordot(
-                        xv[:, di:di + Ho, dj:dj + Wo, :], g, axes=([0, 1, 2], [0, 1, 2])
-                    )
-            return gk
-        pulls.append((k, pull_k))
-    if not pulls:
-        return out
-    return record(out, pulls, _tape_of(x, k), "conv2d")
+
+    def pull_x(g):
+        gx = np.zeros_like(xv)
+        for di in range(kh):
+            for dj in range(kw):
+                gx[:, di:di + Ho, dj:dj + Wo, :] += g @ kv[di, dj].T
+        return gx
+
+    def pull_k(g):
+        gk = np.zeros_like(kv)
+        for di in range(kh):
+            for dj in range(kw):
+                gk[di, dj] = np.tensordot(
+                    xv[:, di:di + Ho, dj:dj + Wo, :], g, axes=([0, 1, 2], [0, 1, 2])
+                )
+        return gk
+
+    return _node(out, "conv2d", (x, pull_x), (k, pull_k))
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +466,13 @@ def softmax(x, axis=-1):
     xv = val(x)
     e = np.exp(xv - np.max(xv, axis=axis, keepdims=True))
     out = e / np.sum(e, axis=axis, keepdims=True)
-    if not isinstance(x, Var):
-        return out
-    return record(
-        out, [(x, lambda g: out * (g - np.sum(g * out, axis=axis, keepdims=True)))],
-        x.tape, "softmax",
-    )
+    return _node(out, "softmax",
+                 (x, lambda g: out * (g - np.sum(g * out, axis=axis, keepdims=True))))
 
 
 def _joint_pulls(operands, grads):
-    """(operand, pull) pairs for `record` whose contributions all come from
-    one call of `grads(g)`, which returns one per operand in order.
+    """(operand, pull) pairs for the Var operands, whose contributions all
+    come from one call of `grads(g)`, which returns one per operand in order.
 
     `record` runs a node's pulls in order within one adjoint call: the first
     makes every contribution, each hands out its own, and the last drops the
@@ -588,9 +518,6 @@ def attention(q, k, v):
     np.exp(p, out=p)
     p /= np.sum(p, axis=-1, keepdims=True)
     out = p @ vv
-    operands = (q, k, v)
-    if not any(isinstance(o, Var) for o in operands):
-        return out
 
     def grads(g):
         gs = g * scale
@@ -599,7 +526,7 @@ def attention(q, k, v):
         ds *= p
         return ds @ kv, np.swapaxes(ds, -1, -2) @ qv, np.swapaxes(p, -1, -2) @ g
 
-    return record(out, _joint_pulls(operands, grads), _tape_of(*operands), "attention")
+    return _node(out, "attention", *_joint_pulls((q, k, v), grads))
 
 
 def normalize(x, axes, eps):
@@ -619,15 +546,13 @@ def normalize(x, axes, eps):
     var = np.sum(out * out, axis=axes, keepdims=True) * inv_n
     sigma = np.sqrt(var + eps)
     out /= sigma
-    if not isinstance(x, Var):
-        return out, mu, var
 
     def pull(g):
         mean_g = np.sum(g, axis=axes, keepdims=True) * inv_n
         mean_gx = np.sum(g * out, axis=axes, keepdims=True) * inv_n
         return (g - mean_g - out * mean_gx) / sigma
 
-    return record(out, [(x, pull)], x.tape, "normalize"), mu, var
+    return _node(out, "normalize", (x, pull)), mu, var
 
 
 def log_softmax(x, axis=-1):

@@ -133,24 +133,18 @@ def geodesic_distance(x, y, cfg: BallConfig):
     z = 2.0 * c * sq / ab
     sinh = np.sqrt(z * (z + 2.0))
     out = np.log1p(z + sinh)[..., 0] / cfg.sqrt_c
-    if not (isinstance(x, ad.Var) or isinstance(y, ad.Var)):
-        return out
-    coef = 4.0 * cfg.sqrt_c / (ab * np.maximum(sinh, _TINY))
 
     # The radial coefficient is summed over the broadcast axes before it
     # meets the operand, so only x - y is scaled at the full broadcast size.
     def pull(g, v, radial, sign):
-        w = g[..., None] * coef
+        w = g[..., None] * (4.0 * cfg.sqrt_c / (ab * np.maximum(sinh, _TINY)))
         vs = np.shape(v)
         return (ad._unbroadcast(w * (c * sq / radial), vs[:-1] + (1,)) * v
                 + sign * ad._unbroadcast(w * diff, vs))
 
-    pulls = []
-    if isinstance(x, ad.Var):
-        pulls.append((x, lambda g: pull(g, xv, a, 1.0)))
-    if isinstance(y, ad.Var):
-        pulls.append((y, lambda g: pull(g, yv, b, -1.0)))
-    return ad.record(out, pulls, ad._tape_of(x, y), "geodesic")
+    return ad._node(out, "geodesic",
+                    (x, lambda g: pull(g, xv, a, 1.0)),
+                    (y, lambda g: pull(g, yv, b, -1.0)))
 
 
 def flat_distance(x, y):
@@ -161,7 +155,7 @@ def flat_distance(x, y):
 
 def neg_point(x):
     """Additive inverse in the gyrogroup (plain negation)."""
-    return -x if isinstance(x, ad.Var) else np.negative(x)
+    return ad.neg(x)
 
 
 def poincare_to_klein(x, cfg: BallConfig):

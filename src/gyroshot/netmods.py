@@ -465,13 +465,24 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise DataFormatError(
             f"{path}: checkpoint format_version {version}, expected {CHECKPOINT_FORMAT}"
         )
+    if not isinstance(entries, list):
+        raise DataFormatError(f"{path}: bad checkpoint header ('tensors' is not a list: {entries!r})")
     out = {}
     offset = nl + 1
     for entry in entries:
         try:
-            name, shape, dtype = entry["name"], tuple(entry["shape"]), entry["dtype"]
+            name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
         except (KeyError, TypeError) as e:
             raise DataFormatError(f"{path}: malformed tensor entry {entry}") from e
+        if not isinstance(name, str) or not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise DataFormatError(
+                f"{path}: bad checkpoint header (tensor entry {entry} needs a string "
+                f"name and a list of non-negative integer dimensions)"
+            )
+        if name in out:
+            raise DataFormatError(f"{path}: bad checkpoint header (duplicate tensor name {name!r})")
         if dtype != "<f8":
             raise DataFormatError(f"{path}: tensor {name} has unsupported dtype {dtype}")
         count = int(np.prod(shape)) if shape else 1

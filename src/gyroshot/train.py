@@ -112,8 +112,9 @@ class TrainConfig:
         variant_spec(self.variant_name)
         if self.temperature <= 0.0:
             raise ConfigError("temperature must be positive")
-        if self.learning_rate <= 0.0 or self.epochs < 1 or self.tasks_per_epoch < 1:
-            raise ConfigError("learning_rate, epochs, tasks_per_epoch must be positive")
+        if (self.learning_rate <= 0.0 or self.epochs < 1 or self.tasks_per_epoch < 1
+                or self.val_tasks < 1):
+            raise ConfigError("learning_rate, epochs, tasks_per_epoch, val_tasks must be positive")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigError("val_fraction must lie in [0, 1)")
 
@@ -422,6 +423,10 @@ def evaluate(dataset: Dataset, bundle: ModelBundle, cfg: TrainConfig, *,
              n_epochs: int = 100, tasks_per_epoch: int = 100,
              n_outliers: int = 0, seed: int | None = None) -> EvalReport:
     """Accuracy over n_epochs * tasks_per_epoch fresh episodes, with CI."""
+    if n_epochs < 1 or tasks_per_epoch < 1:
+        raise ConfigError(
+            f"n_epochs and tasks_per_epoch must be positive, got {n_epochs} and {tasks_per_epoch}"
+        )
     spec = cfg.episode_spec(
         n_outliers=n_outliers, seed=cfg.seed + 2**33 if seed is None else seed
     )

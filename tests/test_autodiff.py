@@ -1,11 +1,14 @@
 """Tape, primitive ops, and the finite-difference oracle."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from gyroshot import autodiff as ad
 from gyroshot.autodiff import Tape, backward, finite_diff_check, val
 from gyroshot.errors import DomainError, ShapeError, TapeError
+from gyroshot.geometry import BallConfig, geodesic_distance
 
 
 def test_hand_worked_gradient():
@@ -49,18 +52,81 @@ def test_backward_requires_scalar_root():
         backward(y)
 
 
-def test_mixed_tapes_rejected():
-    t1, t2 = Tape(), Tape()
-    a = t1.var(1.0)
-    b = t2.var(2.0)
+#: op name -> (operand shape, call with both operands); every op that
+#: takes more than one operand that may be a Var
+_MULTI_OPERAND = {
+    "add": ((2, 2), lambda a, b: a + b),
+    "sub": ((2, 2), ad.sub),
+    "mul": ((2, 2), ad.mul),
+    "div": ((2, 2), ad.div),
+    "where": ((2, 2), lambda a, b: ad.where(np.eye(2, dtype=bool), a, b)),
+    "matmul": ((2, 2), ad.matmul),
+    "concat": ((2, 2), lambda a, b: ad.concat([a, b])),
+    "conv2d": ((1, 1, 1, 1), ad.conv2d),
+    "attention": ((2, 2), lambda a, b: ad.attention(a, b, b)),
+    "geodesic_distance": ((2, 2), lambda a, b: geodesic_distance(a, b, BallConfig(c=1.0))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_MULTI_OPERAND))
+def test_mixed_tapes_rejected(op):
+    shape, fn = _MULTI_OPERAND[op]
+    a = Tape().var(np.full(shape, 0.1))
+    b = Tape().var(np.full(shape, 0.2))
     with pytest.raises(TapeError):
-        a + b
+        fn(a, b)
 
 
-def test_constants_pass_through_untaped():
-    x = np.array([1.0, 2.0])
-    out = ad.tanh(x) + ad.sqrt(x)
-    assert isinstance(out, np.ndarray)
+_X = np.array([[0.2, 0.5], [0.3, 0.1]])
+
+#: public op name -> call on constant operands only
+_CONSTANT_CALLS = {
+    "add": lambda: ad.add(_X, _X),
+    "sub": lambda: ad.sub(_X, 1.0),
+    "mul": lambda: ad.mul(2.0, _X),
+    "div": lambda: ad.div(_X, _X),
+    "neg": lambda: ad.neg(_X),
+    "pow_": lambda: ad.pow_(_X, 3),
+    "sqrt": lambda: ad.sqrt(_X),
+    "exp": lambda: ad.exp(_X),
+    "log": lambda: ad.log(_X),
+    "tanh": lambda: ad.tanh(_X),
+    "arctanh": lambda: ad.arctanh(_X),
+    "sigmoid": lambda: ad.sigmoid(_X),
+    "relu": lambda: ad.relu(_X - 0.25),
+    "where": lambda: ad.where(_X > 0.25, _X, 0.0),
+    "sum": lambda: ad.sum(_X, axis=0),
+    "mean": lambda: ad.mean(_X, axis=-1),
+    "norm": lambda: ad.norm(_X),
+    "reshape": lambda: ad.reshape(_X, (4,)),
+    "broadcast_to": lambda: ad.broadcast_to(_X, (3, 2, 2)),
+    "concat": lambda: ad.concat([_X, _X], axis=0),
+    "matmul": lambda: ad.matmul(_X, _X),
+    "conv2d": lambda: ad.conv2d(_X[None, :, :, None], np.ones((1, 2, 1, 3))),
+    "softmax": lambda: ad.softmax(_X),
+    "log_softmax": lambda: ad.log_softmax(_X),
+    "attention": lambda: ad.attention(_X, _X, _X),
+    "normalize": lambda: ad.normalize(_X, -1, 1e-5)[0],
+    "geodesic_distance": lambda: geodesic_distance(_X, _X[::-1], BallConfig(c=1.0)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_CONSTANT_CALLS))
+def test_constants_pass_through_untaped(op, monkeypatch):
+    def no_record(*args, **kwargs):
+        raise AssertionError("a node was recorded")
+
+    monkeypatch.setattr(ad, "record", no_record)
+    assert isinstance(_CONSTANT_CALLS[op](), np.ndarray)
+
+
+def test_contract_tables_cover_every_public_op():
+    public = {
+        name for name, f in vars(ad).items()
+        if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")
+    }
+    not_ops = {"val", "record", "backward", "finite_diff_check"}
+    assert public - not_ops == set(_CONSTANT_CALLS) - {"geodesic_distance"}
 
 
 def test_broadcast_gradients_have_operand_shapes():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from gyroshot.cli import RunConfig, main
+from gyroshot.episodes import SyntheticConfig
 from gyroshot.errors import ConfigError
-from gyroshot.netmods import load_checkpoint
+from gyroshot.netmods import ModelBundle, ModelConfig, load_checkpoint
+from gyroshot.train import TrainConfig
 
 TINY = {
     "c": 0.5,
@@ -44,6 +46,12 @@ class TestRunConfig:
         cfg = RunConfig({})
         assert cfg.n_way == 5 and cfg.k_shot == 5
         assert cfg.c is None and cfg.resolved_c() == 0.7
+
+    def test_defaults_equal_library_defaults(self):
+        cfg = RunConfig({})
+        assert cfg.train_cfg() == TrainConfig()
+        assert cfg.model_cfg((3, 3, 8)) == ModelConfig(in_dim=8, grid=(3, 3))
+        assert cfg.synth() == SyntheticConfig()
 
     def test_low_shot_default_curvature(self):
         assert RunConfig({"k_shot": 1}).resolved_c() == 0.5
@@ -250,6 +258,33 @@ class TestErrors:
         main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "g")])
         assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "DataFormatError" in capsys.readouterr().err
+
+    def _eval_error(self, tmp_path, capsys, checkpoint=None, **extra):
+        """stderr of an `eval` run that must exit 1 with one error line."""
+        cfg_path = write_cfg(tmp_path, dataset=str(tmp_path / "g/dataset.bin"),
+                             checkpoint=str(tmp_path / "ckpt.bin"), **extra)
+        main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "g")])
+        if checkpoint is None:
+            ModelBundle(RunConfig(TINY).model_cfg((2, 2, 4))).save(tmp_path / "ckpt.bin")
+        else:
+            (tmp_path / "ckpt.bin").write_bytes(checkpoint)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        return err
+
+    def test_malformed_checkpoint_header_reported(self, tmp_path, capsys):
+        err = self._eval_error(tmp_path, capsys,
+                               checkpoint=b'{"format_version": 2, "tensors": 5}\n')
+        assert err.startswith("DataFormatError:") and "header" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("eval_tasks", 0), ("eval_tasks", -3), ("eval_epochs", 0), ("val_tasks", 0),
+    ])
+    def test_nonpositive_counts_rejected(self, tmp_path, capsys, key, value):
+        err = self._eval_error(tmp_path, capsys, **{key: value})
+        assert err.startswith("ConfigError:") and "must be positive" in err
 
 
 class TestVerifyCommand:

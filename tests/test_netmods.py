@@ -410,6 +410,14 @@ class TestCheckpointFile:
         path.write_bytes(b"[1, 2]\n" + b"\x00" * 8)
         with pytest.raises(DataFormatError, match="header"):
             load_checkpoint(path)
+        entry = {"name": "a", "shape": [1], "dtype": "<f8"}
+        for tensors in (5, [dict(entry, shape=[2.5])], [dict(entry, shape="ab")],
+                        [dict(entry, shape=[-1])], [dict(entry, shape=[True])],
+                        [dict(entry, name=["a"])], [entry, entry]):
+            header = json.dumps({"format_version": 2, "tensors": tensors}).encode()
+            path.write_bytes(header + b"\n" + b"\x00" * 16)  # [entry, entry] fits
+            with pytest.raises(DataFormatError, match="header"):
+                load_checkpoint(path)
 
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "t.bin"

@@ -55,6 +55,8 @@ class TestTrainConfig:
             tiny_cfg(temperature=0.0)
         with pytest.raises(ConfigError):
             tiny_cfg(val_fraction=1.0)
+        with pytest.raises(ConfigError, match="val_tasks"):
+            tiny_cfg(val_tasks=0)
 
     def test_variant_switches(self):
         cfg = tiny_cfg()
@@ -411,6 +413,12 @@ class TestEvaluate:
         np.testing.assert_array_equal(a.per_task_loss, b.per_task_loss)
         assert 0.0 <= a.mean_accuracy <= 1.0
         assert a.mean_loss == pytest.approx(a.per_task_loss.mean())
+
+    @pytest.mark.parametrize("n_epochs,tasks_per_epoch", [(0, 3), (2, 0), (1, -3)])
+    def test_nonpositive_counts_rejected(self, n_epochs, tasks_per_epoch):
+        with pytest.raises(ConfigError, match="must be positive"):
+            tr.evaluate(tiny_dataset(), ModelBundle(MODEL, seed=12), tiny_cfg(),
+                        n_epochs=n_epochs, tasks_per_epoch=tasks_per_epoch)
 
     def test_explicit_seed_changes_stream(self):
         ds = tiny_dataset()
