@@ -6,7 +6,7 @@ Subcommands: gen, train, eval, robustness, verify. Shared flags:
 config.json). The GYRO_LOG environment variable sets the log level.
 
 Every handled failure prints "<ErrorClass>: <message>" on stderr and exits
-nonzero.
+with status 1.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .episodes import (
@@ -41,43 +42,25 @@ from . import verify as verify_mod
 
 log = logging.getLogger("gyroshot")
 
-# key -> (kind, default); kinds: int, float, optfloat, str, optstr, intlist
-_SCHEMA = {
+# Config fields that no key of their own sets: the extra keys below or the
+# dataset build them.
+_BUILT = {"grid", "ball", "variant_name", "in_dim"}
+
+# Keys that are not plain config fields: key -> (kind, default); kinds: int,
+# float, optfloat, str, optstr, intlist.
+_EXTRA = {
     "c": ("optfloat", None),
-    "eps": ("float", 1e-5),
-    "n_classes": ("int", 20),
-    "samples_per_class": ("int", 30),
-    "patch_dim": ("int", 8),
-    "grid_h": ("int", 3),
-    "grid_w": ("int", 3),
-    "n_modes": ("int", 2),
-    "class_spread": ("float", 0.6),
-    "mode_spread": ("float", 1.0),
-    "within_spread": ("float", 0.5),
-    "n_way": ("int", 5),
-    "k_shot": ("int", 5),
-    "n_query": ("int", 3),
+    "eps": ("float", BallConfig.eps),
+    "grid_h": ("int", SyntheticConfig.grid[0]),
+    "grid_w": ("int", SyntheticConfig.grid[1]),
+    "variant": ("str", TrainConfig.variant_name),
     "n_outliers": ("int", 0),
-    "feat_dim": ("int", 16),
-    "enc_hidden": ("int", 32),
-    "feature_scale": ("float", 0.8),
-    "relation_filters": ("int", 64),
-    "optimizer": ("str", "adam"),
-    "learning_rate": ("float", 1e-3),
-    "weight_decay": ("float", 5e-4),
-    "epochs": ("int", 5),
-    "tasks_per_epoch": ("int", 100),
-    "temperature": ("float", 1.0),
-    "variant": ("str", "app2s"),
-    "val_fraction": ("float", 0.2),
-    "val_tasks": ("int", 20),
     "eval_epochs": ("int", 10),
     "eval_tasks": ("int", 20),
     "outlier_grid": ("intlist", [0, 1, 2, 3, 4]),
     "dataset": ("optstr", None),
     "checkpoint": ("optstr", None),
     "resume": ("optstr", None),
-    "seed": ("int", 0),
 }
 
 
@@ -90,18 +73,12 @@ def _coerce(key: str, kind: str, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
         return float(value)
-    if kind == "optfloat":
-        if value is None:
-            return None
-        return _coerce(key, "float", value)
+    if kind.startswith("opt"):
+        return None if value is None else _coerce(key, kind[3:], value)
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
         return value
-    if kind == "optstr":
-        if value is None:
-            return None
-        return _coerce(key, "str", value)
     if kind == "intlist":
         if not isinstance(value, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
@@ -111,6 +88,30 @@ def _coerce(key: str, kind: str, value):
     raise AssertionError(kind)
 
 
+def _derive_schema(configs, extra) -> dict:
+    """key -> (kind, default): `extra`, plus each field of `configs` not in
+    _BUILT with its type and default; a field of two configs is one key.
+    Raises TypeError on a field without an int, float or str type and a
+    default, or on one key declared with two kinds or defaults."""
+    schema = dict(extra)
+    for cls in configs:
+        for f in fields(cls):
+            if f.name in _BUILT:
+                continue
+            kind = getattr(f.type, "__name__", f.type)
+            if kind not in ("int", "float", "str") or f.default is MISSING:
+                raise TypeError(f"{cls.__name__}.{f.name} cannot be a config key: it needs "
+                                f"an int, float or str type and a default, has {f.type!r}")
+            entry = (kind, _coerce(f.name, kind, f.default))
+            if schema.setdefault(f.name, entry) != entry:
+                raise TypeError(f"config key {f.name!r} is declared as both "
+                                f"{schema[f.name]} and {entry}")
+    return schema
+
+
+_SCHEMA = _derive_schema((SyntheticConfig, TrainConfig, ModelConfig), _EXTRA)
+
+
 class RunConfig:
     """Validated flat configuration with typed attribute access."""
 
@@ -118,9 +119,8 @@ class RunConfig:
         unknown = sorted(set(values) - set(_SCHEMA))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        self._values = {}
-        for key, (kind, default) in _SCHEMA.items():
-            self._values[key] = _coerce(key, kind, values[key]) if key in values else default
+        self._values = {key: _coerce(key, kind, values.get(key, default))
+                        for key, (kind, default) in _SCHEMA.items()}
         variant_spec(self.variant)
 
     def __getattr__(self, key):
@@ -161,47 +161,20 @@ class RunConfig:
     def ball(self) -> BallConfig:
         return BallConfig(c=self.resolved_c(), eps=self.eps)
 
+    def _build(self, cls, **built):
+        """`cls` from its fields' keys, with the fields that no key sets in `built`."""
+        keyed = {f.name: self._values[f.name] for f in fields(cls) if f.name not in built}
+        return cls(**keyed, **built)
+
     def synth(self) -> SyntheticConfig:
-        return SyntheticConfig(
-            n_classes=self.n_classes,
-            samples_per_class=self.samples_per_class,
-            patch_dim=self.patch_dim,
-            grid=(self.grid_h, self.grid_w),
-            n_modes=self.n_modes,
-            class_spread=self.class_spread,
-            mode_spread=self.mode_spread,
-            within_spread=self.within_spread,
-            seed=self.seed,
-        )
+        return self._build(SyntheticConfig, grid=(self.grid_h, self.grid_w))
 
     def train_cfg(self) -> TrainConfig:
-        return TrainConfig(
-            ball=self.ball(),
-            n_way=self.n_way,
-            k_shot=self.k_shot,
-            n_query=self.n_query,
-            optimizer=self.optimizer,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            epochs=self.epochs,
-            tasks_per_epoch=self.tasks_per_epoch,
-            temperature=self.temperature,
-            variant_name=self.variant,
-            val_fraction=self.val_fraction,
-            val_tasks=self.val_tasks,
-            seed=self.seed,
-        )
+        return self._build(TrainConfig, ball=self.ball(), variant_name=self.variant)
 
     def model_cfg(self, dims) -> ModelConfig:
         h, w, c = dims
-        return ModelConfig(
-            in_dim=c,
-            grid=(h, w),
-            feat_dim=self.feat_dim,
-            enc_hidden=self.enc_hidden,
-            feature_scale=self.feature_scale,
-            relation_filters=self.relation_filters,
-        )
+        return self._build(ModelConfig, in_dim=c, grid=(h, w))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -222,7 +195,6 @@ def _require(cfg: RunConfig, key: str) -> str:
 
 
 def cmd_gen(cfg: RunConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     dataset = generate_synthetic(cfg.synth(), cfg.ball())
     path = out / "dataset.bin"
     save_dataset(dataset, path)
@@ -233,7 +205,6 @@ def cmd_gen(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     dataset = load_features(_require(cfg, "dataset"), cfg.ball())
     init_state = None
     if cfg.resume is not None:
@@ -251,7 +222,6 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     dataset = load_features(_require(cfg, "dataset"), cfg.ball())
     bundle = ModelBundle.load(_require(cfg, "checkpoint"), cfg.model_cfg(dataset.dims))
     report = evaluate(
@@ -275,7 +245,6 @@ _ROBUSTNESS_VARIANTS = ("app2s", "prototype", "euclidean_ap2s")
 
 
 def cmd_robustness(cfg: RunConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     dataset = load_features(_require(cfg, "dataset"), cfg.ball())
     variants = {}
     for name in _ROBUSTNESS_VARIANTS:
@@ -300,7 +269,6 @@ def cmd_robustness(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     checks = verify_mod.run_all()
     lines = [c.line() for c in checks]
     print("\n".join(lines))
@@ -349,6 +317,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be nonnegative")
             cfg = cfg.override(seed=args.seed)
+        _echo_config(cfg, args.out)
         return _COMMANDS[args.command](cfg, args.out)
     except GyroshotError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

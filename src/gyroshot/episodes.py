@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, InsufficientDataError, ShapeError
+from .errors import ConfigError, DataFormatError, InsufficientDataError, ShapeError
 from .fileio import atomic_write
 from .geometry import BallConfig, clip_to_ball, exp_map, log_map
 
@@ -49,6 +49,8 @@ class SyntheticConfig:
             raise ShapeError("synthetic config sizes must be positive")
         if self.grid[0] < 1 or self.grid[1] < 1 or self.n_modes < 1:
             raise ShapeError("grid sides and n_modes must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -280,10 +280,6 @@ class RelationGenerator:
             "bn2_var": np.ones(1),
         }
 
-    @property
-    def grid(self):
-        return self.cfg.grid
-
     def __call__(self, g, train: bool = False, rng=None, params=None):
         """g: (B, H, W, 2C) concatenated pairs -> (B,) sigmoid scores."""
         p = params if params is not None else self.params
@@ -318,7 +314,7 @@ def relation_scores(proj, signature, relation: RelationGenerator,
     sig = ad.reshape(signature, shape[:-3] + (1,) + shape[-2:])
     sig = ad.broadcast_to(sig, shape)
     g = ad.concat([proj, sig], axis=-1)
-    h, w = relation.grid
+    h, w = relation.cfg.grid
     g4 = ad.reshape(g, (-1, h, w, 2 * c))
     scores = relation(g4, train=train, rng=rng, params=params)
     scores = ad.reshape(scores, shape[:-2])

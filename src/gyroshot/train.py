@@ -117,6 +117,8 @@ class TrainConfig:
             raise ConfigError("learning_rate, epochs, tasks_per_epoch, val_tasks must be positive")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigError("val_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def spec(self) -> VariantSpec:
@@ -272,7 +274,6 @@ def make_optimizer(cfg: TrainConfig):
 @dataclass
 class TrainResult:
     bundle: ModelBundle
-    model_cfg: ModelConfig
     metrics_rows: list          # (epoch, task, accuracy, loss)
     best_val_accuracy: float
     val_history: list
@@ -393,7 +394,6 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
     bundle.load_state(best_state)
     return TrainResult(
         bundle=bundle,
-        model_cfg=model_cfg,
         metrics_rows=rows,
         best_val_accuracy=best_acc,
         val_history=val_history,

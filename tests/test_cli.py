@@ -1,11 +1,14 @@
 """Command-line interface tests (in-process through cli.main)."""
 
 import json
+import re
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gyroshot.cli import RunConfig, main
+from gyroshot.cli import RunConfig, _derive_schema, main
 from gyroshot.episodes import SyntheticConfig
 from gyroshot.errors import ConfigError
 from gyroshot.netmods import ModelBundle, ModelConfig, load_checkpoint
@@ -31,6 +34,33 @@ TINY = {
     "eval_tasks": 3,
     "outlier_grid": [0, 1],
 }
+
+
+# keys that no built config carries: only a command reads them
+COMMAND_ONLY = {"n_outliers", "eval_epochs", "eval_tasks", "outlier_grid",
+                "dataset", "checkpoint", "resume"}
+WIRED_KEYS = sorted(set(RunConfig({}).to_dict()) - COMMAND_ONLY)
+
+
+def non_default(key):
+    """A valid value for `key` other than its default."""
+    special = {"c": 0.3, "optimizer": "sgd", "variant": "prototype"}
+    if key in special:
+        return special[key]
+    default = RunConfig({}).to_dict()[key]
+    return default + 2 if isinstance(default, int) else default / 2
+
+
+def landed(cfg: RunConfig) -> dict:
+    """key -> the values the built configs hold for it."""
+    synth, train, model = cfg.synth(), cfg.train_cfg(), cfg.model_cfg((3, 3, 8))
+    spots = {}
+    for built in (synth, train, model):
+        for f in fields(built):
+            spots.setdefault(f.name, []).append(getattr(built, f.name))
+    spots.update(c=[train.ball.c], eps=[train.ball.eps], grid_h=[synth.grid[0]],
+                 grid_w=[synth.grid[1]], variant=[train.variant_name])
+    return spots
 
 
 def write_cfg(tmp_path, fname="cfg.json", **extra):
@@ -99,6 +129,58 @@ class TestRunConfig:
         assert cfg.train_cfg().n_way == 3
         assert cfg.synth().grid == (2, 2)
         assert cfg.model_cfg((2, 2, 4)).hw == 4
+
+    @pytest.mark.parametrize("key", WIRED_KEYS)
+    def test_key_reaches_built_config(self, key):
+        value = non_default(key)
+        assert value != RunConfig({}).to_dict()[key]
+        spots = landed(RunConfig({key: value})).get(key)
+        assert spots and all(v == value for v in spots), (key, spots)
+
+    def test_schema_derivation_fails_loudly(self):
+        @dataclass
+        class A:
+            seed: int = 0
+
+        @dataclass
+        class B:
+            seed: int = 1
+
+        @dataclass
+        class Grid:
+            size: tuple = (1, 1)
+
+        @dataclass
+        class NoDefault:
+            depth: int
+
+        assert _derive_schema((A, A), {}) == {"seed": ("int", 0)}
+        with pytest.raises(TypeError, match="'seed'"):
+            _derive_schema((A, B), {})
+        with pytest.raises(TypeError, match="'seed'"):
+            _derive_schema((A,), {"seed": ("float", 0.0)})
+        with pytest.raises(TypeError, match="Grid.size"):
+            _derive_schema((Grid,), {})
+        with pytest.raises(TypeError, match="NoDefault.depth"):
+            _derive_schema((NoDefault,), {})
+
+    def test_readme_config_table_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = readme.split("### Config keys", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            rows.append(line.split("|")[2])
+        keys = {k for cell in rows for k in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell))}
+        schema = RunConfig({}).to_dict()
+        assert keys == set(schema)
+        numeric = [m for cell in rows
+                   for m in re.findall(r"`(\w+)` \(([-+.\deE]+)\)", cell)]
+        assert len(numeric) >= 25
+        for key, printed in numeric:
+            assert float(printed) == schema[key], key
 
     def test_from_file_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -224,6 +306,18 @@ class TestErrors:
     def test_negative_seed(self, tmp_path, capsys):
         assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_seed_in_config_file(self, tmp_path, capsys, command):
+        data = str(tmp_path / "g/dataset.bin")
+        main(["gen", "--config", str(write_cfg(tmp_path, dataset=data)),
+              "--out", str(tmp_path / "g")])
+        cfg_path = write_cfg(tmp_path, fname="neg.json", dataset=data, seed=-1)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("ConfigError:") and "seed" in err
 
     def test_zero_classes_rejected(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, n_classes=0)
