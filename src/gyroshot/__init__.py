@@ -43,10 +43,6 @@ from .geometry import (
 from .metrics import (
     adaptive_combine,
     adaptive_p2s,
-    hausdorff_bidirectional,
-    hausdorff_one_sided,
-    p2s_max,
-    p2s_min,
     pairwise_matrix,
     s2s_flat_mean,
     s2s_learned,
@@ -66,7 +62,6 @@ from .train import (
     TrainConfig,
     TrainResult,
     VARIANTS,
-    episode_loss,
     evaluate,
     run_robustness,
     train,
@@ -106,22 +101,17 @@ __all__ = [
     "clip_to_ball",
     "conformal_factor",
     "einstein_midpoint",
-    "episode_loss",
     "evaluate",
     "exp_map",
     "finite_diff_check",
     "flat_distance",
     "generate_synthetic",
     "geodesic_distance",
-    "hausdorff_bidirectional",
-    "hausdorff_one_sided",
     "klein_to_poincare",
     "load_checkpoint",
     "load_features",
     "log_map",
     "mobius_add",
-    "p2s_max",
-    "p2s_min",
     "pairwise_matrix",
     "poincare_to_klein",
     "run_robustness",

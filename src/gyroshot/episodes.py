@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, InsufficientDataError, ShapeError
 from .fileio import atomic_write
-from .geometry import BallConfig, clip_to_ball, exp_map, log_map
+from .geometry import BallConfig, clip_to_ball, exp_map
 
 _HEADER_KEYS = {"n_samples", "H", "W", "C", "n_classes"}
 
@@ -60,8 +60,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     dims: tuple[int, int, int]
-    ball: BallConfig | None = None
-    synth: SyntheticConfig | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -88,8 +86,6 @@ class Dataset:
             features=self.features[mask],
             labels=self.labels[mask],
             dims=self.dims,
-            ball=self.ball,
-            synth=self.synth,
         )
 
 
@@ -145,13 +141,7 @@ def generate_synthetic(cfg: SyntheticConfig, ball: BallConfig) -> Dataset:
         feats[i * cfg.samples_per_class:(i + 1) * cfg.samples_per_class] = pts
     feats = feats.astype("<f4").astype(np.float64)
     labels = np.repeat(np.arange(cfg.n_classes), cfg.samples_per_class)
-    return Dataset(
-        features=feats,
-        labels=labels,
-        dims=(cfg.grid[0], cfg.grid[1], d),
-        ball=ball,
-        synth=cfg,
-    )
+    return Dataset(features=feats, labels=labels, dims=(cfg.grid[0], cfg.grid[1], d))
 
 
 def sample_episode(dataset: Dataset, spec: EpisodeSpec, index: int = 0) -> Episode:
@@ -160,8 +150,9 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, index: int = 0) -> Episo
     Support and query samples are disjoint. Outliers are drawn from classes
     disjoint from the episode's classes and appended to each support row,
     mislabeled as that row's class. With k_shot == 1 the single support
-    sample is duplicated (jittered when the dataset carries its generative
-    parameters) before any outliers are appended.
+    sample is duplicated exactly before any outliers are appended, so the
+    episode depends only on the features and labels: a generated dataset and
+    its saved-and-loaded copy give the same episodes.
     """
     rng = np.random.default_rng([spec.seed, index])
     classes = dataset.classes
@@ -186,7 +177,7 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, index: int = 0) -> Episo
         sup = dataset.features[pick[: spec.k_shot]]
         origin = [cls] * spec.k_shot
         if spec.k_shot == 1:
-            sup = np.concatenate([sup, _duplicate(sup[0], dataset, rng)], axis=0)
+            sup = np.concatenate([sup, sup], axis=0)
             origin.append(cls)
         if spec.n_outliers:
             out_feats, out_orig = _draw_outliers(dataset, others, spec.n_outliers, rng)
@@ -203,16 +194,6 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, index: int = 0) -> Episo
         support_origin=np.asarray(origin_rows, dtype=np.int64),
         n_outliers=spec.n_outliers,
     )
-
-
-def _duplicate(sample: np.ndarray, dataset: Dataset, rng) -> np.ndarray:
-    if dataset.synth is not None and dataset.ball is not None:
-        ball = dataset.ball
-        origin = np.zeros(sample.shape[-1])
-        tangent = log_map(origin, sample, ball)
-        tangent = tangent + rng.normal(0.0, dataset.synth.within_spread, sample.shape)
-        return clip_to_ball(exp_map(origin, tangent, ball), ball)[None]
-    return sample[None].copy()
 
 
 def _draw_outliers(dataset: Dataset, others: np.ndarray, n: int, rng):
@@ -286,4 +267,4 @@ def load_features(path, cfg: BallConfig | None = None) -> Dataset:
     feats = records["feat"].astype(np.float64).reshape(n, h * w, c)
     if cfg is not None:
         feats = clip_to_ball(feats, cfg)
-    return Dataset(features=feats, labels=labels, dims=(h, w, c), ball=cfg, synth=None)
+    return Dataset(features=feats, labels=labels, dims=(h, w, c))

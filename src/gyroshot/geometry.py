@@ -227,13 +227,14 @@ def clip_to_ball(s, cfg: BallConfig):
 
     Interior points pass through untouched (identity Jacobian); clipped points
     are rescaled to norm mu, whose true Jacobian (scaled identity minus the
-    radial rank-one part) falls out of the composite ops.
+    radial rank-one part) falls out of the composite ops. The bound is
+    tested on the plain value, so an input that needs no clip records nothing.
     """
     mu = cfg.max_norm
-    n = ad.norm(s, keepdims=True)
-    over = val(n) > mu
+    over = ad.norm(val(s), keepdims=True) > mu
     if not np.any(over):
         return s if isinstance(s, ad.Var) else np.asarray(s, dtype=np.float64)
+    n = ad.norm(s, keepdims=True)
     n_safe = ad.where(over, n, np.ones_like(val(n)))
     factor = ad.where(over, mu / n_safe, np.ones_like(val(n)))
     return s * factor

@@ -1,11 +1,10 @@
 """Distances between patch sets on the ball.
 
 A feature map is an array (or tape Var) of shape (..., HW, C): a set of HW
-patch embeddings, one point each. Classical
-point-to-set reductions (min / max / Hausdorff) operate on plain arrays and
-are evaluation-only. The learned set-to-set distance and the adaptive
-combination run through the generic autodiff ops, so the same functions serve
-untaped inference and taped training.
+patch embeddings, one point each. The pairwise patch distances, the learned
+set-to-set distance and the adaptive point-to-set combination run through the
+generic autodiff ops, so the same functions serve untaped inference and taped
+training.
 
 Shape conventions: patches are (..., HW, C); `pairwise_matrix` broadcasts
 leading axes of the two sides against each other, so a (NQ, 1, 1, HW, C)
@@ -47,45 +46,6 @@ def pairwise_matrix(q, s, cfg: BallConfig, dist_fn=None):
     if dist_fn is None:
         return geodesic_distance(q_e, s_e, cfg)
     return dist_fn(q_e, s_e)
-
-
-def p2s_min(p, S, cfg: BallConfig, dist_fn=None) -> float:
-    """inf over the set of the distance from point `p`. Evaluation-only."""
-    d = _point_to_set(p, S, cfg, dist_fn)
-    return float(d.min())
-
-
-def p2s_max(p, S, cfg: BallConfig, dist_fn=None) -> float:
-    """sup over the set of the distance from point `p`. Evaluation-only."""
-    d = _point_to_set(p, S, cfg, dist_fn)
-    return float(d.max())
-
-
-def _point_to_set(p, S, cfg, dist_fn):
-    pv = np.asarray(val(p), dtype=np.float64)
-    if pv.ndim != 1:
-        raise ShapeError(f"point must be 1-D, got shape {pv.shape}")
-    Sv = np.asarray(val(_check_set(S)), dtype=np.float64)
-    if Sv.ndim != 2:
-        raise ShapeError(f"set must be (P, C), got shape {Sv.shape}")
-    if dist_fn is None:
-        return geodesic_distance(pv[None, :], Sv, cfg)
-    return dist_fn(pv[None, :], Sv)
-
-
-def hausdorff_one_sided(A, B, cfg: BallConfig, dist_fn=None) -> float:
-    """max over a in A of min over b in B of d(a, b). Not symmetric."""
-    Av = np.asarray(val(_check_set(A)), dtype=np.float64)
-    Bv = np.asarray(val(_check_set(B)), dtype=np.float64)
-    D = pairwise_matrix(Av, Bv, cfg, dist_fn)
-    return float(D.min(axis=-1).max())
-
-
-def hausdorff_bidirectional(A, B, cfg: BallConfig, dist_fn=None) -> float:
-    """max of the two one-sided Hausdorff distances; symmetric."""
-    return max(
-        hausdorff_one_sided(A, B, cfg, dist_fn), hausdorff_one_sided(B, A, cfg, dist_fn)
-    )
 
 
 def s2s_flat_mean(D):

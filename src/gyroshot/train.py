@@ -79,8 +79,6 @@ VARIANTS = {
     "app2s": VariantSpec(_ALL_MODULES),
 }
 
-_OPTIMIZERS = ("sgd", "adam")
-
 
 def variant_spec(name: str) -> VariantSpec:
     """The spec of a named variant; ConfigError for an unknown name."""
@@ -95,7 +93,6 @@ class TrainConfig:
     n_way: int = 5
     k_shot: int = 5
     n_query: int = 3
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     weight_decay: float = 5e-4
     epochs: int = 5
@@ -107,8 +104,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in _OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
         variant_spec(self.variant_name)
         if self.temperature <= 0.0:
             raise ConfigError("temperature must be positive")
@@ -224,23 +219,6 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
     return loss, info
 
 
-def episode_loss(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
-                 params=None, train: bool = False, rng=None):
-    """Scalar episode objective (a Var when `params` carries Vars)."""
-    return episode_forward(episode, bundle, cfg, params=params, train=train, rng=rng)[0]
-
-
-class Sgd:
-    def __init__(self, lr: float, weight_decay: float = 0.0):
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def step(self, params: dict, grads: dict, scale: float = 1.0) -> None:
-        for name, p in params.items():
-            g = grads[name] + self.weight_decay * p
-            p -= scale * self.lr * g
-
-
 class Adam:
     def __init__(self, lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -263,12 +241,6 @@ class Adam:
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
             p -= scale * self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return Sgd(cfg.learning_rate, cfg.weight_decay)
-    return Adam(cfg.learning_rate, cfg.weight_decay)
 
 
 @dataclass
@@ -320,7 +292,7 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
     bundle = ModelBundle(model_cfg, seed=cfg.seed)
     if init_state is not None:
         bundle.load_state(init_state)
-    optimizer = make_optimizer(cfg)
+    optimizer = Adam(cfg.learning_rate, cfg.weight_decay)
     module_names = trainable_modules(cfg)
     train_spec = cfg.episode_spec()
     val_spec = cfg.episode_spec(seed=cfg.seed + 2**32)

@@ -44,7 +44,7 @@ WIRED_KEYS = sorted(set(RunConfig({}).to_dict()) - COMMAND_ONLY)
 
 def non_default(key):
     """A valid value for `key` other than its default."""
-    special = {"c": 0.3, "optimizer": "sgd", "variant": "prototype"}
+    special = {"c": 0.3, "variant": "prototype"}
     if key in special:
         return special[key]
     default = RunConfig({}).to_dict()[key]
@@ -109,11 +109,16 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("use_fphi", False), ("use_fomega", False), ("use_fzeta", False),
-        ("euclidean_mode", True), ("objective", "prototype"),
+        ("euclidean_mode", True), ("objective", "prototype"), ("optimizer", "sgd"),
     ])
-    def test_removed_switch_keys_rejected(self, key, value):
+    def test_removed_switch_keys_rejected(self, key, value, tmp_path, capsys):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig({key: value})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"ConfigError: unknown config keys: [{key!r}]\n"
 
     def test_int_accepted_for_float(self):
         assert RunConfig({"temperature": 2}).temperature == 2.0
@@ -388,4 +393,4 @@ class TestVerifyCommand:
         assert "[PASS]" in out and "[FAIL]" not in out
         report = (tmp_path / "v/report.txt").read_text()
         assert "properties hold" in report
-        assert report.count("[PASS]") == 16
+        assert report.count("[PASS]") == 14

@@ -249,6 +249,14 @@ def test_clip_interior_points_untouched_bitwise():
     assert np.array_equal(clip_to_ball(x, cfg), x)
 
 
+def test_clip_of_taped_interior_points_records_no_node():
+    cfg = BallConfig(c=1.0)
+    tape = Tape()
+    x = tape.var(sample_points(np.random.default_rng(38), 50, 4, cfg, frac=0.9))
+    assert clip_to_ball(x, cfg) is x
+    assert tape.nodes == [x]
+
+
 def test_clip_pulls_outside_points_to_the_bound():
     cfg = BallConfig(c=0.5, eps=1e-5)
     x = np.array([[3.0, 4.0], [0.1, 0.0], [-10.0, 0.0]])

@@ -1,9 +1,9 @@
-"""Point-to-set and set-to-set distance tests.
+"""Pairwise, set-to-set and adaptive point-to-set distance tests.
 
-The Hausdorff and point-to-set constants below were computed with a 50-digit
-arbitrary-precision evaluation of the closed-form geodesic distance on the
-two fixed sets A = {(0.1, 0), (0.5, 0)} and B = {(-0.2, 0)} at c = 1, then
-rounded to the nearest float64.
+The distance constants below were computed with a 50-digit arbitrary-precision
+evaluation of the closed-form geodesic distance on the two fixed sets
+A = {(0.1, 0), (0.5, 0)} and B = {(-0.2, 0)} at c = 1, then rounded to the
+nearest float64.
 """
 
 import numpy as np
@@ -15,10 +15,6 @@ from gyroshot.geometry import BallConfig, geodesic_distance
 from gyroshot.metrics import (
     adaptive_combine,
     adaptive_p2s,
-    hausdorff_bidirectional,
-    hausdorff_one_sided,
-    p2s_max,
-    p2s_min,
     pairwise_matrix,
     s2s_flat_mean,
     s2s_learned,
@@ -78,53 +74,6 @@ class TestPairwiseMatrix:
         flat = lambda a, b: ad.norm(a - b)
         D = pairwise_matrix(SET_A, SET_B, C1, dist_fn=flat)
         np.testing.assert_allclose(D[:, 0], [0.3, 0.7], atol=1e-15)
-
-
-class TestPointToSetReductions:
-    def test_min_max_scan_agreement(self):
-        rng = np.random.default_rng(13)
-        S = sample_sets(rng, 1, 7, 4, C07)[0]
-        p = sample_sets(rng, 1, 1, 4, C07)[0, 0]
-        dists = [float(geodesic_distance(p, s, C07)) for s in S]
-        assert p2s_min(p, S, C07) == min(dists)
-        assert p2s_max(p, S, C07) == max(dists)
-
-    def test_frozen_values(self):
-        assert p2s_min(SET_B[0], SET_A, C1) == pytest.approx(D_A0_B0, abs=1e-15)
-        assert p2s_max(SET_B[0], SET_A, C1) == pytest.approx(D_A1_B0, abs=1e-15)
-
-    def test_point_in_set_gives_zero_min(self):
-        assert p2s_min(SET_A[0], SET_A, C1) == 0.0
-
-    def test_point_must_be_1d(self):
-        with pytest.raises(ShapeError):
-            p2s_min(SET_A, SET_A, C1)
-
-
-class TestHausdorff:
-    def test_frozen_one_sided(self):
-        assert hausdorff_one_sided(SET_A, SET_B, C1) == pytest.approx(D_A1_B0, abs=1e-15)
-        assert hausdorff_one_sided(SET_B, SET_A, C1) == pytest.approx(D_A0_B0, abs=1e-15)
-
-    def test_bidirectional_is_max_and_symmetric(self):
-        ab = hausdorff_one_sided(SET_A, SET_B, C1)
-        ba = hausdorff_one_sided(SET_B, SET_A, C1)
-        assert hausdorff_bidirectional(SET_A, SET_B, C1) == max(ab, ba)
-        assert hausdorff_bidirectional(SET_A, SET_B, C1) == hausdorff_bidirectional(
-            SET_B, SET_A, C1
-        )
-
-    def test_identical_sets_distance_zero(self):
-        assert hausdorff_bidirectional(SET_A, SET_A, C1) == 0.0
-
-    def test_loop_agreement(self):
-        rng = np.random.default_rng(14)
-        A = sample_sets(rng, 1, 5, 3, C07)[0]
-        B = sample_sets(rng, 1, 6, 3, C07)[0]
-        expect = max(
-            min(float(geodesic_distance(a, b, C07)) for b in B) for a in A
-        )
-        assert hausdorff_one_sided(A, B, C07) == expect
 
 
 class TestSetToSet:
