@@ -42,9 +42,7 @@ from .geometry import (
 )
 from .metrics import (
     adaptive_combine,
-    adaptive_p2s,
     pairwise_matrix,
-    s2s_flat_mean,
     s2s_learned,
 )
 from .netmods import (
@@ -96,7 +94,6 @@ __all__ = [
     "VARIANTS",
     "Var",
     "adaptive_combine",
-    "adaptive_p2s",
     "backward",
     "clip_to_ball",
     "conformal_factor",
@@ -115,7 +112,6 @@ __all__ = [
     "pairwise_matrix",
     "poincare_to_klein",
     "run_robustness",
-    "s2s_flat_mean",
     "s2s_learned",
     "sample_episode",
     "save_checkpoint",

@@ -153,11 +153,6 @@ def flat_distance(x, y):
     return 2.0 * ad.norm(x - y)
 
 
-def neg_point(x):
-    """Additive inverse in the gyrogroup (plain negation)."""
-    return ad.neg(x)
-
-
 def poincare_to_klein(x, cfg: BallConfig):
     """x_K = 2 x_D / (1 + c ||x_D||^2)."""
     return (2.0 * x) / (1.0 + cfg.c * _sq_norm(x))
@@ -201,7 +196,7 @@ def log_map(x, y, cfg: BallConfig):
     broadcast over the leading axes of x and y. Satisfies
     lambda_x * ||log_x(y)|| = d_c(x, y) and exp_x(log_x(y)) = y.
     """
-    m = mobius_add(neg_point(x), y, cfg)
+    m = mobius_add(ad.neg(x), y, cfg)
     n = ad.norm(m, keepdims=True)
     nz = val(n) > _TINY
     n_safe = ad.where(nz, n, np.ones_like(val(n)))

@@ -1,10 +1,13 @@
 """Distances between patch sets on the ball.
 
 A feature map is an array (or tape Var) of shape (..., HW, C): a set of HW
-patch embeddings, one point each. The pairwise patch distances, the learned
-set-to-set distance and the adaptive point-to-set combination run through the
-generic autodiff ops, so the same functions serve untaped inference and taped
-training.
+patch embeddings, one point each. The adaptive point-to-set distance is three
+stages, which `train.episode_forward` calls in turn: `pairwise_matrix` (all
+patch distances), `s2s_learned` (one set-to-set distance per support map; a
+variant without the s2s network takes the plain matrix mean instead) and
+`adaptive_combine` (the weighted average over a class's support maps). They
+run through the generic autodiff ops, so the same functions serve untaped
+inference and taped training.
 
 Shape conventions: patches are (..., HW, C); `pairwise_matrix` broadcasts
 leading axes of the two sides against each other, so a (NQ, 1, 1, HW, C)
@@ -48,11 +51,6 @@ def pairwise_matrix(q, s, cfg: BallConfig, dist_fn=None):
     return dist_fn(q_e, s_e)
 
 
-def s2s_flat_mean(D):
-    """Unlearned set-to-set distance: plain mean of the matrix entries."""
-    return ad.mean(D, axis=(-2, -1))
-
-
 def s2s_learned(D, net, train: bool = False, rng=None, params=None):
     """Learned set-to-set distance: the network reads the flattened matrix.
 
@@ -82,26 +80,3 @@ def adaptive_combine(s2s_vals, weights):
     num = ad.sum(weights * s2s_vals, axis=-1)
     den = ad.sum(weights, axis=-1)
     return num / den
-
-
-def adaptive_p2s(q, class_maps, weights, net, cfg: BallConfig, *, dist_fn=None,
-                 train: bool = False, rng=None, params=None, return_parts: bool = False):
-    """Adaptive distance from query map `q` to a class's K support maps.
-
-    Computes the K per-sample set-to-set distances (through `net`, or the
-    plain matrix mean when `net` is None) and combines them with the given
-    nonnegative weights. The result always lies between the smallest and
-    largest per-sample distance.
-
-    Batched form: q (..., 1, HW, C) against class_maps (..., K, HW, C) with
-    weights (..., K) returns (...,). With `return_parts` the per-sample
-    distances come back too.
-    """
-    D = pairwise_matrix(q, class_maps, cfg, dist_fn)
-    if net is not None:
-        svals = s2s_learned(D, net, train=train, rng=rng, params=params)
-    else:
-        svals = s2s_flat_mean(D)
-    out = adaptive_combine(svals, weights)
-    return (out, svals) if return_parts else out
-

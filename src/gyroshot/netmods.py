@@ -247,11 +247,6 @@ def project_support(support, qbar, cfg: BallConfig):
     return log_map(base, support, cfg)
 
 
-def class_signature(refined, axis: int = -3):
-    """Mean of the K refined maps of one class: (..., K, HW, C) -> (..., HW, C)."""
-    return ad.mean(refined, axis=axis)
-
-
 class RelationGenerator:
     """Convolutional scorer of (projected map, class signature) agreement.
 

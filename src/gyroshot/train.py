@@ -178,26 +178,25 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
         s4 = ad.reshape(enc_s, (1, n, k_eff, hw, feat))
         if "relation" in spec.modules:
             qbar = einstein_midpoint(enc_q, ball, axis=-2)
-            qb = ad.reshape(qbar, (n_query_total, 1, 1, 1, feat))
-            proj = netmods.project_support(s4, qb, ball)
+            qb = ad.reshape(qbar, (n_query_total, 1, 1, feat))
+            proj = netmods.project_support(s4, qb, ball)  # (NQ, N, K, HW, C)
+            refined = proj
             if "signature" in spec.modules:
                 flat = ad.reshape(proj, (n_query_total, n * k_eff, hw, feat))
                 refined = bundle.signature.refine(flat, params=p.get("signature"))
                 refined = ad.reshape(refined, (n_query_total, n, k_eff, hw, feat))
-            else:
-                refined = ad.reshape(proj, (n_query_total, n, k_eff, hw, feat))
-            sig = netmods.class_signature(refined)
-            proj5 = ad.reshape(proj, (n_query_total, n, k_eff, hw, feat))
             weights = netmods.relation_scores(
-                proj5, sig, bundle.relation, train=train, rng=rng, params=p.get("relation")
+                proj, ad.mean(refined, axis=-3), bundle.relation,
+                train=train, rng=rng, params=p.get("relation"),
             )
         else:
             weights = np.full((n_query_total, n, k_eff), 1.0 / k_eff)
-        net = bundle.s2s if "s2s" in spec.modules else None
-        dists, svals = metrics.adaptive_p2s(
-            q4, s4, weights, net, ball, dist_fn=flat_distance if spec.flat else None,
-            train=train, rng=rng, params=p.get("s2s"), return_parts=True,
-        )
+        D = metrics.pairwise_matrix(q4, s4, ball, flat_distance if spec.flat else None)
+        if "s2s" in spec.modules:
+            svals = metrics.s2s_learned(D, bundle.s2s, train=train, rng=rng, params=p.get("s2s"))
+        else:
+            svals = ad.mean(D, axis=(-2, -1))
+        dists = metrics.adaptive_combine(svals, weights)
 
     logits = dists * (-1.0 / cfg.temperature)
     logp = ad.log_softmax(logits, axis=-1)

@@ -30,7 +30,6 @@ from .geometry import (
     klein_to_poincare,
     log_map,
     mobius_add,
-    neg_point,
     poincare_to_klein,
 )
 from .netmods import ModelBundle, ModelConfig
@@ -65,60 +64,44 @@ def _check(name: str, tol: float, worst: float, detail: str = "") -> PropertyChe
                          passed=bool(worst < tol), detail=detail)
 
 
+def _conformal_error(x, y, cfg):
+    d = geodesic_distance(x, y, cfg)
+    lam_norm = conformal_factor(x, cfg) * np.linalg.norm(log_map(x, y, cfg), axis=-1)
+    return np.abs(lam_norm - d) / np.maximum(d, 1e-30)
+
+
+#: (name, tolerance, elementwise error of a point batch x, y at curvature cfg)
+_IDENTITIES = (
+    ("mobius right identity: x (+) 0 = x", 1e-12,
+     lambda x, y, cfg: mobius_add(x, np.zeros_like(x), cfg) - x),
+    ("mobius left inverse: (-x) (+) x = 0", 1e-12,
+     lambda x, y, cfg: mobius_add(-x, x, cfg)),
+    ("distance identity: d(x, x) = 0", 1e-12,
+     lambda x, y, cfg: geodesic_distance(x, x, cfg)),
+    ("distance symmetry: d(x, y) = d(y, x)", 1e-12,
+     lambda x, y, cfg: geodesic_distance(x, y, cfg) - geodesic_distance(y, x, cfg)),
+    ("klein roundtrip: poincare -> klein -> poincare", 1e-10,
+     lambda x, y, cfg: klein_to_poincare(poincare_to_klein(x, cfg), cfg) - x),
+    ("exp/log roundtrip: exp_x(log_x(y)) = y", 1e-8,
+     lambda x, y, cfg: exp_map(x, log_map(x, y, cfg), cfg) - y),
+    ("conformal relation: lambda_x ||log_x(y)|| = d(x, y)", 1e-9, _conformal_error),
+)
+
+
 def check_geometry_identities(n_triples: int = 10_000,
                               curvatures=CURVATURE_GRID,
                               dim: int = 8, seed: int = 0) -> list[PropertyCheck]:
     """Ball identities over random (x, y, c) triples, split across curvatures."""
     rng = np.random.default_rng(seed)
     per = max(1, n_triples // len(curvatures))
-    worst = {
-        "mobius right identity: x (+) 0 = x": 0.0,
-        "mobius left inverse: (-x) (+) x = 0": 0.0,
-        "distance identity: d(x, x) = 0": 0.0,
-        "distance symmetry: d(x, y) = d(y, x)": 0.0,
-        "klein roundtrip: poincare -> klein -> poincare": 0.0,
-        "exp/log roundtrip: exp_x(log_x(y)) = y": 0.0,
-        "conformal relation: lambda_x ||log_x(y)|| = d(x, y)": 0.0,
-    }
+    worst = [0.0] * len(_IDENTITIES)
     for c in curvatures:
         cfg = BallConfig(c=float(c))
         x = sample_ball_points(rng, per, dim, cfg)
         y = sample_ball_points(rng, per, dim, cfg)
-        zero = np.zeros_like(x)
-        worst["mobius right identity: x (+) 0 = x"] = max(
-            worst["mobius right identity: x (+) 0 = x"],
-            np.max(np.abs(mobius_add(x, zero, cfg) - x)),
-        )
-        worst["mobius left inverse: (-x) (+) x = 0"] = max(
-            worst["mobius left inverse: (-x) (+) x = 0"],
-            np.max(np.abs(mobius_add(neg_point(x), x, cfg))),
-        )
-        worst["distance identity: d(x, x) = 0"] = max(
-            worst["distance identity: d(x, x) = 0"],
-            np.max(np.abs(geodesic_distance(x, x, cfg))),
-        )
-        worst["distance symmetry: d(x, y) = d(y, x)"] = max(
-            worst["distance symmetry: d(x, y) = d(y, x)"],
-            np.max(np.abs(geodesic_distance(x, y, cfg) - geodesic_distance(y, x, cfg))),
-        )
-        k = poincare_to_klein(x, cfg)
-        worst["klein roundtrip: poincare -> klein -> poincare"] = max(
-            worst["klein roundtrip: poincare -> klein -> poincare"],
-            np.max(np.abs(klein_to_poincare(k, cfg) - x)),
-        )
-        t = log_map(x, y, cfg)
-        worst["exp/log roundtrip: exp_x(log_x(y)) = y"] = max(
-            worst["exp/log roundtrip: exp_x(log_x(y)) = y"],
-            np.max(np.abs(exp_map(x, t, cfg) - y)),
-        )
-        lam = conformal_factor(x, cfg)
-        d = geodesic_distance(x, y, cfg)
-        rel = np.abs(lam * np.linalg.norm(t, axis=-1) - d) / np.maximum(d, 1e-30)
-        worst["conformal relation: lambda_x ||log_x(y)|| = d(x, y)"] = max(
-            worst["conformal relation: lambda_x ||log_x(y)|| = d(x, y)"], np.max(rel)
-        )
-    tols = [1e-12, 1e-12, 1e-12, 1e-12, 1e-10, 1e-8, 1e-9]
-    return [_check(name, tol, w) for (name, w), tol in zip(worst.items(), tols)]
+        for i, (_, _, error) in enumerate(_IDENTITIES):
+            worst[i] = max(worst[i], np.max(np.abs(error(x, y, cfg))))
+    return [_check(name, tol, w) for (name, tol, _), w in zip(_IDENTITIES, worst)]
 
 
 def check_euclidean_limit(n_pairs: int = 1000, dim: int = 8, seed: int = 1) -> list[PropertyCheck]:

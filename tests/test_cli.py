@@ -329,15 +329,6 @@ class TestErrors:
         assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "ShapeError" in capsys.readouterr().err
 
-    def test_invalid_optimizer_name(self, tmp_path, capsys):
-        cfg_path = write_cfg(
-            tmp_path, dataset=str(tmp_path / "g/dataset.bin"), optimizer="lbfgs"
-        )
-        main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "g")])
-        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert "ConfigError" in err and "optimizer" in err
-
     def test_missing_resume_checkpoint(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path,

@@ -12,13 +12,7 @@ import pytest
 from gyroshot import autodiff as ad
 from gyroshot.errors import DomainError, ShapeError
 from gyroshot.geometry import BallConfig, geodesic_distance
-from gyroshot.metrics import (
-    adaptive_combine,
-    adaptive_p2s,
-    pairwise_matrix,
-    s2s_flat_mean,
-    s2s_learned,
-)
+from gyroshot.metrics import adaptive_combine, pairwise_matrix, s2s_learned
 from gyroshot.netmods import ModelConfig, S2SNetwork
 
 C1 = BallConfig(c=1.0)
@@ -77,11 +71,6 @@ class TestPairwiseMatrix:
 
 
 class TestSetToSet:
-    def test_flat_mean_is_matrix_mean(self):
-        rng = np.random.default_rng(15)
-        D = rng.random((3, 4, 5))
-        np.testing.assert_array_equal(s2s_flat_mean(D), D.mean(axis=(-2, -1)))
-
     def test_learned_width_check(self):
         net = S2SNetwork(ModelConfig(in_dim=3, grid=(2, 2), feat_dim=4), np.random.default_rng(0))
         with pytest.raises(ShapeError):
@@ -99,7 +88,7 @@ class TestSetToSet:
         rng = np.random.default_rng(2)
         D = rng.random((2, 4, 4))
         perm = D[:, ::-1, :].copy()
-        assert np.array_equal(s2s_flat_mean(D), s2s_flat_mean(perm))
+        assert np.array_equal(D.mean(axis=(-2, -1)), perm.mean(axis=(-2, -1)))
         assert not np.allclose(s2s_learned(D, net), s2s_learned(perm, net))
 
 
@@ -140,33 +129,27 @@ class TestAdaptiveCombine:
 
 
 class TestAdaptiveP2S:
+    """pairwise_matrix -> s2s_learned -> adaptive_combine, as episode_forward runs them."""
+
     def setup_method(self):
         rng = np.random.default_rng(19)
         self.q = sample_sets(rng, 1, 4, 3, C07)  # (1, HW, C)
         self.maps = sample_sets(rng, 5, 4, 3, C07)  # (K, HW, C)
         self.w = rng.random(5) + 0.1
 
-    def test_no_net_equals_manual_composition(self):
-        out = adaptive_p2s(self.q, self.maps, self.w, None, C07)
-        D = pairwise_matrix(self.q, self.maps, C07)
-        expect = adaptive_combine(s2s_flat_mean(D), self.w)
-        assert float(out) == float(expect)
-
-    def test_return_parts_consistent(self):
-        out, svals = adaptive_p2s(self.q, self.maps, self.w, None, C07, return_parts=True)
-        assert svals.shape == (5,)
-        assert float(out) == float(adaptive_combine(svals, self.w))
-
     def test_convex_bound_with_learned_net(self):
         net = S2SNetwork(ModelConfig(in_dim=3, grid=(2, 2), feat_dim=4), np.random.default_rng(3))
-        out, svals = adaptive_p2s(self.q, self.maps, self.w, net, C07, return_parts=True)
+        svals = s2s_learned(pairwise_matrix(self.q, self.maps, C07), net)
+        out = adaptive_combine(svals, self.w)
+        assert svals.shape == (5,)
         assert svals.min() - 1e-12 <= float(out) <= svals.max() + 1e-12
 
     def test_gradient_through_full_pipeline(self):
         net = S2SNetwork(ModelConfig(in_dim=3, grid=(2, 2), feat_dim=4), np.random.default_rng(4))
 
         def f(qvar):
-            return adaptive_p2s(qvar, self.maps, self.w, net, C07)
+            svals = s2s_learned(pairwise_matrix(qvar, self.maps, C07), net)
+            return adaptive_combine(svals, self.w)
 
         report = ad.finite_diff_check(f, self.q)
         assert report.passed, report

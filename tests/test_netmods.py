@@ -16,7 +16,6 @@ from gyroshot.netmods import (
     S2SNetwork,
     SignatureGenerator,
     batch_norm,
-    class_signature,
     dropout,
     layer_norm,
     load_checkpoint,
@@ -238,14 +237,6 @@ class TestSignatureGenerator:
         sig = SignatureGenerator(CFG, rng(20))
         with pytest.raises(ShapeError):
             sig.refine(np.zeros((3, CFG.hw + 1, CFG.feat_dim)))
-
-    def test_class_signature_is_mean_over_maps(self):
-        refined = rng(21).random((5, 4, 6, 2))
-        np.testing.assert_array_equal(class_signature(refined), refined.mean(axis=-3))
-        shuffled = refined[:, [3, 1, 0, 2]]
-        np.testing.assert_allclose(
-            class_signature(shuffled), class_signature(refined), atol=1e-15
-        )
 
 
 class TestProjectSupport:

@@ -118,13 +118,12 @@ class TestEpisodeForward:
             qbar = einstein_midpoint(enc_q[m], BALL, axis=-2)
             proj = netmods.project_support(enc_s, qbar, BALL)  # (n*k_eff, hw, feat)
             refined = bundle.signature.refine(proj)
-            refined = np.asarray(refined).reshape(n, k_eff, hw, feat)
-            sig = netmods.class_signature(refined)
+            sig = np.asarray(refined).reshape(n, k_eff, hw, feat).mean(axis=-3)
             proj5 = proj.reshape(n, k_eff, hw, feat)
             w = np.asarray(netmods.relation_scores(proj5, sig, bundle.relation))
-            d, svals = metrics.adaptive_p2s(
-                enc_q[m][None], s_cls, w, bundle.s2s, BALL, return_parts=True,
-            )
+            D = metrics.pairwise_matrix(enc_q[m][None], s_cls, BALL)
+            svals = metrics.s2s_learned(D, bundle.s2s)
+            d = metrics.adaptive_combine(svals, w)
             np.testing.assert_allclose(info["weights"][m], w, atol=1e-12)
             np.testing.assert_allclose(info["s2s"][m], np.asarray(svals), atol=1e-12)
             np.testing.assert_allclose(info["distances"][m], np.asarray(d), atol=1e-12)
@@ -521,7 +520,7 @@ def _composite_softmax(x, axis=-1):
 
 
 def _composite_geodesic(x, y, cfg):
-    m = geometry.mobius_add(geometry.neg_point(x), y, cfg)
+    m = geometry.mobius_add(-x, y, cfg)
     return (2.0 / cfg.sqrt_c) * ad.arctanh(cfg.sqrt_c * ad.norm(m))
 
 
@@ -565,6 +564,33 @@ def test_refine_records_at_most_23_nodes(monkeypatch):
     monkeypatch.setattr(netmods.SignatureGenerator, "refine", counted)
     _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)))
     assert len(counts) == 1 and counts[0] <= 23
+
+
+def test_app2s_step_records_no_node_above_5d_outside_pairwise(monkeypatch):
+    """A default app2s episode projects the support straight to
+    (NQ, N, K, HW, C); only pairwise_matrix's broadcast operands, one query
+    and one support block, go above 5-D."""
+    project, pairwise = netmods.project_support, metrics.pairwise_matrix
+    shapes, spans = [], []
+
+    def traced_project(support, qbar, cfg):
+        out = project(support, qbar, cfg)
+        shapes.append(out.value.shape)
+        return out
+
+    def traced_pairwise(q, s, cfg, dist_fn=None):
+        start = len(q.tape)
+        out = pairwise(q, s, cfg, dist_fn)
+        spans.append((q.tape, range(start, len(q.tape))))
+        return out
+
+    monkeypatch.setattr(netmods, "project_support", traced_project)
+    monkeypatch.setattr(metrics, "pairwise_matrix", traced_pairwise)
+    _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)))
+    assert shapes == [(15, 5, 5, 9, 16)]
+    ((tape, span),) = spans
+    high = [i for i, node in enumerate(tape.nodes) if node.value.ndim > 5]
+    assert len(high) == 2 and all(i in span for i in high)
 
 
 def test_lazy_backward_matches_eager_sweep_bit_for_bit(monkeypatch):
