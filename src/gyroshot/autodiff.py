@@ -511,6 +511,11 @@ def attention(q, k, v):
             f"attention expects q, k of one shape (..., T, C) and v of (..., T, Cv), "
             f"got {np.shape(qv)}, {np.shape(kv)}, {np.shape(vv)}"
         )
+    if np.ndim(qv) > 2 and not any(isinstance(a, Var) for a in (q, k, v)):
+        # untaped, no adjoint keeps P: one T×T block at a time, with the same
+        # bits; an outlier episode's whole stack outgrows every buffer training frees
+        blocks = zip(*(np.reshape(a, (-1,) + np.shape(a)[-2:]) for a in (qv, kv, vv)))
+        return np.reshape([attention(*b) for b in blocks], np.shape(qv)[:-1] + np.shape(vv)[-1:])
     scale = 1.0 / np.sqrt(qv.shape[-1])
     p = qv @ np.swapaxes(kv, -1, -2)
     p *= scale

@@ -1,6 +1,7 @@
 """Tape, primitive ops, and the finite-difference oracle."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,30 @@ def test_normalize_gradients_match_finite_differences(axes, shape):
 def test_untaped_attention_equals_composite_bit_for_bit():
     q, k, v = _attention_inputs()
     np.testing.assert_array_equal(ad.attention(q, k, v), _composite_attention(q, k, v))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 3, 4, 3)], ids=["one_block", "two_leading_axes"])
+def test_untaped_attention_blocks_equal_the_taped_stack_bit_for_bit(shape):
+    """Untaped, P is formed one T×T block at a time; taped, for the whole stack."""
+    rng = np.random.default_rng(10)
+    q, k = rng.normal(size=shape), rng.normal(size=shape)
+    v = rng.normal(size=shape[:-1] + (5,))
+    taped = ad.attention(Tape().var(q), k, v).value
+    np.testing.assert_array_equal(taped, _composite_attention(q, k, v))
+    np.testing.assert_array_equal(ad.attention(q, k, v), taped)
+
+
+def test_untaped_attention_never_holds_the_whole_score_stack():
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.normal(size=(8, 64, 4)) for _ in range(3))
+    stack_bytes = 8 * 64 * 64 * 8
+    tracemalloc.start()
+    try:
+        ad.attention(q, k, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 2
 
 
 def test_normalize_returns_batch_statistics():
