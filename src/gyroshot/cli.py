@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -72,6 +73,8 @@ def _coerce(key: str, kind: str, value):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
         return float(value)
     if kind.startswith("opt"):
         return None if value is None else _coerce(key, kind[3:], value)
@@ -279,12 +282,13 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     return 1 if n_fail else 0
 
 
+#: command name -> (handler, help text)
 _COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "robustness": cmd_robustness,
-    "verify": cmd_verify,
+    "gen": (cmd_gen, "generate a synthetic dataset file"),
+    "train": (cmd_train, "train on episodes from a dataset file"),
+    "eval": (cmd_eval, "evaluate a checkpoint on fresh episodes"),
+    "robustness": (cmd_robustness, "train variants and sweep support outliers"),
+    "verify": (cmd_verify, "run the invariant suite"),
 }
 
 
@@ -294,14 +298,7 @@ def main(argv=None) -> int:
         description="Adaptive point-to-set metric learning on the Poincare ball.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "gen": "generate a synthetic dataset file",
-        "train": "train on episodes from a dataset file",
-        "eval": "evaluate a checkpoint on fresh episodes",
-        "robustness": "train variants and sweep support outliers",
-        "verify": "run the invariant suite",
-    }
-    for name, text in helps.items():
+    for name, (_, text) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, default=None, help="flat JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -318,7 +315,8 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed must be nonnegative")
             cfg = cfg.override(seed=args.seed)
         _echo_config(cfg, args.out)
-        return _COMMANDS[args.command](cfg, args.out)
+        handler, _ = _COMMANDS[args.command]
+        return handler(cfg, args.out)
     except GyroshotError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -49,6 +49,9 @@ class SyntheticConfig:
             raise ShapeError("synthetic config sizes must be positive")
         if self.grid[0] < 1 or self.grid[1] < 1 or self.n_modes < 1:
             raise ShapeError("grid sides and n_modes must be positive")
+        for name in ("class_spread", "mode_spread", "within_spread"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 

@@ -359,9 +359,6 @@ class S2SNetwork:
         return ad.reshape(x, (shape[0],))
 
 
-MODULE_NAMES = ("encoder", "signature", "relation", "s2s")
-
-
 class ModelBundle:
     """The four modules plus deterministic init, deep copy, and checkpoint IO."""
 

@@ -18,12 +18,11 @@ VARIANTS, which decide everything that differs between them. A module trains
 exactly when its stage runs: without the relation net the weights are
 uniform, without the signature refiner the signature is the mean of the
 unrefined maps, and without the s2s net the per-sample distance is the plain
-mean of the pairwise matrix. euclidean_ap2s swaps the geodesic for
-2||x - y|| and runs at c = 1e-8; the encoder scales by the ball radius, so
-its points sit as close to the boundary as at any c, and steps 2 and 4 stay
-as hyperbolic as in app2s: only the distance is flat. prototype replaces
-steps 2-5 with nearest Einstein-midpoint class prototypes under the same
-encoder.
+mean of the pairwise matrix. euclidean_ap2s is app2s with the geodesic in
+step 3 replaced by 2||x - y||: steps 2 and 4 stay hyperbolic. prototype
+replaces steps 2-5 with nearest Einstein-midpoint class prototypes under the
+same encoder. Every variant runs in the configured ball, the one the
+dataset is generated and loaded in.
 """
 
 from __future__ import annotations
@@ -54,17 +53,13 @@ class VariantSpec:
     `modules` lists the modules that train, in the order their tape leaves
     are made; the signature refiner, relation net and s2s net run exactly
     when they are listed. `prototype` replaces the point-to-set steps with
-    nearest class prototypes, `flat` replaces the geodesic with 2||x - y||,
-    and `curvature`, when set, replaces the configured c. The encoder scales
-    by the ball radius, so sqrt(c)||x|| is the same at every c: a `flat`
-    variant at a small curvature keeps a hyperbolic midpoint and tangent
-    projection, and only its distance is Euclidean.
+    nearest class prototypes, and `flat` replaces the geodesic distance
+    with 2||x - y||; the midpoint and tangent projection stay hyperbolic.
     """
 
     modules: tuple[str, ...]
     prototype: bool = False
     flat: bool = False
-    curvature: float | None = None
 
 
 _ALL_MODULES = ("encoder", "relation", "signature", "s2s")
@@ -74,7 +69,7 @@ VARIANTS = {
     "prototype": VariantSpec(("encoder",), prototype=True),
     "p2s_uniform": VariantSpec(("encoder", "s2s")),
     "p2s_relation": VariantSpec(("encoder", "relation", "s2s")),
-    "euclidean_ap2s": VariantSpec(_ALL_MODULES, flat=True, curvature=1e-8),
+    "euclidean_ap2s": VariantSpec(_ALL_MODULES, flat=True),
     "ap2s_mean_s2s": VariantSpec(("encoder", "relation", "signature")),
     "app2s": VariantSpec(_ALL_MODULES),
 }
@@ -110,6 +105,8 @@ class TrainConfig:
         if (self.learning_rate <= 0.0 or self.epochs < 1 or self.tasks_per_epoch < 1
                 or self.val_tasks < 1):
             raise ConfigError("learning_rate, epochs, tasks_per_epoch, val_tasks must be positive")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigError("val_fraction must lie in [0, 1)")
         if self.seed < 0:
@@ -118,12 +115,6 @@ class TrainConfig:
     @property
     def spec(self) -> VariantSpec:
         return variant_spec(self.variant_name)
-
-    @property
-    def run_ball(self) -> BallConfig:
-        """The ball the variant runs in: `ball`, with the variant's curvature if it fixes one."""
-        c = self.spec.curvature
-        return self.ball if c is None else BallConfig(c=c, eps=self.ball.eps)
 
     def variant(self, name: str) -> "TrainConfig":
         """This config with another ablation variant (see VARIANTS)."""
@@ -153,7 +144,7 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
     class distances, per-sample distances, weights, predictions, accuracy.
     """
     p = params or {}
-    ball = cfg.run_ball
+    ball = cfg.ball
     spec = cfg.spec
     n, k_eff, hw, _ = episode.support.shape
     nq = episode.query.shape[1]
@@ -319,7 +310,7 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
             if not np.isfinite(info["loss"]):
                 raise TrainingDivergedError(
                     f"loss {info['loss']} at epoch {epoch} task {task} "
-                    f"(c={cfg.run_ball.c}, lr={cfg.learning_rate})"
+                    f"(c={cfg.ball.c}, lr={cfg.learning_rate})"
                 )
             ad.backward(loss)
             flat_params = {
@@ -332,7 +323,7 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
                 if not np.all(np.isfinite(g)):
                     raise TrainingDivergedError(
                         f"non-finite gradient for {name} at epoch {epoch} task {task} "
-                        f"(loss {info['loss']}, c={cfg.run_ball.c}, lr={cfg.learning_rate})"
+                        f"(loss {info['loss']}, c={cfg.ball.c}, lr={cfg.learning_rate})"
                     )
             optimizer.step(flat_params, flat_grads, scale)
             rows.append((epoch, task, info["accuracy"], info["loss"]))

@@ -98,6 +98,9 @@ class TestRunConfig:
             RunConfig({"variant": 1})
         with pytest.raises(ConfigError, match="number"):
             RunConfig({"temperature": "hot"})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                RunConfig({"class_spread": bad})
         with pytest.raises(ConfigError, match="list of integers"):
             RunConfig({"outlier_grid": [0, "1"]})
 
@@ -312,17 +315,30 @@ class TestErrors:
         assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
         assert "ConfigError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["gen", "train"])
-    def test_negative_seed_in_config_file(self, tmp_path, capsys, command):
+    def _config_error(self, tmp_path, capsys, command, **extra):
+        """stderr of a `command` run on a good dataset and a config with
+        `extra`, which must exit 1 with one ConfigError line."""
         data = str(tmp_path / "g/dataset.bin")
         main(["gen", "--config", str(write_cfg(tmp_path, dataset=data)),
               "--out", str(tmp_path / "g")])
-        cfg_path = write_cfg(tmp_path, fname="neg.json", dataset=data, seed=-1)
+        cfg_path = write_cfg(tmp_path, fname="bad.json", dataset=data, **extra)
         capsys.readouterr()
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("ConfigError:") and "seed" in err
+        assert err.startswith("ConfigError:")
+        return err
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_seed_in_config_file(self, tmp_path, capsys, command):
+        assert "seed" in self._config_error(tmp_path, capsys, command, seed=-1)
+
+    @pytest.mark.parametrize("command,key", [
+        ("gen", "class_spread"), ("gen", "mode_spread"), ("gen", "within_spread"),
+        ("train", "weight_decay"),
+    ])
+    def test_negative_value_in_config_file(self, tmp_path, capsys, command, key):
+        assert key in self._config_error(tmp_path, capsys, command, **{key: -1})
 
     def test_zero_classes_rejected(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, n_classes=0)

@@ -14,7 +14,7 @@ from gyroshot.episodes import (
     sample_episode,
     save_dataset,
 )
-from gyroshot.errors import DataFormatError, InsufficientDataError, ShapeError
+from gyroshot.errors import ConfigError, DataFormatError, InsufficientDataError, ShapeError
 from gyroshot.geometry import BallConfig, in_ball
 
 BALL = BallConfig(c=0.7)
@@ -72,6 +72,10 @@ class TestGenerateSynthetic:
             SyntheticConfig(n_classes=0)
         with pytest.raises(ShapeError):
             SyntheticConfig(n_modes=0)
+        for key in ("class_spread", "mode_spread", "within_spread"):
+            with pytest.raises(ConfigError, match=key):
+                SyntheticConfig(**{key: -1.0})
+            SyntheticConfig(**{key: 0.0})
 
 
 class TestDataset:
