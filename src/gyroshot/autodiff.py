@@ -32,9 +32,9 @@ sweep with a zero gradient.
 
 Softmax, single-head attention and normalization are fused: each is one
 node with a hand-written adjoint, whose forward runs the arithmetic of the
-composite form so that untaped results are unchanged. `attention` keeps only
-the softmax probabilities, not the scores, and `normalize` only its output
-and σ; the adjoints rebuild what they need per call and keep nothing after.
+composite form so that untaped results are unchanged. `attention` keeps no
+T×T array and `normalize` only its output and σ; the adjoints rebuild what
+they need per call (attention's P block by block) and keep nothing after.
 
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
 gradients have been read breaks that cycle, so the arrays are freed by
@@ -390,14 +390,10 @@ def broadcast_to(x, shape):
 def concat(parts, axis=-1):
     vals = [val(p) for p in parts]
 
-    def pull(i):
-        def take(g):
-            splits = np.cumsum([v.shape[axis] for v in vals[:-1]])
-            return np.split(g, splits, axis=axis)[i]
-        return take
+    def split(g):
+        return np.split(g, np.cumsum([v.shape[axis] for v in vals[:-1]]), axis=axis)
 
-    return _node(np.concatenate(vals, axis=axis), "concat",
-                 *[(p, pull(i)) for i, p in enumerate(parts)])
+    return _node(np.concatenate(vals, axis=axis), "concat", *_joint_pulls(parts, split))
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +490,35 @@ def _joint_pulls(operands, grads):
     return [(operands[i], pull(i)) for i in wanted]
 
 
+def _attend(q, k, v):
+    """softmax(q kᵀ / √C) v of one (T, C) block and its P, one T×T buffer."""
+    p = q @ k.T
+    p *= 1.0 / np.sqrt(q.shape[-1])
+    p -= np.max(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    return p @ v, p
+
+
+def _attend_adjoint(q, k, v, out, g):
+    """dq, dk, dv of one (T, C) block; its P, rebuilt from q and k, and dS
+    are freed on return, so the adjoint holds two T×T arrays at most."""
+    p = _attend(q, k, v)[1]
+    gs = g * (1.0 / np.sqrt(q.shape[-1]))
+    ds = gs @ v.T
+    ds -= np.sum(gs * out, axis=-1, keepdims=True)
+    ds *= p
+    return ds @ k, ds.T @ q, p.T @ g
+
+
 def attention(q, k, v):
     """softmax(q kᵀ / √C) v over (..., T, C) stacks, recorded as one node.
 
-    The forward runs the arithmetic of the composite form (scaled scores,
-    row-max shift, exp, row normalization, product with v) in place on one
-    T×T buffer, and the node keeps only the probabilities P. With
-    g = dL/d(out), the score adjoint is dS = P ⊙ (g vᵀ − rowsum(g ⊙ out)) / √C:
-    rowsum(g ⊙ out) equals rowsum((g vᵀ) ⊙ P), so no second T×T array is
-    formed. dS is built once per adjoint call and gives dq = dS k and
-    dk = dSᵀ q; dv = Pᵀ g.
+    Forward and adjoint run one (T, C) block at a time with the composite's
+    arithmetic, and the node keeps no T×T array: the adjoint rebuilds each
+    block's P from q and k. With g = dL/d(out), the score adjoint is
+    dS = P ⊙ (g vᵀ − rowsum(g ⊙ out)) / √C, as rowsum(g ⊙ out) equals
+    rowsum((g vᵀ) ⊙ P); dq = dS k, dk = dSᵀ q and dv = Pᵀ g.
     """
     qv, kv, vv = val(q), val(k), val(v)
     if np.ndim(qv) < 2 or np.shape(qv) != np.shape(kv) or np.shape(kv)[:-1] != np.shape(vv)[:-1]:
@@ -511,25 +526,16 @@ def attention(q, k, v):
             f"attention expects q, k of one shape (..., T, C) and v of (..., T, Cv), "
             f"got {np.shape(qv)}, {np.shape(kv)}, {np.shape(vv)}"
         )
-    if np.ndim(qv) > 2 and not any(isinstance(a, Var) for a in (q, k, v)):
-        # untaped, no adjoint keeps P: one T×T block at a time, with the same
-        # bits; an outlier episode's whole stack outgrows every buffer training frees
-        blocks = zip(*(np.reshape(a, (-1,) + np.shape(a)[-2:]) for a in (qv, kv, vv)))
-        return np.reshape([attention(*b) for b in blocks], np.shape(qv)[:-1] + np.shape(vv)[-1:])
-    scale = 1.0 / np.sqrt(qv.shape[-1])
-    p = qv @ np.swapaxes(kv, -1, -2)
-    p *= scale
-    p -= np.max(p, axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= np.sum(p, axis=-1, keepdims=True)
-    out = p @ vv
+
+    def blocks(*arrays):  # zip of the (T, C) blocks of each array
+        return zip(*(np.reshape(a, (-1,) + np.shape(a)[-2:]) for a in arrays))
+
+    out = np.reshape([_attend(*b)[0] for b in blocks(qv, kv, vv)],
+                     np.shape(qv)[:-1] + np.shape(vv)[-1:])
 
     def grads(g):
-        gs = g * scale
-        ds = gs @ np.swapaxes(vv, -1, -2)
-        ds -= np.sum(gs * out, axis=-1, keepdims=True)
-        ds *= p
-        return ds @ kv, np.swapaxes(ds, -1, -2) @ qv, np.swapaxes(p, -1, -2) @ g
+        per_block = zip(*(_attend_adjoint(*b) for b in blocks(qv, kv, vv, out, g)))
+        return [np.reshape(d, np.shape(a)) for d, a in zip(per_block, (qv, kv, vv))]
 
     return _node(out, "attention", *_joint_pulls((q, k, v), grads))
 

@@ -217,8 +217,9 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
                    init_state=init_state)
     result.bundle.save(out / "checkpoint.bin")
     write_metrics_csv(result.metrics_rows, out / "metrics.csv")
-    lines = [f"best validation accuracy: {result.best_val_accuracy:.4f}"]
-    lines += [f"epoch {i}: val accuracy {a:.4f}" for i, a in enumerate(result.val_history)]
+    kind = result.accuracy_kind
+    lines = [f"best {kind} accuracy: {result.best_val_accuracy:.4f}"]
+    lines += [f"epoch {i}: {kind} accuracy {a:.4f}" for i, a in enumerate(result.val_history)]
     _write_text(out / "report.txt", "\n".join(lines) + "\n")
     print(lines[0])
     return 0

@@ -117,6 +117,8 @@ def geodesic_distance(x, y, cfg: BallConfig):
     is dd/dx = 4 sqrt(c) (x - y + (c s / a) x) / (a b sinh(sqrt(c) d)), and
     dd/dy the same with x and y swapped. The sinh is floored at 1e-15, as
     `ad.norm` floors its denominator, so x == y yields a zero gradient.
+    The node keeps no array of the broadcast (..., C) size: the adjoint
+    rebuilds x - y once per call and shares w (x - y) between both operands.
     Symmetric bit for bit, zero iff x == y. Raises DomainError when an
     operand lies on or outside the ball.
     """
@@ -134,17 +136,15 @@ def geodesic_distance(x, y, cfg: BallConfig):
     sinh = np.sqrt(z * (z + 2.0))
     out = np.log1p(z + sinh)[..., 0] / cfg.sqrt_c
 
-    # The radial coefficient is summed over the broadcast axes before it
-    # meets the operand, so only x - y is scaled at the full broadcast size.
-    def pull(g, v, radial, sign):
+    def grads(g):  # the radial terms are summed before they meet their operand
         w = g[..., None] * (4.0 * cfg.sqrt_c / (ab * np.maximum(sinh, _TINY)))
-        vs = np.shape(v)
-        return (ad._unbroadcast(w * (c * sq / radial), vs[:-1] + (1,)) * v
-                + sign * ad._unbroadcast(w * diff, vs))
+        wd = xv - yv
+        wd *= w
+        return [ad._unbroadcast(w * (c * sq / r), np.shape(v)[:-1] + (1,)) * v
+                + sign * ad._unbroadcast(wd, np.shape(v))
+                for v, r, sign in ((xv, a, 1.0), (yv, b, -1.0))]
 
-    return ad._node(out, "geodesic",
-                    (x, lambda g: pull(g, xv, a, 1.0)),
-                    (y, lambda g: pull(g, yv, b, -1.0)))
+    return ad._node(out, "geodesic", *ad._joint_pulls((x, y), grads))
 
 
 def flat_distance(x, y):

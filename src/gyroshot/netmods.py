@@ -180,12 +180,11 @@ class Encoder:
 class SignatureGenerator:
     """Single-head transformer encoder block over support descriptors.
 
-    Attention is one fused `ad.attention` node that keeps only the T×T
-    softmax probabilities, and each layer norm one `ad.normalize` node plus
-    its scale (and shift). The key projection has no bias (softmax over the
-    keys is invariant to it), and the output layer norm has no shift: the
-    signature only reaches the relation net's first conv, whose batch norm
-    cancels it.
+    Attention is one fused `ad.attention` node that keeps no T×T array, and
+    each layer norm one `ad.normalize` node plus its scale (and shift). The
+    key projection has no bias (softmax over the keys is invariant to it),
+    and the output layer norm has no shift: the signature only reaches the
+    relation net's first conv, whose batch norm cancels it.
     """
 
     def __init__(self, cfg: ModelConfig, rng):

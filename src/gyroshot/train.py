@@ -239,6 +239,7 @@ class TrainResult:
     metrics_rows: list          # (epoch, task, accuracy, loss)
     best_val_accuracy: float
     val_history: list
+    accuracy_kind: str          # "validation", or "training" when no split was possible
 
 
 def split_classes(dataset: Dataset, cfg: TrainConfig):
@@ -261,7 +262,7 @@ def split_classes(dataset: Dataset, cfg: TrainConfig):
 
 def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
           on_episode=None, init_state: dict | None = None) -> TrainResult:
-    """Episodic training; returns the best-validation model and metrics rows.
+    """Episodic training; returns the best model (by `accuracy_kind`) and metrics rows.
 
     `on_episode(info)` is invoked after every training episode (audit hook).
     `init_state` warm-starts the model from a checkpoint state dict; the
@@ -293,6 +294,7 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
     best_acc = -1.0
     best_state = bundle.copy_state()
     step = 0
+    kind = "training" if val_ds is None else "validation"
     for epoch in range(cfg.epochs):
         scale = 0.1 if epoch >= decay_at else 1.0
         for task in range(cfg.tasks_per_epoch):
@@ -348,7 +350,7 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
             recent = [r[2] for r in rows[-cfg.tasks_per_epoch:]]
             epoch_acc = float(np.mean(recent))
         val_history.append(epoch_acc)
-        log.info("epoch %d: val accuracy %.4f", epoch, epoch_acc)
+        log.info("epoch %d: %s accuracy %.4f", epoch, kind, epoch_acc)
         if epoch_acc > best_acc:
             best_acc = epoch_acc
             best_state = bundle.copy_state()
@@ -359,6 +361,7 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
         metrics_rows=rows,
         best_val_accuracy=best_acc,
         val_history=val_history,
+        accuracy_kind=kind,
     )
 
 

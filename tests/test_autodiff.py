@@ -405,7 +405,8 @@ def test_untaped_attention_equals_composite_bit_for_bit():
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 3, 4, 3)], ids=["one_block", "two_leading_axes"])
 def test_untaped_attention_blocks_equal_the_taped_stack_bit_for_bit(shape):
-    """Untaped, P is formed one T×T block at a time; taped, for the whole stack."""
+    """Taped or not, P is formed one T×T block at a time, and the stacked
+    output equals the composite's batched arithmetic."""
     rng = np.random.default_rng(10)
     q, k = rng.normal(size=shape), rng.normal(size=shape)
     v = rng.normal(size=shape[:-1] + (5,))
@@ -421,6 +422,24 @@ def test_untaped_attention_never_holds_the_whole_score_stack():
     tracemalloc.start()
     try:
         ad.attention(q, k, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 2
+
+
+def test_taped_attention_and_its_backward_never_hold_the_whole_score_stack():
+    """The adjoint rebuilds P block by block, so a taped forward and backward
+    hold at most two T×T blocks at once. Sixteen blocks and C = 2 keep the
+    O(T·C) arrays (output, gradients) small beside one block."""
+    rng = np.random.default_rng(12)
+    tape = Tape()
+    q, k, v = (tape.var(rng.normal(size=(16, 128, 2))) for _ in range(3))
+    w = rng.normal(size=(16, 128, 2))
+    stack_bytes = 16 * 128 * 128 * 8
+    tracemalloc.start()
+    try:
+        backward(ad.sum(ad.attention(q, k, v) * w))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -448,8 +467,12 @@ def _fused_tape():
     q, k, v = (tape.var(a) for a in _attention_inputs())
     h = ad.normalize(ad.attention(q, k, v), -1, 1e-5)[0]
     y = ad.normalize(h, (0, 1), 1e-5)[0]
+    # every pair of rows, both operands taped, well inside the c = 0.7 ball
+    d = geodesic_distance(ad.reshape(0.3 * ad.tanh(y), (2, 4, 1, 3)),
+                          ad.reshape(0.3 * ad.tanh(h), (2, 1, 4, 3)), BallConfig(c=0.7))
     rng = np.random.default_rng(9)
-    losses = [ad.sum(y * rng.normal(size=(2, 4, 3))) for _ in range(2)]
+    losses = [ad.sum(y * rng.normal(size=(2, 4, 3))) + ad.sum(d * rng.normal(size=(2, 4, 4)))
+              for _ in range(2)]
     return (q, k, v), losses
 
 

@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process through cli.main)."""
 
 import json
+import logging
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -231,6 +232,37 @@ class TestPipeline:
         accs = [float(r.split(",")[2]) for r in eval_rows]
         assert report.startswith(f"accuracy {np.mean(accs) * 100:.2f}%")
         assert f"over {len(accs)} tasks" in report
+
+    def test_quick_start_train_names_training_accuracy(self, tmp_path, capsys, caplog):
+        """The README's quick-start config keeps the default val_fraction
+        0.2 of 20 classes, too few for a 5-way validation split, so training
+        selects on training accuracy, and the log, stdout and report say so."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        quick = json.loads(re.search(r"cat > config.json <<'EOF'\n(.*?)\nEOF", readme, re.S)[1])
+        quick.update(dataset=str(tmp_path / "gen/dataset.bin"))
+        cfg_path = tmp_path / "quick.json"
+        cfg_path.write_text(json.dumps(quick))
+        main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "gen")])
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="gyroshot"):
+            assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        report = (tmp_path / "t/report.txt").read_text().splitlines()
+        assert capsys.readouterr().out.startswith("best training accuracy: ")
+        assert report[0].startswith("best training accuracy: ")
+        assert len(report) == 1 + quick["epochs"]
+        assert all(line.startswith(f"epoch {i}: training accuracy ")
+                   for i, line in enumerate(report[1:]))
+        assert "epoch 2: training accuracy" in caplog.text
+        assert "validation accuracy" not in caplog.text
+
+    def test_validated_train_names_validation_accuracy(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, dataset=str(tmp_path / "g/dataset.bin"), val_fraction=0.5)
+        main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "g")])
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        assert capsys.readouterr().out.startswith("best validation accuracy: ")
+        report = (tmp_path / "t/report.txt").read_text().splitlines()
+        assert report[1].startswith("epoch 0: validation accuracy ")
 
     def test_train_deterministic_across_runs(self, tmp_path):
         cfg_path = write_cfg(tmp_path, dataset=str(tmp_path / "g/dataset.bin"))

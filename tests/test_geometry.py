@@ -363,6 +363,27 @@ def test_fused_geodesic_gradients_in_model_layouts(layout, frac, c):
     check(lambda y: ad.sum(geodesic_distance(x0, y, cfg) * w), y0)
 
 
+@pytest.mark.parametrize("frac", (0.5, 0.999))
+def test_fused_geodesic_gradient_same_whichever_operand_is_taped(frac):
+    """Pairwise layout: with only x taped and with only y taped the gradient
+    matches central differences, and it is the same bits when both operands
+    are taped and share one adjoint call."""
+    cfg = BallConfig(c=0.7)
+    xs, ys = GEODESIC_LAYOUTS["pairwise"]
+    rng = np.random.default_rng(int(1000 * frac) + 3)
+    x0 = points_at_radius(rng, xs, frac, cfg)
+    y0 = points_at_radius(rng, ys, frac, cfg)
+    w = rng.uniform(0.5, 1.5, size=np.broadcast_shapes(xs, ys)[:-1])
+    tape = Tape()
+    x, y = tape.var(x0), tape.var(y0)
+    backward(ad.sum(geodesic_distance(x, y, cfg) * w))
+    only_x = finite_diff_check(lambda x: ad.sum(geodesic_distance(x, y0, cfg) * w), x0, step=1e-7)
+    only_y = finite_diff_check(lambda y: ad.sum(geodesic_distance(x0, y, cfg) * w), y0, step=1e-7)
+    for report, both in ((only_x, x.grad), (only_y, y.grad)):
+        assert report.passed, f"max rel err {report.max_rel_error} at {report.flagged}"
+        np.testing.assert_array_equal(report.analytic, both)
+
+
 @pytest.mark.parametrize("frac", (0.0, 0.5, 0.999))
 def test_fused_geodesic_zero_distance_has_zero_gradient(frac):
     cfg = BallConfig(c=0.7)

@@ -4,6 +4,7 @@ import csv
 import gc
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,6 +539,32 @@ def _default_param_grads(cfg, sweep=ad.backward):
     return {f"{m}.{k}": v.grad for m in pvars for k, v in pvars[m].items()}
 
 
+def test_taped_app2s_episode_keeps_little_beside_its_node_values():
+    """What a taped default app2s forward holds besides the values of the
+    nodes it recorded, mostly arrays its adjoints keep in their closures,
+    stays under 4 MB (about 2.2 MB). Attention's 15×225×225 probabilities
+    (6.1 MB) or the pairwise geodesic's broadcast x − y (3.9 MB) kept for
+    backward would exceed it."""
+    cfg = tr.TrainConfig(ball=BallConfig(c=0.7))
+    ds = generate_synthetic(SyntheticConfig(), cfg.ball)
+    episode = sample_episode(ds, cfg.episode_spec(), index=0)
+    bundle = ModelBundle(ModelConfig(in_dim=8, grid=(3, 3)), seed=cfg.seed)
+    tape = ad.Tape()
+    modules = bundle.modules()
+    pvars = {m: {k: tape.var(v) for k, v in modules[m].params.items()}
+             for m in tr.trainable_modules(cfg)}
+    n_leaves = len(tape)
+    tracemalloc.start()
+    try:
+        tr.episode_forward(episode, bundle, cfg, params=pvars, train=True,
+                           rng=np.random.default_rng([cfg.seed, 7, 0]))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values = sum(n.value.nbytes for n in tape.nodes[n_leaves:] if n.value.flags.owndata)
+    assert held - values < 4e6
+
+
 @pytest.mark.parametrize("name", sorted(tr.VARIANTS))
 def test_every_trainable_parameter_gets_a_gradient(name):
     """No parameter a variant trains is dead or starved: each one's largest
@@ -556,16 +583,14 @@ def test_signature_attention_is_not_one_hot(name, monkeypatch):
     mass: the median over rows of the largest probability stays below 0.5
     (about 0.007 at init). Encoder features scaled by the radius 1/sqrt(c)
     of a far flatter ball than the configured one make every row one-hot."""
-    attention, probs = ad.attention, []
+    attend, probs = ad._attend, []
 
-    def traced(q, k, v):
-        if np.ndim(q) == 2:  # the untaped path calls attention per (T, C) block
-            s = q @ k.T / np.sqrt(q.shape[-1])
-            e = np.exp(s - s.max(axis=-1, keepdims=True))
-            probs.append((e / e.sum(axis=-1, keepdims=True)).max(axis=-1))
-        return attention(q, k, v)
+    def traced(q, k, v):  # attention forms P one (T, C) block at a time here
+        out, p = attend(q, k, v)
+        probs.append(p.max(axis=-1))
+        return out, p
 
-    monkeypatch.setattr(ad, "attention", traced)
+    monkeypatch.setattr(ad, "_attend", traced)
     cfg = tr.TrainConfig(ball=BallConfig(c=0.7)).variant(name)
     ds = generate_synthetic(SyntheticConfig(), cfg.ball)
     bundle = ModelBundle(ModelConfig(in_dim=8, grid=(3, 3)), seed=0)
