@@ -35,6 +35,8 @@ node with a hand-written adjoint, whose forward runs the arithmetic of the
 composite form so that untaped results are unchanged. `attention` keeps no
 T×T array and `normalize` only its output and σ; the adjoints rebuild what
 they need per call (attention's P block by block) and keep nothing after.
+`conv2d` treats the leading axes of its input as batch axes, and `take`
+slices a parameter (the relation net cuts its first kernel in two).
 
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
 gradients have been read breaks that cycle, so the arrays are freed by
@@ -382,6 +384,19 @@ def reshape(x, shape):
     return _node(np.reshape(xv, shape), "reshape", (x, lambda g: np.reshape(g, xv.shape)))
 
 
+def take(x, index):
+    """x[index] for a basic numpy index (integers and slices); the adjoint
+    writes g into zeros of x's shape."""
+    xv = val(x)
+
+    def pull(g):
+        gx = np.zeros_like(xv)
+        gx[index] = g
+        return gx
+
+    return _node(xv[index], "take", (x, pull))
+
+
 def broadcast_to(x, shape):
     xv = val(x)
     return _node(np.broadcast_to(xv, shape), "broadcast", (x, lambda g: _unbroadcast(g, xv.shape)))
@@ -412,37 +427,37 @@ def matmul(a, b):
 def conv2d(x, k):
     """Valid-padding stride-1 convolution, channels last.
 
-    x: (B, H, W, Cin), k: (kh, kw, Cin, Cout) -> (B, H-kh+1, W-kw+1, Cout).
+    x: (..., H, W, Cin), k: (kh, kw, Cin, Cout) -> (..., H-kh+1, W-kw+1, Cout);
+    the leading axes of x are batch axes.
     """
     xv, kv = val(x), val(k)
-    if np.ndim(xv) != 4 or np.ndim(kv) != 4:
-        raise ShapeError("conv2d expects a 4-D input and a 4-D kernel")
-    B, H, W, Ci = xv.shape
+    if np.ndim(xv) < 3 or np.ndim(kv) != 4:
+        raise ShapeError("conv2d expects a (..., H, W, Cin) input and a 4-D kernel")
+    *lead, H, W, Ci = xv.shape
     kh, kw, Ck, Co = kv.shape
     if Ck != Ci:
         raise ShapeError(f"conv2d channel mismatch: input {Ci}, kernel {Ck}")
     Ho, Wo = H - kh + 1, W - kw + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d kernel ({kh},{kw}) larger than input ({H},{W})")
-    out = np.zeros((B, Ho, Wo, Co))
+    out = np.zeros((*lead, Ho, Wo, Co))
     for di in range(kh):
         for dj in range(kw):
-            out += xv[:, di:di + Ho, dj:dj + Wo, :] @ kv[di, dj]
+            out += xv[..., di:di + Ho, dj:dj + Wo, :] @ kv[di, dj]
 
     def pull_x(g):
         gx = np.zeros_like(xv)
         for di in range(kh):
             for dj in range(kw):
-                gx[:, di:di + Ho, dj:dj + Wo, :] += g @ kv[di, dj].T
+                gx[..., di:di + Ho, dj:dj + Wo, :] += g @ kv[di, dj].T
         return gx
 
     def pull_k(g):
         gk = np.zeros_like(kv)
+        axes = list(range(xv.ndim - 1))
         for di in range(kh):
             for dj in range(kw):
-                gk[di, dj] = np.tensordot(
-                    xv[:, di:di + Ho, dj:dj + Wo, :], g, axes=([0, 1, 2], [0, 1, 2])
-                )
+                gk[di, dj] = np.tensordot(xv[..., di:di + Ho, dj:dj + Wo, :], g, axes=(axes, axes))
         return gk
 
     return _node(out, "conv2d", (x, pull_x), (k, pull_k))
@@ -478,14 +493,14 @@ def _joint_pulls(operands, grads):
     wanted = [i for i, o in enumerate(operands) if isinstance(o, Var)]
 
     def pull(i):
-        def take(g):
+        def hand_out(g):
             if i == wanted[0]:
                 held[:] = grads(g)
             contrib = held[i]
             if i == wanted[-1]:
                 held.clear()
             return contrib
-        return take
+        return hand_out
 
     return [(operands[i], pull(i)) for i in wanted]
 

@@ -28,6 +28,13 @@ Core formulas:
 
 As c -> 0 the distance tends to 2||x - y|| and Mobius addition to x + y;
 `flat_distance` implements that limit for the euclidean_ap2s variant.
+
+`geodesic_distance` and `log_map` are fused: each records one tape node
+with a hand-written adjoint, and its forward runs the arithmetic of the
+composite form, so untaped results are the composite's bits. Neither
+keeps more than one array of the broadcast (..., C) size: the geodesic
+rebuilds x - y in its adjoint, and the log map keeps only m = (-x) (+) y.
+The other functions record their composite ops.
 """
 
 from __future__ import annotations
@@ -81,6 +88,14 @@ def _sq_norm(x, keepdims: bool = True):
     return ad.sum(x * x, axis=-1, keepdims=keepdims)
 
 
+def _sq_dist(x, y):
+    """||x - y||^2 over the last axis of plain arrays, squaring x - y in
+    place so that one array of the broadcast (..., C) size exists at a time."""
+    diff = x - y
+    diff *= diff
+    return np.sum(diff, axis=-1, keepdims=True)
+
+
 def in_ball(x, cfg: BallConfig, slack: float = 0.0) -> bool:
     """True when every point satisfies sqrt(c) ||x|| < 1 (+ slack on the norm)."""
     norms = np.sqrt(np.sum(np.asarray(val(x), dtype=np.float64) ** 2, axis=-1))
@@ -129,8 +144,7 @@ def geodesic_distance(x, y, cfg: BallConfig):
     b = 1.0 - c * np.sum(yv * yv, axis=-1, keepdims=True)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise DomainError("geodesic_distance: operand on or outside the ball")
-    diff = xv - yv
-    sq = np.sum(diff * diff, axis=-1, keepdims=True)
+    sq = _sq_dist(xv, yv)
     ab = a * b
     z = 2.0 * c * sq / ab
     sinh = np.sqrt(z * (z + 2.0))
@@ -195,14 +209,63 @@ def log_map(x, y, cfg: BallConfig):
     Returns the raw coordinates (an array, or a Var when an operand is one),
     broadcast over the leading axes of x and y. Satisfies
     lambda_x * ||log_x(y)|| = d_c(x, y) and exp_x(log_x(y)) = y.
+
+    Recorded as one node. The forward runs the arithmetic of the composite
+    (2 / (sqrt(c) lambda_x)) arctanh(sqrt(c) ||m||) m / ||m||, m = (-x) (+) y,
+    with ||m|| <= 1e-15 replaced by 1 in the last division, and raises the
+    errors of `mobius_add`, `conformal_factor` and `ad.arctanh`. With u = -x
+    that is B h(||m||) m, where m = (A u + B y) / D, A = 1 + 2c<u, y> +
+    c||y||^2, B = 1 - c||x||^2, D = 1 + 2c<u, y> + c^2 ||x||^2 ||y||^2 and
+    h(n) = arctanh(sqrt(c) n) / (sqrt(c) n). The hand-written adjoint
+    differentiates that form, taking h at its limit 1 where ||m|| <= 1e-15,
+    so coincident points get the Jacobian of log_x at x (the identity in
+    y). The node keeps m, its one array of the broadcast (..., C) size, and
+    x and y share one adjoint call.
     """
-    m = mobius_add(ad.neg(x), y, cfg)
-    n = ad.norm(m, keepdims=True)
-    nz = val(n) > _TINY
-    n_safe = ad.where(nz, n, np.ones_like(val(n)))
-    lam = conformal_factor(x, cfg, keepdims=True)
-    coef = (2.0 / (cfg.sqrt_c * lam)) * ad.arctanh(cfg.sqrt_c * n) / n_safe
-    return coef * m
+    _check_same_width(x, y, "log_map")
+    c, sqrt_c = cfg.c, cfg.sqrt_c
+    xv, yv = val(x), val(y)
+    u = -xv
+    x2 = np.sum(u * u, axis=-1, keepdims=True)
+    y2 = np.sum(yv * yv, axis=-1, keepdims=True)
+    shared = 1.0 + 2.0 * c * np.sum(u * yv, axis=-1, keepdims=True)
+    denom = shared + c * c * x2 * y2
+    if np.any(np.abs(denom) < cfg.eps ** 2):
+        raise DomainError("mobius_add: denominator vanished (operands too close to the boundary)")
+    a = shared + c * y2
+    b = 1.0 - c * x2
+    m = a * u
+    m += b * yv
+    m /= denom
+    n = np.sqrt(np.sum(m * m, axis=-1, keepdims=True))
+    nz = n > _TINY
+    n_safe = np.where(nz, n, np.ones_like(n))
+    if np.any(b <= 0.0):
+        raise DomainError("conformal_factor: point on or outside the ball")
+    lam = 2.0 / b  # lambda_x, kept in the product for the composite's bits
+    at = ad.arctanh(sqrt_c * n)
+    out = (2.0 / (sqrt_c * lam)) * at / n_safe * m
+
+    def grads(g):
+        h = np.where(nz, at / (sqrt_c * n_safe), 1.0)
+        dh_over_n = np.where(nz, (1.0 / (1.0 - c * n * n) - h) / (n_safe * n_safe), 0.0)
+        s = np.sum(g * m, axis=-1, keepdims=True)
+        gn = g * h  # B * this is dL/dm; divided by D it is dL/d(A u + B y)
+        gn += (s * dh_over_n) * m
+        gn *= b / denom
+        gd = -np.sum(gn * m, axis=-1, keepdims=True)
+        ga = np.sum(gn * u, axis=-1, keepdims=True)
+        gb = h * s + np.sum(gn * yv, axis=-1, keepdims=True)
+        cross = 2.0 * c * (ga + gd)
+        gy = gn * b
+        gy += cross * u
+        gy += (2.0 * c * ga + 2.0 * c * c * x2 * gd) * yv
+        gn *= a
+        gn += cross * yv
+        gn += (2.0 * c * c * y2 * gd - 2.0 * c * gb) * u
+        return [-ad._unbroadcast(gn, np.shape(xv)), ad._unbroadcast(gy, np.shape(yv))]
+
+    return ad._node(out, "log_map", *ad._joint_pulls((x, y), grads))
 
 
 def exp_map(x, v, cfg: BallConfig):

@@ -15,6 +15,11 @@ The four modules:
                      jointly, with fixed sinusoidal 2-D positional encodings.
   RelationGenerator  conv(k1) -> BN -> relu -> dropout(0.5) -> conv(k2) -> BN
                      -> sigmoid, collapsing the grid to one score per sample.
+                     The first conv reads a map beside its class signature;
+                     conv is linear in its input channels, so it runs as
+                     conv(map, W_map) + conv(signature, W_sig) on the halves
+                     of one kernel, and the signature half once per
+                     (query, class) pair rather than once per map.
   S2SNetwork         linear(HW^2 -> HW) -> BN -> relu -> dropout(0.5) ->
                      linear(HW -> 1) -> BN, reading a flattened distance
                      matrix and emitting a scalar set-to-set distance.
@@ -249,7 +254,11 @@ def project_support(support, qbar, cfg: BallConfig):
 class RelationGenerator:
     """Convolutional scorer of (projected map, class signature) agreement.
 
-    The convs have no bias: each feeds straight into batch norm.
+    The first conv reads a map and its signature side by side, which it
+    computes as conv(map, W[:, :, :C]) + conv(signature, W[:, :, C:]) on the
+    two halves of `conv1_w`, so the signature half runs once per signature
+    rather than once per map. The convs have no bias: each feeds straight
+    into batch norm.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -274,16 +283,29 @@ class RelationGenerator:
             "bn2_var": np.ones(1),
         }
 
-    def __call__(self, g, train: bool = False, rng=None, params=None):
-        """g: (B, H, W, 2C) concatenated pairs -> (B,) sigmoid scores."""
+    def __call__(self, maps, signature, train: bool = False, rng=None, params=None):
+        """maps (..., H, W, C) and signatures (..., H, W, C) -> scores (...)
+        in (0, 1), one per map.
+
+        The leading axes of `signature` broadcast against those of `maps`
+        (a class's signature as (B, 1, H, W, C) against its maps as
+        (B, K, H, W, C)); the scores have the leading shape of `maps`.
+        """
         p = params if params is not None else self.params
-        shape = np.shape(val(g))
-        if len(shape) != 4 or shape[1:3] != self.cfg.grid or shape[3] != 2 * self.cfg.feat_dim:
+        shape, sig_shape = np.shape(val(maps)), np.shape(val(signature))
+        c = self.cfg.feat_dim
+        cell = self.cfg.grid + (c,)
+        lead, sig_lead = shape[:-3], sig_shape[:-3]
+        if (len(shape) < 4 or shape[-3:] != cell or sig_shape[-3:] != cell
+                or len(sig_lead) > len(lead)
+                or any(n not in (1, m) for n, m in zip(sig_lead[::-1], lead[::-1]))):
             raise ShapeError(
-                f"relation input must be (B, {self.cfg.grid[0]}, {self.cfg.grid[1]}, "
-                f"{2 * self.cfg.feat_dim}), got {shape}"
+                f"relation inputs must be maps (..., {cell[0]}, {cell[1]}, {c}) and "
+                f"signatures broadcasting against them, got {shape} and {sig_shape}"
             )
-        x = ad.conv2d(g, p["conv1_w"])
+        w1 = p["conv1_w"]
+        x = (ad.conv2d(maps, ad.take(w1, np.s_[:, :, :c]))
+             + ad.conv2d(signature, ad.take(w1, np.s_[:, :, c:])))
         x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
                        self.buffers["bn1_var"], train)
         x = dropout(ad.relu(x), 0.5, rng if train else None)
@@ -291,7 +313,7 @@ class RelationGenerator:
         x = batch_norm(x, p["bn2_g"], p["bn2_b"], self.buffers["bn2_mean"],
                        self.buffers["bn2_var"], train)
         s = ad.sigmoid(x)
-        return ad.reshape(s, (shape[0],))
+        return ad.reshape(s, lead)
 
 
 def relation_scores(proj, signature, relation: RelationGenerator,
@@ -299,18 +321,17 @@ def relation_scores(proj, signature, relation: RelationGenerator,
     """Adaptive weights for one class (or a batch of classes).
 
     proj (..., K, HW, C) are the class's projected support maps, `signature`
-    (..., HW, C) its signature. Each map is concatenated channel-wise with the
-    signature, scored by the relation net, and the K scores softmax to weights
-    that sum to 1.
+    (..., HW, C) its signature. The relation net scores each map against the
+    signature on the grid, as (B, K, H, W, C) maps against (B, 1, H, W, C)
+    signatures with the leading axes flattened to B, and the K scores
+    softmax to weights that sum to 1.
     """
     shape = np.shape(val(proj))
-    c = shape[-1]
-    sig = ad.reshape(signature, shape[:-3] + (1,) + shape[-2:])
-    sig = ad.broadcast_to(sig, shape)
-    g = ad.concat([proj, sig], axis=-1)
     h, w = relation.cfg.grid
-    g4 = ad.reshape(g, (-1, h, w, 2 * c))
-    scores = relation(g4, train=train, rng=rng, params=params)
+    k, c = shape[-3], shape[-1]
+    maps = ad.reshape(proj, (-1, k, h, w, c))
+    sig = ad.reshape(signature, (-1, 1, h, w, c))
+    scores = relation(maps, sig, train=train, rng=rng, params=params)
     scores = ad.reshape(scores, shape[:-2])
     return ad.softmax(scores, axis=-1)
 

@@ -140,11 +140,11 @@ def _tiny_episode_setup(seed: int):
 def check_gradient_oracles(seed: int = 2) -> list[PropertyCheck]:
     """Tape gradients vs central finite differences (step 1e-5, tol 1e-3).
 
-    Covers the geodesic distance, the Einstein midpoint, and the full episode
-    objective parameter by parameter. Dropout is off; BN uses batch
-    statistics, so the objective is deterministic and smooth almost
-    everywhere. Clip boundaries never arise: the encoder's tanh output is
-    scaled strictly below the clip radius.
+    Covers the geodesic distance, the Einstein midpoint, the log map (both
+    arguments), and the full episode objective parameter by parameter.
+    Dropout is off; BN uses batch statistics, so the objective is
+    deterministic and smooth almost everywhere. Clip boundaries never arise:
+    the encoder's tanh output is scaled strictly below the clip radius.
     """
     tol = 1e-3
     rng = np.random.default_rng(seed)
@@ -167,6 +167,16 @@ def check_gradient_oracles(seed: int = 2) -> list[PropertyCheck]:
         r = finite_diff_check(lambda p: ad.sum(einstein_midpoint(p, cfg) * u), pts, tol=tol)
         worst = max(worst, r.max_rel_error)
     out.append(_check("gradient: einstein_midpoint vs finite differences", tol, worst))
+
+    worst = 0.0
+    for _ in range(5):
+        x0 = sample_ball_points(rng, 1, 6, cfg)[0]
+        y0 = sample_ball_points(rng, 1, 6, cfg)[0]
+        u = rng.normal(size=6)
+        r1 = finite_diff_check(lambda x: ad.sum(log_map(x, y0, cfg) * u), x0, tol=tol)
+        r2 = finite_diff_check(lambda y: ad.sum(log_map(x0, y, cfg) * u), y0, tol=tol)
+        worst = max(worst, r1.max_rel_error, r2.max_rel_error)
+    out.append(_check("gradient: log_map vs finite differences", tol, worst))
 
     episode, bundle, tcfg = _tiny_episode_setup(seed)
     modules = bundle.modules()

@@ -9,7 +9,7 @@ import pytest
 from gyroshot import autodiff as ad
 from gyroshot.autodiff import Tape, backward, finite_diff_check, val
 from gyroshot.errors import DomainError, ShapeError, TapeError
-from gyroshot.geometry import BallConfig, geodesic_distance
+from gyroshot.geometry import BallConfig, geodesic_distance, log_map
 
 
 def test_hand_worked_gradient():
@@ -66,6 +66,7 @@ _MULTI_OPERAND = {
     "conv2d": ((1, 1, 1, 1), ad.conv2d),
     "attention": ((2, 2), lambda a, b: ad.attention(a, b, b)),
     "geodesic_distance": ((2, 2), lambda a, b: geodesic_distance(a, b, BallConfig(c=1.0))),
+    "log_map": ((2, 2), lambda a, b: log_map(a, b, BallConfig(c=1.0))),
 }
 
 
@@ -109,6 +110,8 @@ _CONSTANT_CALLS = {
     "attention": lambda: ad.attention(_X, _X, _X),
     "normalize": lambda: ad.normalize(_X, -1, 1e-5)[0],
     "geodesic_distance": lambda: geodesic_distance(_X, _X[::-1], BallConfig(c=1.0)),
+    "log_map": lambda: log_map(_X, _X[::-1], BallConfig(c=1.0)),
+    "take": lambda: ad.take(_X, np.s_[:, 1:]),
 }
 
 
@@ -127,7 +130,7 @@ def test_contract_tables_cover_every_public_op():
         if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")
     }
     not_ops = {"val", "record", "backward", "finite_diff_check"}
-    assert public - not_ops == set(_CONSTANT_CALLS) - {"geodesic_distance"}
+    assert public - not_ops == set(_CONSTANT_CALLS) - {"geodesic_distance", "log_map"}
 
 
 def test_broadcast_gradients_have_operand_shapes():
@@ -234,11 +237,38 @@ def test_conv2d_gradients_match_finite_differences():
     assert finite_diff_check(lambda k: ad.sum(ad.conv2d(x0, k) ** 2), k0).passed
 
 
+def test_conv2d_leading_axes_are_batch_axes():
+    rng = np.random.default_rng(13)
+    x0 = rng.normal(size=(2, 3, 3, 4, 2))
+    k0 = rng.normal(size=(2, 3, 2, 3))
+    w = rng.normal(size=(2, 3, 2, 2, 3))
+    out = ad.conv2d(x0, k0)
+    np.testing.assert_allclose(out.reshape(6, 2, 2, 3), ad.conv2d(x0.reshape(6, 3, 4, 2), k0),
+                               rtol=0, atol=1e-15)
+    assert finite_diff_check(lambda x: ad.sum(ad.conv2d(x, k0) * w), x0).passed
+    assert finite_diff_check(lambda k: ad.sum(ad.conv2d(x0, k) * w), k0).passed
+
+
+def test_take_value_and_gradient():
+    rng = np.random.default_rng(14)
+    x0 = rng.normal(size=(2, 3, 4))
+    index = np.s_[:, 1:, 2]
+    w = rng.normal(size=(2, 2))
+    np.testing.assert_array_equal(ad.take(x0, index), x0[index])
+    report = finite_diff_check(lambda x: ad.sum(ad.take(x, index) * w), x0)
+    assert report.passed
+    expect = np.zeros_like(x0)
+    expect[index] = w
+    np.testing.assert_array_equal(report.analytic, expect)
+
+
 def test_conv2d_shape_errors():
     with pytest.raises(ShapeError):
         ad.conv2d(np.ones((1, 2, 2, 3)), np.ones((1, 1, 4, 2)))
     with pytest.raises(ShapeError):
         ad.conv2d(np.ones((1, 2, 2, 3)), np.ones((3, 3, 3, 2)))
+    with pytest.raises(ShapeError):
+        ad.conv2d(np.ones((2, 3)), np.ones((1, 1, 3, 2)))
 
 
 def test_norm_zero_vector_has_safe_gradient():

@@ -432,4 +432,4 @@ class TestVerifyCommand:
         assert "[PASS]" in out and "[FAIL]" not in out
         report = (tmp_path / "v/report.txt").read_text()
         assert "properties hold" in report
-        assert report.count("[PASS]") == 14
+        assert report.count("[PASS]") == 15

@@ -4,6 +4,8 @@ Frozen values were computed once from the scalar closed forms (1-D Mobius
 addition, arctanh/tanh expressions) at 50-digit precision and pasted here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,23 @@ def test_fused_geodesic_matches_mobius_form_near_the_boundary():
         np.testing.assert_allclose(geodesic_distance(x, y, cfg), mobius_form, rtol=1e-9)
 
 
+def test_untaped_geodesic_holds_one_array_of_the_broadcast_size():
+    """The default pairwise layout: x - y is squared in place, so the
+    forward never holds x - y and its square at once (3.9 MB each)."""
+    cfg = BallConfig(c=0.7)
+    rng = np.random.default_rng(10)
+    x = points_at_radius(rng, (15, 1, 1, 9, 1, 16), 0.5, cfg)
+    y = points_at_radius(rng, (1, 5, 5, 1, 9, 16), 0.5, cfg)
+    full = 15 * 5 * 5 * 9 * 9 * 16 * 8
+    tracemalloc.start()
+    try:
+        geodesic_distance(x, y, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * full
+
+
 def test_taped_distance_matches_untaped():
     cfg = BallConfig(c=0.7)
     rng = np.random.default_rng(47)
@@ -416,3 +435,122 @@ def test_taped_distance_matches_untaped():
     tape = Tape()
     taped = geodesic_distance(tape.var(x), tape.var(y), cfg)
     assert np.array_equal(plain, val(taped))
+
+
+# ---------------------------------------------------------------------------
+# the fused log map
+
+
+def _composite_log_map(x, y, cfg):
+    """The unfused log map: Mobius addition, floored norm, conformal factor
+    and arctanh as separate ops."""
+    m = mobius_add(ad.neg(x), y, cfg)
+    n = ad.norm(m, keepdims=True)
+    n_safe = ad.where(val(n) > 1e-15, n, np.ones_like(val(n)))
+    lam = conformal_factor(x, cfg, keepdims=True)
+    coef = (2.0 / (cfg.sqrt_c * lam)) * ad.arctanh(cfg.sqrt_c * n) / n_safe
+    return coef * m
+
+
+# the tangent projection's layout: one base point per query (NQ, 1, 1, 1, C)
+# against the support patches (1, N, K, HW, C)
+TANGENT_LAYOUT = ((2, 1, 1, 1, 4), (1, 2, 2, 3, 4))
+
+
+def _tangent_points(frac, cfg, seed):
+    rng = np.random.default_rng(seed)
+    x0 = points_at_radius(rng, TANGENT_LAYOUT[0], frac, cfg)
+    y0 = points_at_radius(rng, TANGENT_LAYOUT[1], frac, cfg)
+    y0[0, 0, 0, 0] = x0[0, 0, 0, 0]  # one coincident pair
+    w = rng.uniform(-1.5, 1.5, size=np.broadcast_shapes(*TANGENT_LAYOUT))
+    return x0, y0, w
+
+
+@pytest.mark.parametrize("frac", (0.3, 0.75, 0.999))
+@pytest.mark.parametrize("c", CURVATURES + (1.3,))
+def test_untaped_log_map_equals_composite_bit_for_bit(frac, c):
+    cfg = BallConfig(c=c)
+    x0, y0, _ = _tangent_points(frac, cfg, seed=int(1000 * frac))
+    scale = np.random.default_rng(1).uniform(0.1, 1.0, size=y0.shape[:-1] + (1,))
+    for y in (y0, y0 * scale):
+        np.testing.assert_array_equal(log_map(x0, y, cfg), _composite_log_map(x0, y, cfg))
+
+
+def test_log_map_keeps_the_composite_checks():
+    cfg = BallConfig(c=1.0)
+    with pytest.raises(ShapeError):
+        log_map(np.zeros(2), np.zeros(3), cfg)
+    with pytest.raises(DomainError, match="mobius_add"):
+        log_map(np.array([1.0, 0.0]), np.array([1.0, 0.0]), cfg)
+    with pytest.raises(DomainError, match="conformal_factor"):
+        log_map(np.array([1.0, 0.0]), np.array([0.0, 0.5]), cfg)
+    with pytest.raises(DomainError, match="arctanh"):
+        log_map(np.array([0.0, 0.0]), np.array([1.0, 0.0]), cfg)
+
+
+@pytest.mark.parametrize("frac", (0.5, 0.999))
+@pytest.mark.parametrize("c", (0.1, 0.7))
+def test_fused_log_map_gradients_in_model_layout(frac, c):
+    """Both operands against central differences, with one coincident pair:
+    the log map is smooth there, and the adjoint takes arctanh(u)/u at its
+    limit 1 where ||(-x) (+) y|| <= 1e-15."""
+    cfg = BallConfig(c=c)
+    x0, y0, w = _tangent_points(frac, cfg, seed=int(1000 * frac) + int(10 * c))
+    for f, point in ((lambda x: ad.sum(log_map(x, y0, cfg) * w), x0),
+                     (lambda y: ad.sum(log_map(x0, y, cfg) * w), y0)):
+        report = finite_diff_check(f, point, step=1e-7)
+        assert report.passed, f"max rel err {report.max_rel_error} at {report.flagged}"
+
+
+@pytest.mark.parametrize("frac", (0.5, 0.999))
+def test_fused_log_map_same_bits_whichever_operand_is_taped(frac):
+    cfg = BallConfig(c=0.7)
+    x0, y0, w = _tangent_points(frac, cfg, seed=7)
+    grads = {}
+    for taped in ("x", "y", "xy"):
+        tape = Tape()
+        x = tape.var(x0) if "x" in taped else x0
+        y = tape.var(y0) if "y" in taped else y0
+        out = log_map(x, y, cfg)
+        assert len(tape) == len(taped) + 1
+        np.testing.assert_array_equal(val(out), log_map(x0, y0, cfg))
+        backward(ad.sum(out * w))
+        grads[taped] = [v.grad for v in (x, y) if isinstance(v, ad.Var)]
+    np.testing.assert_array_equal(grads["x"][0], grads["xy"][0])
+    np.testing.assert_array_equal(grads["y"][0], grads["xy"][1])
+
+
+@pytest.mark.parametrize("frac", (0.0, 0.5, 0.999))
+def test_fused_log_map_at_coincident_points(frac):
+    """A zero tangent whose gradient is finite: the Jacobian of log_x(y) at
+    y = x, which is the identity in y and its negative in x."""
+    cfg = BallConfig(c=0.7)
+    p = points_at_radius(np.random.default_rng(8), (4,), frac, cfg)
+    u = np.array([0.3, -1.1, 0.7, 0.2])
+    tape = Tape()
+    x, y = tape.var(p), tape.var(p.copy())
+    t = log_map(x, y, cfg)
+    backward(ad.sum(t * u))
+    assert np.array_equal(val(t), np.zeros(4))
+    np.testing.assert_allclose(y.grad, u, rtol=1e-9)
+    np.testing.assert_allclose(x.grad, -u, rtol=1e-9)
+
+
+def test_taped_log_map_keeps_one_array_of_the_broadcast_size():
+    """Beside its output, a taped log map holds m = (-x) (+) y and per-row
+    scalars (C = 16, so each is 1/16 of m), not the dozens of intermediates
+    of the composite."""
+    cfg = BallConfig(c=0.7)
+    rng = np.random.default_rng(9)
+    x0 = points_at_radius(rng, (15, 1, 1, 1, 16), 0.5, cfg)
+    y0 = points_at_radius(rng, (1, 5, 5, 9, 16), 0.5, cfg)
+    tape = Tape()
+    x, y = tape.var(x0), tape.var(y0)
+    full = 15 * 5 * 5 * 9 * 16 * 8
+    tracemalloc.start()
+    try:
+        out = log_map(x, y, cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - out.value.nbytes < 1.5 * full

@@ -278,14 +278,14 @@ class TestRelationGenerator:
     def test_scores_in_unit_interval(self):
         rel = RelationGenerator(CFG, rng(25))
         g = rng(26).standard_normal((7, 2, 3, 2 * CFG.feat_dim))
-        s = np.asarray(rel(g))
+        s = np.asarray(rel(g[..., :CFG.feat_dim], g[..., CFG.feat_dim:]))
         assert s.shape == (7,)
         assert np.all((s > 0) & (s < 1))
 
     def test_bad_input_shape_rejected(self):
         rel = RelationGenerator(CFG, rng(27))
         with pytest.raises(ShapeError):
-            rel(np.zeros((2, 3, 3, 2 * CFG.feat_dim)))
+            rel(np.zeros((2, 3, 3, CFG.feat_dim)), np.zeros((2, 3, 3, CFG.feat_dim)))
 
     def test_relation_scores_sum_to_one(self):
         rel = RelationGenerator(CFG, rng(28))
@@ -301,6 +301,102 @@ class TestRelationGenerator:
         proj = np.broadcast_to(one, (4, CFG.hw, CFG.feat_dim)).copy()
         w = np.asarray(relation_scores(proj, one, rel))
         np.testing.assert_allclose(w, 0.25, rtol=1e-12)
+
+
+def _concat_relation(rel, maps, sig, train=False, rng=None, params=None):
+    """The relation net on explicit pairs: each (B, K, H, W, C) map is
+    concatenated channel-wise with its (B, H, W, C) signature, and the
+    first conv reads all 2C channels at once. Maps and signatures are
+    plain arrays; `params` may hold Vars."""
+    p = params if params is not None else rel.params
+    shape = maps.shape
+    pairs = np.concatenate([maps, np.broadcast_to(sig[:, None], shape)], axis=-1)
+    g = pairs.reshape((-1,) + shape[2:-1] + (2 * shape[-1],))
+    x = batch_norm(ad.conv2d(g, p["conv1_w"]), p["bn1_g"], p["bn1_b"],
+                   rel.buffers["bn1_mean"], rel.buffers["bn1_var"], train)
+    x = dropout(ad.relu(x), 0.5, rng if train else None)
+    x = batch_norm(ad.conv2d(x, p["conv2_w"]), p["bn2_g"], p["bn2_b"],
+                   rel.buffers["bn2_mean"], rel.buffers["bn2_var"], train)
+    return ad.reshape(ad.sigmoid(x), shape[:2])
+
+
+def _relation_case(seed=40):
+    """Default model shape: 75 (query, class) pairs of 5 maps on a 3x3 grid,
+    C = 16, 64 filters, as projected maps and signatures of the ball."""
+    cfg = ModelConfig(in_dim=8, grid=(3, 3))
+    r = rng(seed)
+    maps = r.standard_normal((75, 5, 3, 3, 16)) * 0.3
+    sig = maps.mean(axis=1) + r.standard_normal((75, 3, 3, 16)) * 0.05
+    return cfg, maps, sig
+
+
+class TestFactoredRelation:
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_matches_the_concatenated_input(self, train):
+        """Scores, weights and the BN buffers a call leaves behind."""
+        cfg, maps, sig = _relation_case()
+
+        def net():
+            out = RelationGenerator(cfg, rng(41))
+            out.buffers["bn1_mean"] += 0.1  # nontrivial running statistics
+            out.buffers["bn1_var"] *= 1.5
+            return out
+
+        def drop():
+            return rng(42) if train else None
+
+        nets = [net() for _ in range(4)]
+        factored = nets[0](maps, sig[:, None], train=train, rng=drop())
+        pairs = _concat_relation(nets[1], maps, sig, train=train, rng=drop())
+        weights = relation_scores(maps.reshape(15, 5, 5, 9, 16), sig.reshape(15, 5, 9, 16),
+                                  nets[2], train=train, rng=drop())
+        pair_weights = ad.softmax(_concat_relation(nets[3], maps, sig, train=train, rng=drop()))
+        np.testing.assert_allclose(factored, pairs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights.reshape(75, 5), pair_weights, rtol=0, atol=1e-15)
+        for name, buf in nets[0].buffers.items():
+            for other in nets[1:]:
+                np.testing.assert_allclose(buf, other.buffers[name], rtol=0, atol=1e-15,
+                                           err_msg=name)
+
+    def test_conv1_gradient_matches_the_concatenated_input(self):
+        cfg, maps, sig = _relation_case(43)
+        w = rng(44).standard_normal((75, 5))
+        grads = []
+        for call in (lambda net, p: net(maps, sig[:, None], train=True, params=p),
+                     lambda net, p: _concat_relation(net, maps, sig, train=True, params=p)):
+            net = RelationGenerator(cfg, rng(45))
+            tape = ad.Tape()
+            params = {k: tape.var(v) for k, v in net.params.items()}
+            ad.backward(ad.sum(call(net, params) * w))
+            grads.append(params["conv1_w"].grad)
+        rel_err = np.max(np.abs(grads[0] - grads[1])) / np.max(np.abs(grads[1]))
+        assert rel_err < 1e-12
+
+    def test_signature_half_runs_once_per_signature(self):
+        """No node broadcasts or concatenates the signature: the signature
+        conv sees (75, 1, 3, 3, 16), and nothing on the tape is above 5-D."""
+        cfg, maps, sig = _relation_case(46)
+        net = RelationGenerator(cfg, rng(47))
+        tape = ad.Tape()
+        params = {k: tape.var(v) for k, v in net.params.items()}
+        relation_scores(tape.var(maps.reshape(15, 5, 5, 9, 16)),
+                        tape.var(sig.reshape(15, 5, 9, 16)), net, params=params)
+        ops = [n.op for n in tape.nodes]
+        assert "broadcast" not in ops and "concat" not in ops
+        assert ops.count("take") == 2
+        assert max(n.value.ndim for n in tape.nodes) == 5
+        convs = [n for n in tape.nodes if n.op == "conv2d"]
+        assert [c.parents[0].value.shape for c in convs[:2]] == [(75, 5, 3, 3, 16),
+                                                                 (75, 1, 3, 3, 16)]
+
+    def test_signature_must_broadcast_against_the_maps(self):
+        cfg, maps, sig = _relation_case(48)
+        net = RelationGenerator(cfg, rng(49))
+        for bad in (np.zeros((75, 2, 3, 3, 16)), np.zeros((2, 75, 1, 3, 3, 16))):
+            with pytest.raises(ShapeError):
+                net(maps, bad)
+        with pytest.raises(ShapeError):
+            net(maps[:, :1], np.zeros((75, 5, 3, 3, 16)))
 
 
 class TestS2SNetwork:

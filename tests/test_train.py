@@ -542,7 +542,7 @@ def _default_param_grads(cfg, sweep=ad.backward):
 def test_taped_app2s_episode_keeps_little_beside_its_node_values():
     """What a taped default app2s forward holds besides the values of the
     nodes it recorded, mostly arrays its adjoints keep in their closures,
-    stays under 4 MB (about 2.2 MB). Attention's 15×225×225 probabilities
+    stays under 4 MB (about 2.7 MB). Attention's 15×225×225 probabilities
     (6.1 MB) or the pairwise geodesic's broadcast x − y (3.9 MB) kept for
     backward would exceed it."""
     cfg = tr.TrainConfig(ball=BallConfig(c=0.7))
@@ -613,6 +613,29 @@ def test_refine_records_at_most_23_nodes(monkeypatch):
     monkeypatch.setattr(netmods.SignatureGenerator, "refine", counted)
     _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)))
     assert len(counts) == 1 and counts[0] <= 23
+
+
+def test_app2s_episode_records_at_most_146_nodes(monkeypatch):
+    """A default taped app2s episode, its 29 parameter leaves included,
+    records 146 nodes (179 with the composite log map and the relation net
+    on concatenated pairs). The tangent projection records 2: the base
+    point's reshape and one log_map node (37 with the composite)."""
+    project, counts, sizes = netmods.project_support, [], []
+
+    def counted(support, qbar, cfg):
+        before = len(support.tape)
+        out = project(support, qbar, cfg)
+        counts.append(len(support.tape) - before)
+        return out
+
+    def sweep(loss):
+        sizes.append(len(loss.tape))
+        ad.backward(loss)
+
+    monkeypatch.setattr(netmods, "project_support", counted)
+    _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)), sweep)
+    assert len(counts) == 1 and counts[0] <= 2
+    assert len(sizes) == 1 and sizes[0] <= 146
 
 
 def test_app2s_step_records_no_node_above_5d_outside_pairwise(monkeypatch):
