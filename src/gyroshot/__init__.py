@@ -38,7 +38,6 @@ from .geometry import (
     klein_to_poincare,
     log_map,
     mobius_add,
-    poincare_to_klein,
 )
 from .metrics import (
     adaptive_combine,
@@ -110,7 +109,6 @@ __all__ = [
     "log_map",
     "mobius_add",
     "pairwise_matrix",
-    "poincare_to_klein",
     "run_robustness",
     "s2s_learned",
     "sample_episode",

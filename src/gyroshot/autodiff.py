@@ -397,20 +397,6 @@ def take(x, index):
     return _node(xv[index], "take", (x, pull))
 
 
-def broadcast_to(x, shape):
-    xv = val(x)
-    return _node(np.broadcast_to(xv, shape), "broadcast", (x, lambda g: _unbroadcast(g, xv.shape)))
-
-
-def concat(parts, axis=-1):
-    vals = [val(p) for p in parts]
-
-    def split(g):
-        return np.split(g, np.cumsum([v.shape[axis] for v in vals[:-1]]), axis=axis)
-
-    return _node(np.concatenate(vals, axis=axis), "concat", *_joint_pulls(parts, split))
-
-
 # ---------------------------------------------------------------------------
 # linear maps
 

@@ -1,4 +1,4 @@
-"""Poincare-ball gyrovector operations and Klein-model averaging.
+"""Poincare-ball gyrovector operations and Einstein-midpoint averaging.
 
 Conventions
 -----------
@@ -18,10 +18,11 @@ Core formulas:
                  (the computed form; its adjoint divides by
                  sinh(sqrt(c) d) = sqrt(z (z + 2)), floored at 1e-15, so
                  d(x, x) = 0 has a zero gradient)
-    x_K        = 2 x_D / (1 + c ||x_D||^2)                  (ball -> Klein)
     x_D        = x_K / (1 + sqrt(1 - c ||x_K||^2))          (Klein -> ball)
-    midpoint   = sum_i gamma_i x_i / sum_i gamma_i  in Klein coordinates,
-                 gamma_i = 1 / sqrt(1 - c ||x_i||^2)        (Einstein midpoint)
+    midpoint   = 1/2 (x) (sum_i lambda_i x_i / sum_i (lambda_i - 1)),
+                 1/2 (x) v being the Klein -> ball map      (Einstein midpoint)
+                 (x_i's Klein point has Lorentz factor lambda_i - 1 and
+                 weighted point lambda_i x_i; no ball -> Klein map is formed)
     log_x(y)   = (2 / (sqrt(c) lambda_x)) arctanh(sqrt(c) ||m||) m / ||m||,
                  m = (-x) (+) y
     exp_x(v)   = x (+) (tanh(sqrt(c) lambda_x ||v|| / 2) v / (sqrt(c) ||v||))
@@ -167,11 +168,6 @@ def flat_distance(x, y):
     return 2.0 * ad.norm(x - y)
 
 
-def poincare_to_klein(x, cfg: BallConfig):
-    """x_K = 2 x_D / (1 + c ||x_D||^2)."""
-    return (2.0 * x) / (1.0 + cfg.c * _sq_norm(x))
-
-
 def klein_to_poincare(k, cfg: BallConfig):
     """x_D = x_K / (1 + sqrt(1 - c ||x_K||^2))."""
     inside = 1.0 - cfg.c * _sq_norm(k)
@@ -180,26 +176,28 @@ def klein_to_poincare(k, cfg: BallConfig):
     return k / (1.0 + ad.sqrt(inside))
 
 
-def einstein_midpoint(points, cfg: BallConfig, axis: int = -2):
-    """Gamma-weighted average of ball points, computed in Klein coordinates.
+def einstein_midpoint(points, cfg: BallConfig):
+    """Einstein midpoint of (..., P, C) points over the set axis -2.
 
-    `points` stacks the set along `axis`. In the plain-array path the
-    weighted summands are sorted per coordinate before reduction, so any
-    permutation of the inputs yields a bit-identical result; the taped path
-    keeps evaluation order.
+    The Klein mean sum_i lambda_i x_i / sum_i (lambda_i - 1), mapped back to
+    the ball. Raises DomainError when a point lies on or outside the ball,
+    which the Klein map would read as its inversion x / (c ||x||^2). In the
+    plain-array path both summands are sorted per coordinate before
+    reduction, so any permutation of the inputs yields a bit-identical
+    result; the taped path keeps evaluation order.
     """
     shape = np.shape(val(points))
-    if len(shape) < 2 or shape[axis] == 0:
+    if len(shape) < 2 or shape[-2] == 0:
         raise ShapeError(f"einstein_midpoint: point set must be (..., P>=1, C), got {shape}")
-    k = poincare_to_klein(points, cfg)
-    gamma = 1.0 / ad.sqrt(1.0 - cfg.c * _sq_norm(k))
-    weighted = gamma * k
+    lam = conformal_factor(points, cfg, keepdims=True)
+    weighted = lam * points
+    gamma = lam - 1.0
     if isinstance(points, ad.Var):
-        num = ad.sum(weighted, axis=axis)
-        den = ad.sum(gamma, axis=axis)
+        num = ad.sum(weighted, axis=-2)
+        den = ad.sum(gamma, axis=-2)
     else:
-        num = np.sort(weighted, axis=axis).sum(axis=axis)
-        den = np.sort(gamma, axis=axis).sum(axis=axis)
+        num = np.sort(weighted, axis=-2).sum(axis=-2)
+        den = np.sort(gamma, axis=-2).sum(axis=-2)
     return klein_to_poincare(num / den, cfg)
 
 

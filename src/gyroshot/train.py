@@ -158,9 +158,9 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
     svals = None
     weights = None
     if spec.prototype:
-        emb_q = einstein_midpoint(enc_q, ball, axis=-2)
-        emb_s = einstein_midpoint(enc_s, ball, axis=-2)
-        protos = einstein_midpoint(ad.reshape(emb_s, (n, k_eff, feat)), ball, axis=-2)
+        emb_q = einstein_midpoint(enc_q, ball)
+        emb_s = einstein_midpoint(enc_s, ball)
+        protos = einstein_midpoint(ad.reshape(emb_s, (n, k_eff, feat)), ball)
         q_e = ad.reshape(emb_q, (n_query_total, 1, feat))
         p_e = ad.reshape(protos, (1, n, feat))
         dists = geodesic_distance(q_e, p_e, ball)
@@ -168,7 +168,7 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
         q4 = ad.reshape(enc_q, (n_query_total, 1, 1, hw, feat))
         s4 = ad.reshape(enc_s, (1, n, k_eff, hw, feat))
         if "relation" in spec.modules:
-            qbar = einstein_midpoint(enc_q, ball, axis=-2)
+            qbar = einstein_midpoint(enc_q, ball)
             qb = ad.reshape(qbar, (n_query_total, 1, 1, feat))
             proj = netmods.project_support(s4, qb, ball)  # (NQ, N, K, HW, C)
             refined = proj

@@ -27,10 +27,8 @@ from .geometry import (
     einstein_midpoint,
     exp_map,
     geodesic_distance,
-    klein_to_poincare,
     log_map,
     mobius_add,
-    poincare_to_klein,
 )
 from .netmods import ModelBundle, ModelConfig
 from .train import TrainConfig, episode_forward, train
@@ -70,6 +68,14 @@ def _conformal_error(x, y, cfg):
     return np.abs(lam_norm - d) / np.maximum(d, 1e-30)
 
 
+def _midpoint_error(x, y, cfg):
+    m = einstein_midpoint(np.stack([x, y], axis=-2), cfg)
+    d = geodesic_distance(x, y, cfg)
+    err = np.maximum(np.abs(geodesic_distance(x, m, cfg) - d / 2.0),
+                     np.abs(geodesic_distance(m, y, cfg) - d / 2.0))
+    return err / np.maximum(d, 1e-30)
+
+
 #: (name, tolerance, elementwise error of a point batch x, y at curvature cfg)
 _IDENTITIES = (
     ("mobius right identity: x (+) 0 = x", 1e-12,
@@ -80,8 +86,7 @@ _IDENTITIES = (
      lambda x, y, cfg: geodesic_distance(x, x, cfg)),
     ("distance symmetry: d(x, y) = d(y, x)", 1e-12,
      lambda x, y, cfg: geodesic_distance(x, y, cfg) - geodesic_distance(y, x, cfg)),
-    ("klein roundtrip: poincare -> klein -> poincare", 1e-10,
-     lambda x, y, cfg: klein_to_poincare(poincare_to_klein(x, cfg), cfg) - x),
+    ("midpoint: d(x, m) = d(m, y) = d(x, y) / 2 (relative)", 1e-10, _midpoint_error),
     ("exp/log roundtrip: exp_x(log_x(y)) = y", 1e-8,
      lambda x, y, cfg: exp_map(x, log_map(x, y, cfg), cfg) - y),
     ("conformal relation: lambda_x ||log_x(y)|| = d(x, y)", 1e-9, _conformal_error),

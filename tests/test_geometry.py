@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyroshot import autodiff as ad
 from gyroshot.autodiff import Tape, backward, finite_diff_check, val
@@ -24,10 +26,11 @@ from gyroshot.geometry import (
     klein_to_poincare,
     log_map,
     mobius_add,
-    poincare_to_klein,
 )
+from gyroshot.verify import CURVATURE_GRID
 
 CURVATURES = (0.01, 0.05, 0.1, 0.5, 0.7)
+EPS = np.finfo(np.float64).eps
 
 
 def sample_points(rng, n, dim, cfg, frac=0.75):
@@ -36,6 +39,21 @@ def sample_points(rng, n, dim, cfg, frac=0.75):
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     r = frac * cfg.radius * rng.uniform(size=(n, 1)) ** (1.0 / dim)
     return v * r
+
+
+def to_klein(x, cfg):
+    """Ball -> Klein, x_K = 2 x / (1 + c ||x||^2); the package has no
+    forward Klein map, so this is the reference side."""
+    return 2.0 * x / (1.0 + cfg.c * np.sum(x * x, axis=-1, keepdims=True))
+
+
+def klein_midpoint(points, cfg):
+    """The Klein-coordinate definition of the Einstein midpoint of (..., P, C)
+    points: the Lorentz-factor-weighted mean of their Klein points, mapped
+    back to the ball."""
+    k = to_klein(points, cfg)
+    gamma = 1.0 / np.sqrt(1.0 - cfg.c * np.sum(k * k, axis=-1, keepdims=True))
+    return klein_to_poincare(np.sum(gamma * k, axis=-2) / np.sum(gamma, axis=-2), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +82,7 @@ def test_geodesic_distance_frozen_values():
 
 def test_klein_transform_frozen_value():
     cfg = BallConfig(c=0.25)
-    k = poincare_to_klein(np.array([0.6, 0.0]), cfg)
+    k = to_klein(np.array([0.6, 0.0]), cfg)
     assert np.allclose(k, [1.1009174311926606, 0.0], atol=1e-15)
     assert np.allclose(klein_to_poincare(k, cfg), [0.6, 0.0], atol=1e-14)
 
@@ -112,6 +130,17 @@ def test_geodesic_domain_error_on_boundary():
 def test_conformal_factor_outside_ball_rejected():
     with pytest.raises(DomainError):
         conformal_factor(np.array([2.0, 0.0]), BallConfig(c=1.0))
+
+
+@pytest.mark.parametrize("taped", (False, True), ids=("array", "taped"))
+def test_midpoint_rejects_points_on_or_outside_the_ball(taped):
+    """A point outside the ball is not read as its inversion x / (c ||x||^2),
+    which has the same Klein point, and one on the boundary does not divide
+    by zero."""
+    for far in (2.0, 1.0):
+        pts = np.array([[0.5, 0.0], [far, 0.0]])
+        with pytest.raises(DomainError):
+            einstein_midpoint(Tape().var(pts) if taped else pts, BallConfig(c=1.0))
 
 
 def test_midpoint_empty_set_rejected():
@@ -168,7 +197,7 @@ def test_klein_roundtrip(c):
     cfg = BallConfig(c=c)
     rng = np.random.default_rng(13 + int(c * 100))
     x = sample_points(rng, 400, 8, cfg, frac=0.98)
-    back = klein_to_poincare(poincare_to_klein(x, cfg), cfg)
+    back = klein_to_poincare(to_klein(x, cfg), cfg)
     assert np.max(np.abs(back - x)) < 1e-10
 
 
@@ -234,7 +263,7 @@ def test_midpoint_stays_in_ball_and_batches():
     cfg = BallConfig(c=0.1)
     rng = np.random.default_rng(31)
     pts = sample_points(rng, 24, 4, cfg, frac=0.97).reshape(2, 3, 4, 4)
-    mid = einstein_midpoint(pts, cfg, axis=-2)
+    mid = einstein_midpoint(pts, cfg)
     assert mid.shape == (2, 3, 4)
     assert in_ball(mid, cfg)
 
@@ -329,6 +358,68 @@ def points_at_radius(rng, shape, frac, cfg):
     """Points of norm exactly frac * ball radius, uniform directions."""
     v = rng.normal(size=shape)
     return frac * cfg.radius * v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# Einstein midpoint up to 0.999 of the radius (derandomized property tests)
+
+BOUNDARY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def point_sets(draw, frac=st.floats(0.0, 0.999)):
+    """(ball, (P, C) points): c on CURVATURE_GRID, each point at a drawn
+    fraction of the radius in a seeded uniform direction."""
+    cfg = BallConfig(c=draw(st.sampled_from(CURVATURE_GRID)))
+    p, dim = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    fracs = np.array([[draw(frac)] for _ in range(p)])
+    return cfg, points_at_radius(np.random.default_rng(draw(SEEDS)), (p, dim), fracs, cfg)
+
+
+def longdouble_midpoint(points, c):
+    """Einstein midpoint of float64 points evaluated in np.longdouble."""
+    x, c = points.astype(np.longdouble), np.longdouble(c)
+    lam = 2.0 / (1.0 - c * np.sum(x * x, axis=-1, keepdims=True))
+    q = np.sum(lam * x, axis=-2) / np.sum(lam - 1.0, axis=-2)
+    return q / (1.0 + np.sqrt(1.0 - c * np.sum(q * q, axis=-1, keepdims=True)))
+
+
+@BOUNDARY
+@given(point_sets())
+def test_midpoint_equals_the_klein_coordinate_definition(case):
+    """Within a few ulps of the radius times max lambda^2: the reference's
+    Lorentz factors 1 / sqrt(1 - c ||x_K||^2) amplify rounding by that."""
+    cfg, pts = case
+    lam = np.max(conformal_factor(pts, cfg))
+    err = np.max(np.abs(einstein_midpoint(pts, cfg) - klein_midpoint(pts, cfg)))
+    assert err <= 4.0 * EPS * lam ** 2 * cfg.radius
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="np.longdouble is float64 here, so it is no more precise than the code")
+@BOUNDARY
+@given(point_sets(frac=st.just(0.999)))
+def test_midpoint_error_at_the_boundary_against_longdouble(case):
+    """With every point at 0.999 of the radius the error is at most 1e-13 of
+    the radius (the Klein-coordinate form reaches 2e-11), plus a few ulps
+    times the midpoint's own conformal factor: mapping the Klein average
+    back divides by 1 + sqrt(1 - c ||q||^2), which loses that much when the
+    midpoint itself lies near the boundary (a single point: 2.3e-13)."""
+    cfg, pts = case
+    ref = longdouble_midpoint(pts, cfg.c)
+    lam_mid = float(2.0 / (1.0 - cfg.c * np.sum(ref * ref)))
+    err = float(np.max(np.abs(einstein_midpoint(pts, cfg) - ref)) / cfg.radius)
+    assert err <= 1e-13 + 4.0 * EPS * lam_mid
+
+
+@BOUNDARY
+@given(point_sets(frac=st.just(0.999)), SEEDS)
+def test_midpoint_gradient_at_the_boundary(case, seed):
+    cfg, pts = case
+    u = np.random.default_rng(seed).normal(size=pts.shape[-1])
+    report = finite_diff_check(lambda p: ad.sum(einstein_midpoint(p, cfg) * u), pts, step=1e-7)
+    assert report.passed, report.max_rel_error
 
 
 # the two broadcast layouts the models use: pairwise_matrix's query patches

@@ -115,7 +115,7 @@ class TestEpisodeForward:
         enc_q = bundle.encoder(episode.query.reshape(-1, hw, 3), BALL)
         s_cls = np.asarray(enc_s).reshape(n, k_eff, hw, feat)
         for m in range(enc_q.shape[0]):
-            qbar = einstein_midpoint(enc_q[m], BALL, axis=-2)
+            qbar = einstein_midpoint(enc_q[m], BALL)
             proj = netmods.project_support(enc_s, qbar, BALL)  # (n*k_eff, hw, feat)
             refined = bundle.signature.refine(proj)
             sig = np.asarray(refined).reshape(n, k_eff, hw, feat).mean(axis=-3)
@@ -178,11 +178,11 @@ class TestEpisodeForward:
         n, k_eff, hw, _ = episode.support.shape
         enc_s = bundle.encoder(episode.support.reshape(-1, hw, 3), BALL)
         enc_q = bundle.encoder(episode.query.reshape(-1, hw, 3), BALL)
-        emb_s = einstein_midpoint(enc_s, BALL, axis=-2).reshape(n, k_eff, -1)
+        emb_s = einstein_midpoint(enc_s, BALL).reshape(n, k_eff, -1)
         for m in range(enc_q.shape[0]):
-            q_emb = einstein_midpoint(enc_q[m], BALL, axis=-2)
+            q_emb = einstein_midpoint(enc_q[m], BALL)
             for j in range(n):
-                proto = einstein_midpoint(emb_s[j], BALL, axis=-2)
+                proto = einstein_midpoint(emb_s[j], BALL)
                 expect = float(geodesic_distance(q_emb, proto, BALL))
                 assert info["distances"][m, j] == pytest.approx(expect, rel=1e-12)
 
@@ -615,12 +615,50 @@ def test_refine_records_at_most_23_nodes(monkeypatch):
     assert len(counts) == 1 and counts[0] <= 23
 
 
-def test_app2s_episode_records_at_most_146_nodes(monkeypatch):
+def test_midpoint_records_at_most_17_nodes(monkeypatch):
+    """Each taped Einstein midpoint records 17 nodes: 5 for the conformal
+    factors, 5 for the two weighted sums and their quotient, and 7 for the
+    map back to the ball (23 through the forward Klein map). The prototype
+    variant calls it three times and app2s once."""
+    midpoint, counts = tr.einstein_midpoint, []
+
+    def counted(points, cfg):
+        before = len(points.tape)
+        out = midpoint(points, cfg)
+        counts.append(len(points.tape) - before)
+        return out
+
+    monkeypatch.setattr(tr, "einstein_midpoint", counted)
+    for name in ("prototype", "app2s"):
+        _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)).variant(name))
+    assert len(counts) == 4 and max(counts) <= 17
+
+
+def _episode_tape_size(cfg):
+    sizes = []
+
+    def sweep(loss):
+        sizes.append(len(loss.tape))
+        ad.backward(loss)
+
+    _default_param_grads(cfg, sweep)
+    (size,) = sizes
+    return size
+
+
+def test_prototype_episode_records_at_most_82_nodes():
+    """A default taped prototype episode, its 4 encoder leaves included,
+    records 82 nodes (100 through the forward Klein map)."""
+    assert _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")) <= 82
+
+
+def test_app2s_episode_records_at_most_140_nodes(monkeypatch):
     """A default taped app2s episode, its 29 parameter leaves included,
-    records 146 nodes (179 with the composite log map and the relation net
-    on concatenated pairs). The tangent projection records 2: the base
-    point's reshape and one log_map node (37 with the composite)."""
-    project, counts, sizes = netmods.project_support, [], []
+    records 140 nodes (179 with the composite log map and the relation net
+    on concatenated pairs, 146 with the midpoint through the forward Klein
+    map). The tangent projection records 2: the base point's reshape and
+    one log_map node (37 with the composite)."""
+    project, counts = netmods.project_support, []
 
     def counted(support, qbar, cfg):
         before = len(support.tape)
@@ -628,14 +666,10 @@ def test_app2s_episode_records_at_most_146_nodes(monkeypatch):
         counts.append(len(support.tape) - before)
         return out
 
-    def sweep(loss):
-        sizes.append(len(loss.tape))
-        ad.backward(loss)
-
     monkeypatch.setattr(netmods, "project_support", counted)
-    _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)), sweep)
+    size = _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)))
     assert len(counts) == 1 and counts[0] <= 2
-    assert len(sizes) == 1 and sizes[0] <= 146
+    assert size <= 140
 
 
 def test_app2s_step_records_no_node_above_5d_outside_pairwise(monkeypatch):
