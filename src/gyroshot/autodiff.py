@@ -9,9 +9,9 @@ identical gradients bit for bit.
 
 Every public op accepts either `Var` operands or plain numpy arrays / scalars
 (treated as constants), so the same code path serves taped training and
-untaped evaluation. Mixed expressions work through the operator overloads;
-`__array_ufunc__ = None` keeps numpy from absorbing a `Var` into an object
-array.
+untaped evaluation. Mixed expressions work through the `+ - * /` operator
+overloads (a matrix product is `matmul`); `__array_ufunc__ = None` keeps
+numpy from absorbing a `Var` into an object array.
 
 An op computes its value and returns `_node(value, op, (operand, pull), ...)`
 with one pair per operand. `_node` drops the pairs whose operand is a
@@ -35,8 +35,7 @@ node with a hand-written adjoint, whose forward runs the arithmetic of the
 composite form so that untaped results are unchanged. `attention` keeps no
 T×T array and `normalize` only its output and σ; the adjoints rebuild what
 they need per call (attention's P block by block) and keep nothing after.
-`conv2d` treats the leading axes of its input as batch axes, and `take`
-slices a parameter (the relation net cuts its first kernel in two).
+`conv2d` treats the leading axes of its input as batch axes.
 
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
 gradients have been read breaks that cycle, so the arrays are freed by
@@ -119,18 +118,6 @@ class Var:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
 
 def val(x):
@@ -262,16 +249,6 @@ def div(a, b):
                  (b, lambda g: _unbroadcast(-g * av / (bv * bv), np.shape(bv))))
 
 
-def neg(x):
-    return _node(-val(x), "neg", (x, lambda g: -g))
-
-
-def pow_(x, p):
-    """x ** p for a constant real exponent p."""
-    xv = val(x)
-    return _node(xv ** p, "pow", (x, lambda g: g * p * xv ** (p - 1)))
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 
@@ -382,19 +359,6 @@ def norm(x, keepdims=False):
 def reshape(x, shape):
     xv = val(x)
     return _node(np.reshape(xv, shape), "reshape", (x, lambda g: np.reshape(g, xv.shape)))
-
-
-def take(x, index):
-    """x[index] for a basic numpy index (integers and slices); the adjoint
-    writes g into zeros of x's shape."""
-    xv = val(x)
-
-    def pull(g):
-        gx = np.zeros_like(xv)
-        gx[index] = g
-        return gx
-
-    return _node(xv[index], "take", (x, pull))
 
 
 # ---------------------------------------------------------------------------

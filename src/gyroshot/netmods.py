@@ -17,9 +17,9 @@ The four modules:
                      -> sigmoid, collapsing the grid to one score per sample.
                      The first conv reads a map beside its class signature;
                      conv is linear in its input channels, so it runs as
-                     conv(map, W_map) + conv(signature, W_sig) on the halves
-                     of one kernel, and the signature half once per
-                     (query, class) pair rather than once per map.
+                     conv(map, W_map) + conv(signature, W_sig) with the two
+                     halves of its kernel stored apart, and the signature
+                     half once per (query, class) pair rather than per map.
   S2SNetwork         linear(HW^2 -> HW) -> BN -> relu -> dropout(0.5) ->
                      linear(HW -> 1) -> BN, reading a flattened distance
                      matrix and emitting a scalar set-to-set distance.
@@ -41,9 +41,9 @@ from .geometry import BallConfig, clip_to_ball, in_ball, log_map
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
-#: checkpoint header version; 2 is the first without the seven bias tensors
-#: that received no gradient
-CHECKPOINT_FORMAT = 2
+#: checkpoint header version; 3 is the first with the relation net's first
+#: kernel stored as its two halves
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -255,10 +255,10 @@ class RelationGenerator:
     """Convolutional scorer of (projected map, class signature) agreement.
 
     The first conv reads a map and its signature side by side, which it
-    computes as conv(map, W[:, :, :C]) + conv(signature, W[:, :, C:]) on the
-    two halves of `conv1_w`, so the signature half runs once per signature
-    rather than once per map. The convs have no bias: each feeds straight
-    into batch norm.
+    computes as conv(map, conv1_map_w) + conv(signature, conv1_sig_w): its
+    (kh, kw, 2C, F) kernel is drawn whole and stored as its two channel
+    halves, so the signature half runs once per signature rather than once
+    per map. The convs have no bias: each feeds straight into batch norm.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -267,9 +267,11 @@ class RelationGenerator:
         # two valid convs must collapse the grid to 1x1: k1 + k2 = side + 1
         self.k1 = ((h + 2) // 2, (w + 2) // 2)
         self.k2 = (h - self.k1[0] + 1, w - self.k1[1] + 1)
-        cin, f = 2 * cfg.feat_dim, cfg.relation_filters
+        c, f = cfg.feat_dim, cfg.relation_filters
+        conv1 = _conv_init(rng, self.k1[0], self.k1[1], 2 * c, f)
         self.params = {
-            "conv1_w": _conv_init(rng, self.k1[0], self.k1[1], cin, f),
+            "conv1_map_w": conv1[:, :, :c].copy(),
+            "conv1_sig_w": conv1[:, :, c:].copy(),
             "bn1_g": np.ones(f),
             "bn1_b": np.zeros(f),
             "conv2_w": _conv_init(rng, self.k2[0], self.k2[1], f, 1),
@@ -303,9 +305,7 @@ class RelationGenerator:
                 f"relation inputs must be maps (..., {cell[0]}, {cell[1]}, {c}) and "
                 f"signatures broadcasting against them, got {shape} and {sig_shape}"
             )
-        w1 = p["conv1_w"]
-        x = (ad.conv2d(maps, ad.take(w1, np.s_[:, :, :c]))
-             + ad.conv2d(signature, ad.take(w1, np.s_[:, :, c:])))
+        x = ad.conv2d(maps, p["conv1_map_w"]) + ad.conv2d(signature, p["conv1_sig_w"])
         x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
                        self.buffers["bn1_var"], train)
         x = dropout(ad.relu(x), 0.5, rng if train else None)

@@ -94,7 +94,7 @@ class TrainConfig:
     tasks_per_epoch: int = 100
     temperature: float = 1.0
     variant_name: str = "app2s"
-    val_fraction: float = 0.2
+    val_fraction: float = 0.25
     val_tasks: int = 20
     seed: int = 0
 
@@ -239,24 +239,24 @@ class TrainResult:
     metrics_rows: list          # (epoch, task, accuracy, loss)
     best_val_accuracy: float
     val_history: list
-    accuracy_kind: str          # "validation", or "training" when no split was possible
+    accuracy_kind: str          # "validation", or "training" when val_fraction is 0
 
 
 def split_classes(dataset: Dataset, cfg: TrainConfig):
-    """Deterministic class split; validation gets the last fraction of class
-    ids, or nothing when too few classes remain for an episode."""
+    """Deterministic class split: validation gets the last `val_fraction` of
+    class ids, and nothing when `val_fraction` is 0. InsufficientDataError
+    when a positive fraction leaves either side too few classes for an
+    episode."""
     classes = dataset.classes
+    if cfg.val_fraction == 0.0:
+        return dataset, None
     n_val = int(round(cfg.val_fraction * classes.size))
     if n_val < cfg.n_way or classes.size - n_val < cfg.n_way:
-        if cfg.val_fraction > 0.0:
-            log.warning(
-                "validation is off: val_fraction=%g of %d classes leaves %d validation "
-                "and %d training classes, and %d-way episodes need %d on each side; "
-                "the model is selected on training accuracy",
-                cfg.val_fraction, classes.size, n_val, classes.size - n_val,
-                cfg.n_way, cfg.n_way,
-            )
-        return dataset, None
+        raise InsufficientDataError(
+            f"val_fraction {cfg.val_fraction:g} of {classes.size} classes leaves {n_val} "
+            f"validation and {classes.size - n_val} training classes, and {cfg.n_way}-way "
+            f"episodes need {cfg.n_way} on each side; val_fraction 0 trains without validation"
+        )
     return dataset.subset(classes[:-n_val]), dataset.subset(classes[-n_val:])
 
 
@@ -265,12 +265,13 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
     """Episodic training; returns the best model (by `accuracy_kind`) and metrics rows.
 
     `on_episode(info)` is invoked after every training episode (audit hook).
-    `init_state` warm-starts the model from a checkpoint state dict; the
-    optimizer state always starts fresh, so a resumed run is a deterministic
-    function of (checkpoint, config, seed) rather than a bit-level splice of
-    the original run. A non-finite loss, or a non-finite gradient of any
-    parameter (named in the message), raises TrainingDivergedError before
-    the optimizer step.
+    Every epoch is validated on the same `val_tasks` episodes, and none when
+    `val_fraction` is 0. `init_state` warm-starts the model from a checkpoint
+    state dict; the optimizer state always starts fresh, so a resumed run is
+    a deterministic function of (checkpoint, config, seed) rather than a
+    bit-level splice of the original run. A non-finite loss, or a non-finite
+    gradient of any parameter (named in the message), raises
+    TrainingDivergedError before the optimizer step.
     """
     h, w, c = dataset.dims
     if model_cfg is None:
@@ -286,7 +287,6 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
     optimizer = Adam(cfg.learning_rate, cfg.weight_decay)
     module_names = trainable_modules(cfg)
     train_spec = cfg.episode_spec()
-    val_spec = cfg.episode_spec(seed=cfg.seed + 2**32)
     decay_at = math.ceil(0.75 * cfg.epochs)
 
     rows = []
@@ -338,14 +338,8 @@ def train(dataset: Dataset, cfg: TrainConfig, model_cfg: ModelConfig | None = No
             step += 1
 
         if val_ds is not None:
-            accs = [
-                episode_forward(
-                    sample_episode(val_ds, val_spec, index=epoch * cfg.val_tasks + i),
-                    bundle, cfg,
-                )[1]["accuracy"]
-                for i in range(cfg.val_tasks)
-            ]
-            epoch_acc = float(np.mean(accs))
+            epoch_acc = evaluate(val_ds, bundle, cfg, n_epochs=1, tasks_per_epoch=cfg.val_tasks,
+                                 seed=cfg.seed + 2**32).mean_accuracy
         else:
             recent = [r[2] for r in rows[-cfg.tasks_per_epoch:]]
             epoch_acc = float(np.mean(recent))

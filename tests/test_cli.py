@@ -12,7 +12,7 @@ import pytest
 from gyroshot.cli import RunConfig, _derive_schema, main
 from gyroshot.episodes import SyntheticConfig
 from gyroshot.errors import ConfigError
-from gyroshot.netmods import ModelBundle, ModelConfig, load_checkpoint
+from gyroshot.netmods import CHECKPOINT_FORMAT, ModelBundle, ModelConfig, load_checkpoint
 from gyroshot.train import TrainConfig
 
 TINY = {
@@ -233,10 +233,11 @@ class TestPipeline:
         assert report.startswith(f"accuracy {np.mean(accs) * 100:.2f}%")
         assert f"over {len(accs)} tasks" in report
 
-    def test_quick_start_train_names_training_accuracy(self, tmp_path, capsys, caplog):
+    def test_quick_start_train_reports_validation_accuracy(self, tmp_path, capsys, caplog):
         """The README's quick-start config keeps the default val_fraction
-        0.2 of 20 classes, too few for a 5-way validation split, so training
-        selects on training accuracy, and the log, stdout and report say so."""
+        0.25 of 20 classes, which holds out 5 classes for 5-way validation,
+        so training selects on validation accuracy, and the log, stdout and
+        report say so."""
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         quick = json.loads(re.search(r"cat > config.json <<'EOF'\n(.*?)\nEOF", readme, re.S)[1])
         quick.update(dataset=str(tmp_path / "gen/dataset.bin"))
@@ -247,13 +248,13 @@ class TestPipeline:
         with caplog.at_level(logging.INFO, logger="gyroshot"):
             assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
         report = (tmp_path / "t/report.txt").read_text().splitlines()
-        assert capsys.readouterr().out.startswith("best training accuracy: ")
-        assert report[0].startswith("best training accuracy: ")
+        assert capsys.readouterr().out.startswith("best validation accuracy: ")
+        assert report[0].startswith("best validation accuracy: ")
         assert len(report) == 1 + quick["epochs"]
-        assert all(line.startswith(f"epoch {i}: training accuracy ")
+        assert all(line.startswith(f"epoch {i}: validation accuracy ")
                    for i, line in enumerate(report[1:]))
-        assert "epoch 2: training accuracy" in caplog.text
-        assert "validation accuracy" not in caplog.text
+        assert "epoch 2: validation accuracy" in caplog.text
+        assert "training accuracy" not in caplog.text
 
     def test_validated_train_names_validation_accuracy(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, dataset=str(tmp_path / "g/dataset.bin"), val_fraction=0.5)
@@ -347,9 +348,9 @@ class TestErrors:
         assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
         assert "ConfigError" in capsys.readouterr().err
 
-    def _config_error(self, tmp_path, capsys, command, **extra):
+    def _config_error(self, tmp_path, capsys, command, error="ConfigError", **extra):
         """stderr of a `command` run on a good dataset and a config with
-        `extra`, which must exit 1 with one ConfigError line."""
+        `extra`, which must exit 1 with one `error` line."""
         data = str(tmp_path / "g/dataset.bin")
         main(["gen", "--config", str(write_cfg(tmp_path, dataset=data)),
               "--out", str(tmp_path / "g")])
@@ -358,7 +359,7 @@ class TestErrors:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("ConfigError:")
+        assert err.startswith(f"{error}:")
         return err
 
     @pytest.mark.parametrize("command", ["gen", "train"])
@@ -371,6 +372,13 @@ class TestErrors:
     ])
     def test_negative_value_in_config_file(self, tmp_path, capsys, command, key):
         assert key in self._config_error(tmp_path, capsys, command, **{key: -1})
+
+    def test_unformable_validation_split(self, tmp_path, capsys):
+        """0.3 of 6 classes holds out 2, too few for a 3-way episode."""
+        err = self._config_error(tmp_path, capsys, "train", error="InsufficientDataError",
+                                 val_fraction=0.3)
+        assert "val_fraction 0.3 of 6 classes leaves 2 validation and 4 training" in err
+        assert "val_fraction 0 trains without validation" in err
 
     def test_zero_classes_rejected(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, n_classes=0)
@@ -414,7 +422,8 @@ class TestErrors:
 
     def test_malformed_checkpoint_header_reported(self, tmp_path, capsys):
         err = self._eval_error(tmp_path, capsys,
-                               checkpoint=b'{"format_version": 2, "tensors": 5}\n')
+                               checkpoint=json.dumps({"format_version": CHECKPOINT_FORMAT,
+                                                     "tensors": 5}).encode() + b"\n")
         assert err.startswith("DataFormatError:") and "header" in err
 
     @pytest.mark.parametrize("key,value", [

@@ -9,15 +9,23 @@ library, so a name that only its oracles call has no user on the model path.
 
 An autodiff function is referred to as a bare name inside `autodiff.py`, or
 as an `ad.X` or `autodiff.X` attribute elsewhere, so that `np.broadcast_to`
-does not count as a use of an op of the same name.
+does not count as a use of an op of the same name. `Var`'s operator methods
+name the ops they call, so each of those must itself be reached by a taped
+episode of some variant.
 """
 
 import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import gyroshot
 from gyroshot import autodiff as ad
+from gyroshot.episodes import SyntheticConfig, generate_synthetic, sample_episode
+from gyroshot.geometry import BallConfig
+from gyroshot.netmods import ModelBundle, ModelConfig
+from gyroshot.train import VARIANTS, TrainConfig, episode_forward
 
 PACKAGE = Path(gyroshot.__file__).parent
 SKIPPED_MODULES = {"__init__.py", "verify.py"}
@@ -80,3 +88,40 @@ def test_every_export_has_a_user_in_the_package():
             break
         used |= reached
     assert sorted(checked - used - CHECKING_TOOLS) == []
+
+
+#: the operator methods `Var` defines: every dunder function but the
+#: constructor and repr
+VAR_OPERATORS = sorted(
+    name for name, f in vars(ad.Var).items()
+    if inspect.isfunction(f) and name.startswith("__") and name not in ("__init__", "__repr__")
+)
+
+
+def test_every_var_operator_is_reached_by_a_taped_episode(monkeypatch):
+    """A default train-mode episode of each variant, forward and backward,
+    calls every operator method of `Var`."""
+    reached = set()
+
+    def counted(name, method):
+        def wrapper(*args):
+            reached.add(name)
+            return method(*args)
+        return wrapper
+
+    for name in VAR_OPERATORS:
+        monkeypatch.setattr(ad.Var, name, counted(name, vars(ad.Var)[name]))
+    ball = BallConfig(c=0.7)
+    dataset = generate_synthetic(SyntheticConfig(), ball)
+    for variant in sorted(VARIANTS):
+        cfg = TrainConfig(ball=ball).variant(variant)
+        bundle = ModelBundle(ModelConfig(in_dim=8, grid=(3, 3)), seed=cfg.seed)
+        tape = ad.Tape()
+        modules = bundle.modules()
+        params = {m: {k: tape.var(v) for k, v in modules[m].params.items()}
+                  for m in cfg.spec.modules}
+        loss, _ = episode_forward(sample_episode(dataset, cfg.episode_spec()), bundle, cfg,
+                                  params=params, train=True, rng=np.random.default_rng(0))
+        ad.backward(loss)
+    assert len(VAR_OPERATORS) >= 8
+    assert sorted(set(VAR_OPERATORS) - reached) == []

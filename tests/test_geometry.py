@@ -535,7 +535,7 @@ def test_taped_distance_matches_untaped():
 def _composite_log_map(x, y, cfg):
     """The unfused log map: Mobius addition, floored norm, conformal factor
     and arctanh as separate ops."""
-    m = mobius_add(ad.neg(x), y, cfg)
+    m = mobius_add(-1.0 * x, y, cfg)
     n = ad.norm(m, keepdims=True)
     n_safe = ad.where(val(n) > 1e-15, n, np.ones_like(val(n)))
     lam = conformal_factor(x, cfg, keepdims=True)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from gyroshot import autodiff as ad
+from gyroshot import netmods
 from gyroshot.errors import ConfigError, DataFormatError, ShapeError
 from gyroshot.geometry import BallConfig, geodesic_distance, in_ball, log_map
 from gyroshot.netmods import (
+    CHECKPOINT_FORMAT,
     Encoder,
     ModelBundle,
     ModelConfig,
@@ -303,12 +305,19 @@ class TestRelationGenerator:
         np.testing.assert_allclose(w, 0.25, rtol=1e-12)
 
 
+def _joint_kernel(rel):
+    """The relation net's first kernel as one (kh, kw, 2C, F) array: the
+    map half, then the signature half, on the channel axis."""
+    return np.concatenate([rel.params["conv1_map_w"], rel.params["conv1_sig_w"]], axis=2)
+
+
 def _concat_relation(rel, maps, sig, train=False, rng=None, params=None):
     """The relation net on explicit pairs: each (B, K, H, W, C) map is
     concatenated channel-wise with its (B, H, W, C) signature, and the
-    first conv reads all 2C channels at once. Maps and signatures are
-    plain arrays; `params` may hold Vars."""
-    p = params if params is not None else rel.params
+    first conv reads all 2C channels at once with the joint kernel
+    `conv1_w`. Maps and signatures are plain arrays; `params` may hold
+    Vars."""
+    p = params if params is not None else dict(rel.params, conv1_w=_joint_kernel(rel))
     shape = maps.shape
     pairs = np.concatenate([maps, np.broadcast_to(sig[:, None], shape)], axis=-1)
     g = pairs.reshape((-1,) + shape[2:-1] + (2 * shape[-1],))
@@ -361,15 +370,19 @@ class TestFactoredRelation:
     def test_conv1_gradient_matches_the_concatenated_input(self):
         cfg, maps, sig = _relation_case(43)
         w = rng(44).standard_normal((75, 5))
-        grads = []
-        for call in (lambda net, p: net(maps, sig[:, None], train=True, params=p),
-                     lambda net, p: _concat_relation(net, maps, sig, train=True, params=p)):
-            net = RelationGenerator(cfg, rng(45))
-            tape = ad.Tape()
-            params = {k: tape.var(v) for k, v in net.params.items()}
-            ad.backward(ad.sum(call(net, params) * w))
-            grads.append(params["conv1_w"].grad)
-        rel_err = np.max(np.abs(grads[0] - grads[1])) / np.max(np.abs(grads[1]))
+        net = RelationGenerator(cfg, rng(45))
+        tape = ad.Tape()
+        params = {k: tape.var(v) for k, v in net.params.items()}
+        ad.backward(ad.sum(net(maps, sig[:, None], train=True, params=params) * w))
+        factored = np.concatenate([params["conv1_map_w"].grad, params["conv1_sig_w"].grad],
+                                  axis=2)
+        net = RelationGenerator(cfg, rng(45))
+        tape = ad.Tape()
+        params = {k: tape.var(v) for k, v in net.params.items()}
+        params["conv1_w"] = tape.var(_joint_kernel(net))
+        ad.backward(ad.sum(_concat_relation(net, maps, sig, train=True, params=params) * w))
+        joint = params["conv1_w"].grad
+        rel_err = np.max(np.abs(factored - joint)) / np.max(np.abs(joint))
         assert rel_err < 1e-12
 
     def test_signature_half_runs_once_per_signature(self):
@@ -383,11 +396,26 @@ class TestFactoredRelation:
                         tape.var(sig.reshape(15, 5, 9, 16)), net, params=params)
         ops = [n.op for n in tape.nodes]
         assert "broadcast" not in ops and "concat" not in ops
-        assert ops.count("take") == 2
         assert max(n.value.ndim for n in tape.nodes) == 5
         convs = [n for n in tape.nodes if n.op == "conv2d"]
         assert [c.parents[0].value.shape for c in convs[:2]] == [(75, 5, 3, 3, 16),
                                                                  (75, 1, 3, 3, 16)]
+        # each half of the first kernel enters its conv as a leaf, uncut
+        assert [c.parents[1] for c in convs[:2]] == [params["conv1_map_w"],
+                                                     params["conv1_sig_w"]]
+
+    def test_first_kernel_is_drawn_whole_and_stored_as_halves(self):
+        """One (kh, kw, 2C, F) draw, as before the split, then conv2_w from
+        the same stream; each half is its own contiguous array."""
+        cfg = _relation_case()[0]
+        net = RelationGenerator(cfg, rng(50))
+        r = rng(50)
+        joint = netmods._conv_init(r, *net.k1, 2 * cfg.feat_dim, cfg.relation_filters)
+        np.testing.assert_array_equal(_joint_kernel(net), joint)
+        np.testing.assert_array_equal(net.params["conv2_w"],
+                                      netmods._conv_init(r, *net.k2, cfg.relation_filters, 1))
+        for name in ("conv1_map_w", "conv1_sig_w"):
+            assert net.params[name].flags.c_contiguous and net.params[name].flags.owndata
 
     def test_signature_must_broadcast_against_the_maps(self):
         cfg, maps, sig = _relation_case(48)
@@ -431,7 +459,8 @@ class TestModelBundle:
     def test_module_prefixes(self):
         bundle = ModelBundle(CFG, seed=0)
         keys = set(bundle.named_params())
-        assert "encoder.w1" in keys and "relation.conv1_w" in keys
+        assert "encoder.w1" in keys and "relation.conv1_map_w" in keys
+        assert "relation.conv1_sig_w" in keys and "relation.conv1_w" not in keys
         assert "relation.bn1_mean" in bundle.named_buffers()
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -501,19 +530,20 @@ class TestCheckpointFile:
         for tensors in (5, [dict(entry, shape=[2.5])], [dict(entry, shape="ab")],
                         [dict(entry, shape=[-1])], [dict(entry, shape=[True])],
                         [dict(entry, name=["a"])], [entry, entry]):
-            header = json.dumps({"format_version": 2, "tensors": tensors}).encode()
-            path.write_bytes(header + b"\n" + b"\x00" * 16)  # [entry, entry] fits
+            header = json.dumps({"format_version": CHECKPOINT_FORMAT, "tensors": tensors})
+            path.write_bytes(header.encode() + b"\n" + b"\x00" * 16)  # [entry, entry] fits
             with pytest.raises(DataFormatError, match="header"):
                 load_checkpoint(path)
 
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "t.bin"
-        path.write_bytes(b'{"format_version": 2, "tensors": [{"name": "a", "shape": [1], '
-                         b'"dtype": "<f4"}]}\n' + b"\x00" * 4)
+        header = {"format_version": CHECKPOINT_FORMAT,
+                  "tensors": [{"name": "a", "shape": [1], "dtype": "<f4"}]}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 4)
         with pytest.raises(DataFormatError, match="dtype"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [None, 1, 3])
+    @pytest.mark.parametrize("version", [None, 1, 2, 4])
     def test_other_format_version_rejected(self, tmp_path, version):
         path = tmp_path / "t.bin"
         save_checkpoint(path, self.tensors())
@@ -525,7 +555,8 @@ class TestCheckpointFile:
         else:
             header["format_version"] = version
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(DataFormatError, match=f"format_version {version}, expected 2"):
+        expected = f"format_version {version}, expected {CHECKPOINT_FORMAT}"
+        with pytest.raises(DataFormatError, match=expected):
             load_checkpoint(path)
 
     def test_truncated_data(self, tmp_path):

@@ -19,7 +19,7 @@ from gyroshot.cli import RunConfig
 # so the module itself must be fetched explicitly
 tr = importlib.import_module("gyroshot.train")
 from gyroshot.episodes import EpisodeSpec, SyntheticConfig, generate_synthetic, sample_episode
-from gyroshot.errors import ConfigError, TrainingDivergedError
+from gyroshot.errors import ConfigError, InsufficientDataError, TrainingDivergedError
 from gyroshot.geometry import BallConfig, einstein_midpoint, geodesic_distance
 from gyroshot.netmods import ModelBundle, ModelConfig
 
@@ -218,21 +218,23 @@ class TestEpisodeForward:
         assert info["accuracy"] == np.mean(info["predictions"] == info["labels"])
 
     def test_gradient_with_dropout_mask_fixed(self):
-        """FD check through the train-mode path (dropout active, same mask)."""
+        """FD check through the train-mode path (dropout active, same mask)
+        of both halves of the relation net's first kernel."""
         cfg = tiny_cfg()
         episode, _ = tiny_episode(cfg)
         bundle = ModelBundle(MODEL, seed=11)
 
-        def f(w1):
-            params = {"relation": dict(bundle.relation.params)}
-            params["relation"]["conv1_w"] = w1
-            return tr.episode_forward(
-                episode, bundle, cfg, params=params, train=True,
-                rng=np.random.default_rng(99),
-            )[0]
+        for name in ("conv1_map_w", "conv1_sig_w"):
+            def f(w1):
+                params = {"relation": dict(bundle.relation.params)}
+                params["relation"][name] = w1
+                return tr.episode_forward(
+                    episode, bundle, cfg, params=params, train=True,
+                    rng=np.random.default_rng(99),
+                )[0]
 
-        report = ad.finite_diff_check(f, bundle.relation.params["conv1_w"], tol=1e-3)
-        assert report.passed, report
+            report = ad.finite_diff_check(f, bundle.relation.params[name], tol=1e-3)
+            assert report.passed, (name, report)
 
 
 class TestOptimizers:
@@ -322,7 +324,8 @@ class TestTrainLoop:
         final = result.bundle.state_dict()
         assert not np.array_equal(final["encoder.w1"], init["encoder.w1"])
         np.testing.assert_array_equal(final["s2s.w1"], init["s2s.w1"])
-        np.testing.assert_array_equal(final["relation.conv1_w"], init["relation.conv1_w"])
+        for name in ("relation.conv1_map_w", "relation.conv1_sig_w"):
+            np.testing.assert_array_equal(final[name], init[name])
 
     def test_divergence_raises(self, monkeypatch):
         def exploding(*args, **kwargs):
@@ -363,23 +366,47 @@ class TestTrainLoop:
         np.testing.assert_array_equal(val_ds.classes, [3, 4])
         result = tr.train(ds, cfg, MODEL)
         assert len(result.val_history) == cfg.epochs
+        assert result.accuracy_kind == "validation"
 
-    def test_split_none_when_too_few_classes(self, caplog):
+    def test_no_validation_selects_on_training_accuracy(self):
+        result = tr.train(tiny_dataset(), tiny_cfg(epochs=2), MODEL)
+        assert result.accuracy_kind == "training"
+        assert result.val_history == [
+            float(np.mean([r[2] for r in result.metrics_rows if r[0] == epoch]))
+            for epoch in range(2)
+        ]
+
+    def test_split_raises_when_too_few_classes(self):
         ds = tiny_dataset()
-        with caplog.at_level(logging.WARNING, logger="gyroshot"):
-            train_ds, val_ds = tr.split_classes(ds, tiny_cfg(val_fraction=0.1))
-        assert val_ds is None
-        assert train_ds.classes.size == 5
-        assert "validation is off" in caplog.text
-        assert "of 5 classes leaves 0 validation and 5 training classes" in caplog.text
+        for fraction, n_val in ((0.1, 0), (0.8, 4)):
+            with pytest.raises(InsufficientDataError) as err:
+                tr.split_classes(ds, tiny_cfg(val_fraction=fraction))
+            assert (f"val_fraction {fraction:g} of 5 classes leaves {n_val} validation and "
+                    f"{5 - n_val} training classes, and 2-way episodes need 2 on each side"
+                    ) in str(err.value)
+            assert "val_fraction 0 trains without validation" in str(err.value)
+            with pytest.raises(InsufficientDataError):
+                tr.train(ds, tiny_cfg(val_fraction=fraction), MODEL)
 
-    def test_default_val_fraction_warns_on_twenty_classes(self, caplog):
+    def test_default_val_fraction_splits_twenty_classes_15_5(self):
         ds = generate_synthetic(SyntheticConfig(n_classes=20, samples_per_class=2), BALL)
-        with caplog.at_level(logging.WARNING, logger="gyroshot"):
-            _, val_ds = tr.split_classes(ds, tr.TrainConfig())
-        assert val_ds is None
-        assert "val_fraction=0.2 of 20 classes leaves 4 validation and 16 training" in caplog.text
-        assert "5-way episodes need 5 on each side" in caplog.text
+        train_ds, val_ds = tr.split_classes(ds, tr.TrainConfig())
+        np.testing.assert_array_equal(train_ds.classes, np.arange(15))
+        np.testing.assert_array_equal(val_ds.classes, np.arange(15, 20))
+
+    def test_every_epoch_validates_on_the_same_episodes(self, monkeypatch):
+        cfg = tiny_cfg(val_fraction=0.4, val_tasks=3, epochs=3, tasks_per_epoch=2)
+        sample, drawn = tr.sample_episode, []
+
+        def recorded(dataset, spec, index=0):
+            drawn.append((spec.seed, index))
+            return sample(dataset, spec, index)
+
+        monkeypatch.setattr(tr, "sample_episode", recorded)
+        tr.train(tiny_dataset(), cfg, MODEL)
+        val_pairs = [d for d in drawn if d[0] != cfg.seed]
+        expect = [(cfg.seed + 2**32, i) for i in range(cfg.val_tasks)]
+        assert val_pairs == expect * cfg.epochs
 
     def test_no_warning_when_validation_not_requested(self, caplog):
         with caplog.at_level(logging.WARNING, logger="gyroshot"):
@@ -519,7 +546,7 @@ def _composite_softmax(x, axis=-1):
 
 
 def _composite_geodesic(x, y, cfg):
-    m = geometry.mobius_add(-x, y, cfg)
+    m = geometry.mobius_add(-1.0 * x, y, cfg)
     return (2.0 / cfg.sqrt_c) * ad.arctanh(cfg.sqrt_c * ad.norm(m))
 
 
@@ -652,11 +679,12 @@ def test_prototype_episode_records_at_most_82_nodes():
     assert _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")) <= 82
 
 
-def test_app2s_episode_records_at_most_140_nodes(monkeypatch):
-    """A default taped app2s episode, its 29 parameter leaves included,
-    records 140 nodes (179 with the composite log map and the relation net
+def test_app2s_episode_records_at_most_139_nodes(monkeypatch):
+    """A default taped app2s episode, its 30 parameter leaves included,
+    records 139 nodes (179 with the composite log map and the relation net
     on concatenated pairs, 146 with the midpoint through the forward Klein
-    map). The tangent projection records 2: the base point's reshape and
+    map, 140 with the relation net's first kernel cut in two on the tape).
+    The tangent projection records 2: the base point's reshape and
     one log_map node (37 with the composite)."""
     project, counts = netmods.project_support, []
 
@@ -669,7 +697,7 @@ def test_app2s_episode_records_at_most_140_nodes(monkeypatch):
     monkeypatch.setattr(netmods, "project_support", counted)
     size = _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)))
     assert len(counts) == 1 and counts[0] <= 2
-    assert size <= 140
+    assert size <= 139
 
 
 def test_app2s_step_records_no_node_above_5d_outside_pairwise(monkeypatch):
@@ -711,6 +739,6 @@ def test_lazy_backward_matches_eager_sweep_bit_for_bit(monkeypatch):
     lazy = _default_param_grads(cfg)
     monkeypatch.setattr(ad, "record", _eager_record)
     eager = _default_param_grads(cfg, _eager_backward)
-    assert lazy.keys() == eager.keys() and len(lazy) == 29
+    assert lazy.keys() == eager.keys() and len(lazy) == 30
     for name, g in eager.items():
         np.testing.assert_array_equal(lazy[name], g, err_msg=name)
