@@ -27,6 +27,7 @@ from .errors import (
     TapeError,
     TrainingDivergedError,
 )
+from .fileio import load_tensors, save_tensors
 from .geometry import (
     BallConfig,
     clip_to_ball,
@@ -51,8 +52,6 @@ from .netmods import (
     RelationGenerator,
     S2SNetwork,
     SignatureGenerator,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .train import (
     EvalReport,
@@ -104,15 +103,15 @@ __all__ = [
     "generate_synthetic",
     "geodesic_distance",
     "klein_to_poincare",
-    "load_checkpoint",
     "load_features",
+    "load_tensors",
     "log_map",
     "mobius_add",
     "pairwise_matrix",
     "run_robustness",
     "s2s_learned",
     "sample_episode",
-    "save_checkpoint",
     "save_dataset",
+    "save_tensors",
     "train",
 ]

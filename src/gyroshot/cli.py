@@ -27,9 +27,9 @@ from .episodes import (
     save_dataset,
 )
 from .errors import ConfigError, GyroshotError
-from .fileio import atomic_write
+from .fileio import atomic_write, load_tensors
 from .geometry import BallConfig
-from .netmods import ModelBundle, ModelConfig, load_checkpoint
+from .netmods import ModelBundle, ModelConfig
 from .train import (
     TrainConfig,
     evaluate,
@@ -211,7 +211,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     dataset = load_features(_require(cfg, "dataset"), cfg.ball())
     init_state = None
     if cfg.resume is not None:
-        init_state = load_checkpoint(cfg.resume)
+        init_state = load_tensors(cfg.resume)
         log.info("resuming from %s", cfg.resume)
     result = train(dataset, cfg.train_cfg(), cfg.model_cfg(dataset.dims),
                    init_state=init_state)

@@ -1,13 +1,10 @@
 """Synthetic on-manifold datasets, episode sampling, and dataset file IO.
 
-Dataset file layout (little endian throughout):
-
-    line 1:  JSON header {"n_samples", "H", "W", "C", "n_classes"} + "\\n"
-    body:    n_samples records of [uint32 class id][H*W*C float32 features]
-
-Features are patch coordinates on the ball, row-major over (H, W, C).
-Generated features are quantized through float32 once at creation so a
-save -> load roundtrip is bit-identical.
+A dataset file is a tensor file (`fileio`) holding two tensors: `features`,
+`<f4` of shape (S, H, W, C), the patch coordinates on the ball, and
+`labels`, `<u4` of shape (S,), one class id per sample. Generated features
+are quantized through float32 once at creation so a save -> load roundtrip
+is bit-identical.
 
 Synthetic family: each class owns a few tangent-space subcenters (modes)
 around a class center; a sample picks one mode and adds per-patch Gaussian
@@ -18,16 +15,13 @@ midpoint cannot represent them, while per-sample set distances can.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, InsufficientDataError, ShapeError
-from .fileio import atomic_write
+from .fileio import load_tensors, save_tensors
 from .geometry import BallConfig, clip_to_ball, exp_map
-
-_HEADER_KEYS = {"n_samples", "H", "W", "C", "n_classes"}
 
 
 @dataclass(frozen=True)
@@ -211,63 +205,27 @@ def _draw_outliers(dataset: Dataset, others: np.ndarray, n: int, rng):
 
 def save_dataset(dataset: Dataset, path) -> None:
     h, w, c = dataset.dims
-    header = {
-        "n_samples": int(dataset.n_samples),
-        "H": int(h),
-        "W": int(w),
-        "C": int(c),
-        "n_classes": int(dataset.labels.max()) + 1 if dataset.n_samples else 0,
-    }
-    rec = np.dtype([("label", "<u4"), ("feat", "<f4", (h * w * c,))])
-    body = np.empty(dataset.n_samples, dtype=rec)
-    body["label"] = dataset.labels
-    body["feat"] = dataset.features.reshape(dataset.n_samples, -1)
-    with atomic_write(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8") + b"\n")
-        f.write(body.tobytes())
+    save_tensors(path, {
+        "features": dataset.features.reshape(dataset.n_samples, h, w, c).astype("<f4"),
+        "labels": dataset.labels.astype("<u4"),
+    })
 
 
 def load_features(path, cfg: BallConfig | None = None) -> Dataset:
     """Read a dataset file; with a BallConfig the features are clipped into
     that ball on load (otherwise taken as stored)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise DataFormatError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as e:
-        raise DataFormatError(f"{path}: header is not valid JSON ({e})") from e
-    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+    tensors = load_tensors(path)
+    if sorted(tensors) != ["features", "labels"]:
+        raise DataFormatError(f"{path}: tensors {sorted(tensors)}, not ['features', 'labels']")
+    feats, labels = tensors["features"], tensors["labels"]
+    if feats.dtype.str != "<f4" or feats.ndim != 4 or 0 in feats.shape[1:] \
+            or labels.dtype.str != "<u4" or labels.shape != feats.shape[:1]:
         raise DataFormatError(
-            f"{path}: header keys {sorted(header) if isinstance(header, dict) else header} "
-            f"!= {sorted(_HEADER_KEYS)}"
+            f"{path}: a dataset holds <f4 features (S, H, W, C), H, W, C > 0, and <u4 labels "
+            f"(S,); got {feats.dtype.str} {feats.shape} and {labels.dtype.str} {labels.shape}"
         )
-    try:
-        n, h, w, c = (int(header[k]) for k in ("n_samples", "H", "W", "C"))
-        n_classes = int(header["n_classes"])
-    except (TypeError, ValueError) as e:
-        raise DataFormatError(f"{path}: non-integer header field ({e})") from e
-    if min(n, h, w, c, n_classes) < 0 or min(h, w, c) == 0:
-        raise DataFormatError(f"{path}: header sizes out of range")
-
-    body = raw[nl + 1:]
-    stride = 4 + 4 * h * w * c
-    if len(body) != n * stride:
-        got_records, leftover = divmod(len(body), stride)
-        raise DataFormatError(
-            f"{path}: body holds {got_records} records + {leftover} bytes "
-            f"(byte offset {nl + 1 + got_records * stride}), header says {n}"
-        )
-    rec = np.dtype([("label", "<u4"), ("feat", "<f4", (h * w * c,))])
-    records = np.frombuffer(body, dtype=rec)
-    labels = records["label"].astype(np.int64)
-    if n and labels.max() >= n_classes:
-        raise DataFormatError(
-            f"{path}: label {labels.max()} out of range for {n_classes} classes"
-        )
-    feats = records["feat"].astype(np.float64).reshape(n, h * w, c)
+    n, h, w, c = feats.shape
+    feats = feats.astype(np.float64).reshape(n, h * w, c)
     if cfg is not None:
         feats = clip_to_ball(feats, cfg)
-    return Dataset(features=feats, labels=labels, dims=(h, w, c))
+    return Dataset(features=feats, labels=labels.astype(np.int64), dims=(h, w, c))

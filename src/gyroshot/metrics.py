@@ -42,8 +42,6 @@ def pairwise_matrix(q, s, cfg: BallConfig, dist_fn=None):
     """
     qp, sp = _check_set(q), _check_set(s)
     qs, ss = np.shape(val(qp)), np.shape(val(sp))
-    if qs[-1] != ss[-1]:
-        raise ShapeError(f"patch widths differ: {qs[-1]} vs {ss[-1]}")
     q_e = ad.reshape(qp, qs[:-1] + (1, qs[-1]))
     s_e = ad.reshape(sp, ss[:-2] + (1,) + ss[-2:])
     if dist_fn is None:

@@ -27,23 +27,18 @@ The four modules:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
 from .errors import ConfigError, DataFormatError, ShapeError
-from .fileio import atomic_write
+from .fileio import load_tensors, save_tensors
 from .geometry import BallConfig, clip_to_ball, in_ball, log_map
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
-#: checkpoint header version; 3 is the first with the relation net's first
-#: kernel stored as its two halves
-CHECKPOINT_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -422,10 +417,11 @@ class ModelBundle:
         for mod_name, mod in self.modules().items():
             for store in (mod.params, mod.buffers):
                 for k in store:
-                    new = np.asarray(state[f"{mod_name}.{k}"], dtype=np.float64)
-                    if new.shape != store[k].shape:
+                    new = np.asarray(state[f"{mod_name}.{k}"])
+                    if new.dtype != np.float64 or new.shape != store[k].shape:
                         raise DataFormatError(
-                            f"tensor {mod_name}.{k} has shape {new.shape}, expected {store[k].shape}"
+                            f"tensor {mod_name}.{k} is {new.dtype} of shape {new.shape}, "
+                            f"expected float64 of shape {store[k].shape}"
                         )
                     store[k] = new.copy()
 
@@ -433,72 +429,10 @@ class ModelBundle:
         return {k: v.copy() for k, v in self.state_dict().items()}
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.state_dict())
+        save_tensors(path, self.state_dict())
 
     @classmethod
     def load(cls, path, cfg: ModelConfig, seed: int = 0) -> "ModelBundle":
         bundle = cls(cfg, seed=seed)
-        bundle.load_state(load_checkpoint(path))
+        bundle.load_state(load_tensors(path))
         return bundle
-
-
-def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """One JSON header line (format version, names, shapes, dtype) then raw
-    little-endian blocks, written atomically."""
-    header = {
-        "format_version": CHECKPOINT_FORMAT,
-        "tensors": [
-            {"name": k, "shape": list(np.shape(v)), "dtype": "<f8"} for k, v in tensors.items()
-        ]
-    }
-    with atomic_write(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for v in tensors.values():
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    raw = path.read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise DataFormatError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-        version = header.get("format_version")
-        entries = header["tensors"]
-    except (ValueError, KeyError, AttributeError, UnicodeDecodeError) as e:
-        raise DataFormatError(f"{path}: bad checkpoint header ({e})") from e
-    if version != CHECKPOINT_FORMAT:
-        raise DataFormatError(
-            f"{path}: checkpoint format_version {version}, expected {CHECKPOINT_FORMAT}"
-        )
-    if not isinstance(entries, list):
-        raise DataFormatError(f"{path}: bad checkpoint header ('tensors' is not a list: {entries!r})")
-    out = {}
-    offset = nl + 1
-    for entry in entries:
-        try:
-            name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
-        except (KeyError, TypeError) as e:
-            raise DataFormatError(f"{path}: malformed tensor entry {entry}") from e
-        if not isinstance(name, str) or not isinstance(shape, list) or not all(
-            type(n) is int and n >= 0 for n in shape
-        ):
-            raise DataFormatError(
-                f"{path}: bad checkpoint header (tensor entry {entry} needs a string "
-                f"name and a list of non-negative integer dimensions)"
-            )
-        if name in out:
-            raise DataFormatError(f"{path}: bad checkpoint header (duplicate tensor name {name!r})")
-        if dtype != "<f8":
-            raise DataFormatError(f"{path}: tensor {name} has unsupported dtype {dtype}")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(raw):
-            raise DataFormatError(f"{path}: truncated at byte {len(raw)} reading {name}")
-        out[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes after tensor data")
-    return out

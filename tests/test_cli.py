@@ -12,7 +12,8 @@ import pytest
 from gyroshot.cli import RunConfig, _derive_schema, main
 from gyroshot.episodes import SyntheticConfig
 from gyroshot.errors import ConfigError
-from gyroshot.netmods import CHECKPOINT_FORMAT, ModelBundle, ModelConfig, load_checkpoint
+from gyroshot.fileio import FORMAT_VERSION, load_tensors, save_tensors
+from gyroshot.netmods import ModelBundle, ModelConfig
 from gyroshot.train import TrainConfig
 
 TINY = {
@@ -217,7 +218,7 @@ class TestPipeline:
         assert echoed["n_classes"] == 6 and echoed["seed"] == 0
 
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "train")]) == 0
-        ckpt = load_checkpoint(tmp_path / "train/checkpoint.bin")
+        ckpt = load_tensors(tmp_path / "train/checkpoint.bin")
         assert "encoder.w1" in ckpt
         lines = (tmp_path / "train/metrics.csv").read_text().splitlines()
         assert lines[0] == "epoch,task,accuracy,loss"
@@ -395,15 +396,62 @@ class TestErrors:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "Error" in capsys.readouterr().err
 
-    def test_corrupt_checkpoint_reported(self, tmp_path, capsys):
-        cfg_path = write_cfg(
-            tmp_path,
-            dataset=str(tmp_path / "g/dataset.bin"),
-            checkpoint=str(tmp_path / "g/dataset.bin"),  # wrong file on purpose
-        )
-        main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "g")])
-        assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-        assert "DataFormatError" in capsys.readouterr().err
+    def _artifact_error(self, tmp_path, capsys, role, write):
+        """stderr of a run whose `role` file ("dataset", read by `train`, or
+        "checkpoint", read by `eval`) is made by `write(good, path)`, where
+        `good` maps each role to a valid file; the run must exit 1 with one
+        `DataFormatError` line."""
+        good = {"dataset": tmp_path / "g/dataset.bin", "checkpoint": tmp_path / "ckpt.bin"}
+        main(["gen", "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "g")])
+        ModelBundle(RunConfig(TINY).model_cfg((2, 2, 4))).save(good["checkpoint"])
+        paths = dict(good, **{role: tmp_path / "bad.bin"})
+        write(good, paths[role])
+        cfg_path = write_cfg(tmp_path, fname="run.json", dataset=str(paths["dataset"]),
+                             checkpoint=str(paths["checkpoint"]))
+        capsys.readouterr()
+        command = {"dataset": "train", "checkpoint": "eval"}[role]
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("DataFormatError:")
+        return err
+
+    @pytest.mark.parametrize("role,expected", [
+        ("dataset", "not ['features', 'labels']"),
+        ("checkpoint", "unexpected ['features', 'labels']"),
+    ], ids=["checkpoint-as-dataset", "dataset-as-checkpoint"])
+    def test_wrong_kind_of_file_reported(self, tmp_path, capsys, role, expected):
+        other = {"dataset": "checkpoint", "checkpoint": "dataset"}[role]
+        err = self._artifact_error(tmp_path, capsys, role,
+                                   lambda good, path: path.write_bytes(good[other].read_bytes()))
+        assert expected in err
+
+    @pytest.mark.parametrize("role", ["dataset", "checkpoint"])
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4], [0, 2**70]],
+                             ids=["2^32x2^32", "2^62x4", "0x2^70"])
+    def test_oversized_shape_reported(self, tmp_path, capsys, role, shape):
+        def write(good, path):
+            entry = {"name": "features", "shape": shape, "dtype": "<f4"}
+            header = {"format_version": FORMAT_VERSION, "tensors": [entry]}
+            path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 64)
+        assert "too large for one array" in self._artifact_error(tmp_path, capsys, role, write)
+
+    @pytest.mark.parametrize("role,name", [("dataset", "features"),
+                                           ("checkpoint", "relation.bn2_g")])
+    def test_nonfinite_tensor_reported(self, tmp_path, capsys, role, name):
+        def write(good, path):
+            tensors = load_tensors(good[role])
+            tensors[name][...] = np.nan
+            save_tensors(path, tensors)
+        err = self._artifact_error(tmp_path, capsys, role, write)
+        assert f"tensor {name} holds NaN or inf" in err
+
+    def test_old_dataset_layout_reported(self, tmp_path, capsys):
+        """The packed-record layout that preceded tensor files."""
+        def write(good, path):
+            header = {"n_samples": 1, "H": 2, "W": 2, "C": 4, "n_classes": 1}
+            path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 68)
+        err = self._artifact_error(tmp_path, capsys, "dataset", write)
+        assert "format_version None, expected" in err
 
     def _eval_error(self, tmp_path, capsys, checkpoint=None, **extra):
         """stderr of an `eval` run that must exit 1 with one error line."""
@@ -422,7 +470,7 @@ class TestErrors:
 
     def test_malformed_checkpoint_header_reported(self, tmp_path, capsys):
         err = self._eval_error(tmp_path, capsys,
-                               checkpoint=json.dumps({"format_version": CHECKPOINT_FORMAT,
+                               checkpoint=json.dumps({"format_version": FORMAT_VERSION,
                                                      "tensors": 5}).encode() + b"\n")
         assert err.startswith("DataFormatError:") and "header" in err
 

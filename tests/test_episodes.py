@@ -15,6 +15,7 @@ from gyroshot.episodes import (
     save_dataset,
 )
 from gyroshot.errors import ConfigError, DataFormatError, InsufficientDataError, ShapeError
+from gyroshot.fileio import FORMAT_VERSION, save_tensors
 from gyroshot.geometry import BallConfig, in_ball
 
 BALL = BallConfig(c=0.7)
@@ -213,7 +214,10 @@ class TestDatasetFile:
         path = tmp_path / "d.bin"
         save_dataset(ds, path)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header == {"n_samples": 60, "H": 2, "W": 2, "C": 4, "n_classes": 6}
+        assert header == {"format_version": FORMAT_VERSION, "tensors": [
+            {"name": "features", "shape": [60, 2, 2, 4], "dtype": "<f4"},
+            {"name": "labels", "shape": [60], "dtype": "<u4"},
+        ]}
 
     def test_missing_newline(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -222,9 +226,22 @@ class TestDatasetFile:
             load_features(path)
 
     def test_wrong_header_keys(self, tmp_path):
+        """A tensor file whose tensors are not `features` and `labels`."""
         path = tmp_path / "d.bin"
-        path.write_bytes(b'{"n_samples": 1}\n')
-        with pytest.raises(DataFormatError, match="header keys"):
+        save_tensors(path, {"features": np.zeros((1, 1, 1, 1), "<f4"), "lbl": np.zeros(1, "<u4")})
+        with pytest.raises(DataFormatError, match=r"\['features', 'lbl'\]"):
+            load_features(path)
+
+    @pytest.mark.parametrize("features,labels", [
+        (np.zeros((2, 1, 1, 1), "<f8"), np.zeros(2, "<u4")),
+        (np.zeros((2, 1, 1), "<f4"), np.zeros(2, "<u4")),
+        (np.zeros((2, 1, 0, 1), "<f4"), np.zeros(2, "<u4")),
+        (np.zeros((2, 1, 1, 1), "<f4"), np.zeros(2, "<f4")),
+    ])
+    def test_wrong_tensor_dtype_or_rank(self, tmp_path, features, labels):
+        path = tmp_path / "d.bin"
+        save_tensors(path, {"features": features, "labels": labels})
+        with pytest.raises(DataFormatError, match="a dataset holds"):
             load_features(path)
 
     def test_truncated_body_reports_offset(self, tmp_path):
@@ -233,16 +250,12 @@ class TestDatasetFile:
         save_dataset(ds, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
-        with pytest.raises(DataFormatError, match="byte offset"):
+        with pytest.raises(DataFormatError, match=f"truncated at byte {len(raw) - 10}"):
             load_features(path)
 
-    def test_label_out_of_range(self, tmp_path):
-        ds = generate_synthetic(SMALL, BALL)
+    def test_labels_features_length_mismatch(self, tmp_path):
         path = tmp_path / "d.bin"
-        save_dataset(ds, path)
-        raw = bytearray(path.read_bytes())
-        nl = raw.find(b"\n")
-        raw[nl + 1:nl + 5] = (99).to_bytes(4, "little")  # first record's label
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataFormatError, match="label"):
+        save_tensors(path, {"features": np.zeros((3, 1, 1, 2), "<f4"),
+                            "labels": np.zeros(2, "<u4")})
+        with pytest.raises(DataFormatError, match=r"\(3, 1, 1, 2\) and <u4 \(2,\)"):
             load_features(path)

@@ -1,7 +1,9 @@
-"""Atomic artifact writes: a failed write leaves the previous file intact."""
+"""Artifact files: a failed write leaves the previous file intact, and the
+tensor-file reader turns every bad file into one `DataFormatError`."""
 
 import errno
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,9 @@ import pytest
 
 from gyroshot import cli, fileio
 from gyroshot.episodes import SyntheticConfig, generate_synthetic, save_dataset
-from gyroshot.fileio import atomic_write
+from gyroshot.errors import DataFormatError
+from gyroshot.fileio import FORMAT_VERSION, atomic_write, load_tensors, save_tensors
 from gyroshot.geometry import BallConfig
-from gyroshot.netmods import save_checkpoint
 
 tr = importlib.import_module("gyroshot.train")
 
@@ -35,7 +37,7 @@ class _DiskFull:
 
 
 WRITERS = {
-    "save_checkpoint": lambda p: save_checkpoint(p, {"w": np.ones((2, 3))}),
+    "save_tensors": lambda p: save_tensors(p, {"w": np.ones((2, 3))}),
     "save_dataset": lambda p: save_dataset(
         generate_synthetic(SyntheticConfig(n_classes=2, samples_per_class=2, patch_dim=2,
                                            grid=(1, 2), n_modes=1), BallConfig(c=1.0)), p),
@@ -87,3 +89,33 @@ def test_only_write_modes_accepted(tmp_path):
     with pytest.raises(ValueError):
         with atomic_write(tmp_path / "x", "a"):
             pass
+
+
+def test_unsupported_dtype_not_written(tmp_path):
+    with pytest.raises(DataFormatError, match="tensor i has unsupported dtype <i8"):
+        save_tensors(tmp_path / "t.bin", {"i": np.arange(3, dtype="<i8")})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4], [0, 2**70], [0, 2**60]],
+                         ids=["2^32x2^32", "2^62x4", "0x2^70", "0x2^60"])
+def test_oversized_shape_rejected(tmp_path, shape):
+    """A shape whose byte count overflows int64 (or numpy's array limit,
+    even with a zero side) is a bad header, not a numpy ValueError."""
+    path = tmp_path / "t.bin"
+    header = {"format_version": FORMAT_VERSION,
+              "tensors": [{"name": "big", "shape": shape, "dtype": "<f8"}]}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 64)
+    with pytest.raises(DataFormatError, match="bad header .tensor big has shape"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_float_tensor_rejected(tmp_path, dtype, bad):
+    path = tmp_path / "t.bin"
+    weights = np.ones(4, dtype)
+    weights[2] = bad
+    save_tensors(path, {"ok": np.ones(2), "weights": weights})
+    with pytest.raises(DataFormatError, match="tensor weights holds NaN or inf"):
+        load_tensors(path)

@@ -11,7 +11,7 @@ import pytest
 
 from gyroshot import autodiff as ad
 from gyroshot.errors import DomainError, ShapeError
-from gyroshot.geometry import BallConfig, geodesic_distance
+from gyroshot.geometry import BallConfig, flat_distance, geodesic_distance
 from gyroshot.metrics import adaptive_combine, pairwise_matrix, s2s_learned
 from gyroshot.netmods import ModelConfig, S2SNetwork
 
@@ -59,6 +59,12 @@ class TestPairwiseMatrix:
     def test_width_mismatch_raises(self):
         with pytest.raises(ShapeError):
             pairwise_matrix(np.zeros((3, 2)), np.zeros((3, 4)), C1)
+
+    @pytest.mark.parametrize("dist_fn,op", [(None, "geodesic_distance"),
+                                            (flat_distance, "flat_distance")])
+    def test_width_mismatch_raised_by_the_distance(self, dist_fn, op):
+        with pytest.raises(ShapeError, match=f"{op}: coordinate widths differ"):
+            pairwise_matrix(np.zeros((3, 2)), np.zeros((3, 4)), C1, dist_fn=dist_fn)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ShapeError):

@@ -8,9 +8,9 @@ import pytest
 from gyroshot import autodiff as ad
 from gyroshot import netmods
 from gyroshot.errors import ConfigError, DataFormatError, ShapeError
+from gyroshot.fileio import FORMAT_VERSION, load_tensors, save_tensors
 from gyroshot.geometry import BallConfig, geodesic_distance, in_ball, log_map
 from gyroshot.netmods import (
-    CHECKPOINT_FORMAT,
     Encoder,
     ModelBundle,
     ModelConfig,
@@ -20,10 +20,8 @@ from gyroshot.netmods import (
     batch_norm,
     dropout,
     layer_norm,
-    load_checkpoint,
     project_support,
     relation_scores,
-    save_checkpoint,
     sinusoidal_grid_encoding,
 )
 
@@ -500,53 +498,65 @@ class TestModelBundle:
 class TestCheckpointFile:
     def tensors(self):
         r = rng(37)
-        return {"a": r.random((2, 3)), "b": r.random(4), "c": np.array(2.5)}
+        return {"a": r.random((2, 3)), "b": r.random(4), "c": np.array(2.5),
+                "d": np.arange(3, dtype="<u4"), "e": np.array([1.5, -2], ">f4"),
+                "f": np.zeros((0, 3))}
 
     def test_roundtrip_exact(self, tmp_path):
         path = tmp_path / "t.bin"
         t = self.tensors()
-        save_checkpoint(path, t)
-        back = load_checkpoint(path)
-        assert set(back) == set(t)
+        save_tensors(path, t)
+        back = load_tensors(path)
+        assert list(back) == list(t)
         for k in t:
             np.testing.assert_array_equal(back[k], t[k])
-            assert back[k].shape == t[k].shape
+            assert back[k].shape == t[k].shape and back[k].flags.writeable
+            assert back[k].dtype == t[k].dtype.newbyteorder("<")
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(b"\x00" * 16)
         with pytest.raises(DataFormatError, match="header"):
-            load_checkpoint(path)
+            load_tensors(path)
 
     def test_bad_json_header(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(b"{not json\n" + b"\x00" * 8)
         with pytest.raises(DataFormatError, match="header"):
-            load_checkpoint(path)
+            load_tensors(path)
         path.write_bytes(b"[1, 2]\n" + b"\x00" * 8)
         with pytest.raises(DataFormatError, match="header"):
-            load_checkpoint(path)
+            load_tensors(path)
         entry = {"name": "a", "shape": [1], "dtype": "<f8"}
         for tensors in (5, [dict(entry, shape=[2.5])], [dict(entry, shape="ab")],
                         [dict(entry, shape=[-1])], [dict(entry, shape=[True])],
                         [dict(entry, name=["a"])], [entry, entry]):
-            header = json.dumps({"format_version": CHECKPOINT_FORMAT, "tensors": tensors})
+            header = json.dumps({"format_version": FORMAT_VERSION, "tensors": tensors})
             path.write_bytes(header.encode() + b"\n" + b"\x00" * 16)  # [entry, entry] fits
             with pytest.raises(DataFormatError, match="header"):
-                load_checkpoint(path)
+                load_tensors(path)
 
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "t.bin"
-        header = {"format_version": CHECKPOINT_FORMAT,
-                  "tensors": [{"name": "a", "shape": [1], "dtype": "<f4"}]}
-        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 4)
+        header = {"format_version": FORMAT_VERSION,
+                  "tensors": [{"name": "a", "shape": [1], "dtype": "<i8"}]}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 8)
         with pytest.raises(DataFormatError, match="dtype"):
-            load_checkpoint(path)
+            load_tensors(path)
+
+    def test_float32_checkpoint_tensor_rejected(self, tmp_path):
+        """A tensor file may hold <f4, a checkpoint may not."""
+        path = tmp_path / "t.bin"
+        state = ModelBundle(CFG, seed=0).copy_state()
+        state["s2s.w2"] = state["s2s.w2"].astype("<f4")
+        save_tensors(path, state)
+        with pytest.raises(DataFormatError, match="s2s.w2 is float32 .*expected float64"):
+            ModelBundle.load(path, CFG)
 
     @pytest.mark.parametrize("version", [None, 1, 2, 4])
     def test_other_format_version_rejected(self, tmp_path, version):
         path = tmp_path / "t.bin"
-        save_checkpoint(path, self.tensors())
+        save_tensors(path, self.tensors())
         raw = path.read_bytes()
         header, body = raw.split(b"\n", 1)
         header = json.loads(header)
@@ -555,21 +565,21 @@ class TestCheckpointFile:
         else:
             header["format_version"] = version
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        expected = f"format_version {version}, expected {CHECKPOINT_FORMAT}"
+        expected = f"format_version {version}, expected {FORMAT_VERSION}"
         with pytest.raises(DataFormatError, match=expected):
-            load_checkpoint(path)
+            load_tensors(path)
 
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "t.bin"
-        save_checkpoint(path, self.tensors())
+        save_tensors(path, self.tensors())
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(DataFormatError, match="truncated"):
-            load_checkpoint(path)
+            load_tensors(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.bin"
-        save_checkpoint(path, self.tensors())
+        save_tensors(path, self.tensors())
         path.write_bytes(path.read_bytes() + b"\x00" * 3)
         with pytest.raises(DataFormatError, match="trailing"):
-            load_checkpoint(path)
+            load_tensors(path)
