@@ -10,7 +10,7 @@ identical gradients bit for bit.
 Every public op accepts either `Var` operands or plain numpy arrays / scalars
 (treated as constants), so the same code path serves taped training and
 untaped evaluation. Mixed expressions work through the `+ - * /` operator
-overloads (a matrix product is `matmul`); `__array_ufunc__ = None` keeps
+overloads (an affine map is `linear`); `__array_ufunc__ = None` keeps
 numpy from absorbing a `Var` into an object array.
 
 An op computes its value and returns `_node(value, op, (operand, pull), ...)`
@@ -30,11 +30,12 @@ downstream adjoints and no stored gradient is ever written through an
 alias. A node that no contribution reached runs no adjoint and ends the
 sweep with a zero gradient.
 
-Softmax, single-head attention and normalization are fused: each is one
-node with a hand-written adjoint, whose forward runs the arithmetic of the
-composite form so that untaped results are unchanged. `attention` keeps no
-T×T array and `normalize` only its output and σ; the adjoints rebuild what
-they need per call (attention's P block by block) and keep nothing after.
+Softmax, log-softmax, `linear` (product plus bias), single-head attention
+and normalization (with its scale and shift) are fused: each is one node
+with a hand-written adjoint whose forward runs the composite form's
+arithmetic, so untaped results are unchanged. `attention` keeps no T×T array
+and `normalize` only μ and σ; the adjoints rebuild what they need per call
+(attention's P block by block, normalize's x̂) and keep nothing after.
 `conv2d` treats the leading axes of its input as batch axes.
 
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
@@ -149,7 +150,10 @@ def _node(out, op: str, *pulls):
     `record` is looked up when called, so a wrapper installed as
     `autodiff.record` (perfbench's stage tracing) sees every node.
     """
-    kept = [p for p in pulls if isinstance(p[0], Var)]
+    kept = []
+    for p in pulls:
+        if isinstance(p[0], Var):
+            kept.append(p)
     if not kept:
         return out
     tape = kept[0][0].tape
@@ -258,16 +262,6 @@ def sqrt(x):
     return _node(out, "sqrt", (x, lambda g: g * 0.5 / out))
 
 
-def exp(x):
-    out = np.exp(val(x))
-    return _node(out, "exp", (x, lambda g: g * out))
-
-
-def log(x):
-    xv = val(x)
-    return _node(np.log(xv), "log", (x, lambda g: g / xv))
-
-
 def tanh(x):
     out = np.tanh(val(x))
     return _node(out, "tanh", (x, lambda g: g * (1.0 - out * out)))
@@ -365,13 +359,18 @@ def reshape(x, shape):
 # linear maps
 
 
-def matmul(a, b):
-    av, bv = val(a), val(b)
-    if np.ndim(av) < 2 or np.ndim(bv) < 2:
-        raise ShapeError("matmul operands must have ndim >= 2")
-    return _node(av @ bv, "matmul",
-                 (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
-                 (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
+def linear(x, w, b=None):
+    """x @ w, plus the bias b when given, recorded as one node."""
+    xv, wv, bv = val(x), val(w), val(b)
+    if np.ndim(xv) < 2 or np.ndim(wv) < 2:
+        raise ShapeError("linear operands must have ndim >= 2")
+    out = xv @ wv
+    if b is not None:
+        out += bv
+    return _node(out, "linear",
+                 (x, lambda g: _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape)),
+                 (w, lambda g: _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape)),
+                 (b, lambda g: _unbroadcast(g, np.shape(bv))))
 
 
 def conv2d(x, k):
@@ -505,36 +504,46 @@ def attention(q, k, v):
     return _node(out, "attention", *_joint_pulls((q, k, v), grads))
 
 
-def normalize(x, axes, eps):
-    """Standardize `x` over `axes`, recorded as one node.
+def normalize(x, axes, eps, gamma, beta=None):
+    """γ · x̂ + β over `axes` as one node; beta=None leaves out the shift.
 
-    Returns (x̂, μ, var): x̂ = (x − μ) / σ with σ = sqrt(var + eps), μ and
+    Returns (γ · x̂ + β, μ, var): x̂ = (x − μ) / σ, σ = sqrt(var + eps), μ and
     var the (biased) mean and variance as plain arrays of the reduced shape
-    with kept dimensions. The forward is the arithmetic of the composite
-    form; the adjoint is (g − mean(g) − x̂ · mean(g ⊙ x̂)) / σ, means over
-    `axes`.
+    with kept dimensions, by the composite form's arithmetic. The node keeps
+    μ and σ; the adjoint rebuilds x̂ from x and, with gx = g ⊙ γ, gives
+    dx = (gx − mean(gx) − x̂ · mean(gx ⊙ x̂)) / σ, dγ = Σ g ⊙ x̂ and dβ = Σ g.
     """
-    xv = val(x)
+    xv, gv, bv = val(x), val(gamma), val(beta)
     axes = _normalize_axes(axes, np.ndim(xv))
     inv_n = 1.0 / float(np.prod([xv.shape[a] for a in axes]))
     mu = np.sum(xv, axis=axes, keepdims=True) * inv_n
     out = xv - mu
     var = np.sum(out * out, axis=axes, keepdims=True) * inv_n
     sigma = np.sqrt(var + eps)
-    out /= sigma
+    out = gv * (out / sigma)
+    if beta is not None:
+        out += bv
 
-    def pull(g):
-        mean_g = np.sum(g, axis=axes, keepdims=True) * inv_n
-        mean_gx = np.sum(g * out, axis=axes, keepdims=True) * inv_n
-        return (g - mean_g - out * mean_gx) / sigma
+    def grads(g):
+        xhat = (xv - mu) / sigma
+        gx = g * gv
+        mean_g = np.sum(gx, axis=axes, keepdims=True) * inv_n
+        mean_gx = np.sum(gx * xhat, axis=axes, keepdims=True) * inv_n
+        return ((gx - mean_g - xhat * mean_gx) / sigma, _unbroadcast(g * xhat, np.shape(gv)),
+                None if beta is None else _unbroadcast(g, np.shape(bv)))
 
-    return _node(out, "normalize", (x, pull)), mu, var
+    return _node(out, "normalize", *_joint_pulls((x, gamma, beta), grads)), mu, var
 
 
 def log_softmax(x, axis=-1):
-    shift = np.max(val(x), axis=axis, keepdims=True)
-    centered = sub(x, shift)
-    return sub(centered, log(sum(exp(centered), axis=axis, keepdims=True)))
+    """log(softmax(x)) along `axis` as one node keeping the shifted exp e and
+    its sum s; the adjoint g − (Σg / s) · e runs the composite's arithmetic."""
+    xv = val(x)
+    centered = xv - np.max(xv, axis=axis, keepdims=True)
+    e = np.exp(centered)
+    s = np.sum(e, axis=axis, keepdims=True)
+    return _node(centered - np.log(s), "log_softmax",
+                 (x, lambda g: g + (np.sum(-g, axis=axis, keepdims=True) / s) * e))
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,16 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     """Write `tensors` as one tensor file, atomically and in insertion order.
-    Every array keeps its dtype, which must be `<f8`, `<f4` or `<u4` up to
-    byte order."""
+    Each array keeps its dtype (`<f8`, `<f4` or `<u4` up to byte order); a
+    float tensor holding NaN or inf raises `DataFormatError` before a write."""
     arrays = [np.asarray(v) for v in tensors.values()]
     entries = [{"name": name, "shape": list(a.shape), "dtype": a.dtype.newbyteorder("<").str}
                for name, a in zip(tensors, arrays)]
-    for e in entries:
+    for e, a in zip(entries, arrays):
         if e["dtype"] not in _DTYPES:
             raise DataFormatError(f"tensor {e['name']} has unsupported dtype {e['dtype']}")
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            raise DataFormatError(f"tensor {e['name']} holds NaN or inf")
     with atomic_write(path, "wb") as f:
         f.write(json.dumps({"format_version": FORMAT_VERSION, "tensors": entries}).encode("utf-8")
                 + b"\n")

@@ -88,34 +88,29 @@ def dropout(x, p: float, rng):
     return x * mask
 
 
-def _shift(x, beta):
-    """x + beta; beta=None records no node."""
-    return x if beta is None else x + beta
-
-
 def layer_norm(x, gamma, beta=None, eps: float = 1e-5):
-    """Normalize over the last axis with one `ad.normalize` node, then scale
-    by gamma; beta=None leaves out the shift."""
-    xhat, _, _ = ad.normalize(x, -1, eps)
-    return _shift(gamma * xhat, beta)
+    """Normalize over the last axis, scale by gamma and shift by beta as one
+    `ad.normalize` node; beta=None leaves out the shift."""
+    return ad.normalize(x, -1, eps, gamma, beta)[0]
 
 
 def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool):
     """Normalize over all axes but the last; running buffers updated in train mode.
 
-    Train mode normalizes with one `ad.normalize` node over the batch
-    statistics; eval mode reads the running buffers. beta=None leaves out
-    the shift. A bias that feeds straight into batch norm is cancelled by its
-    mean subtraction, so the layers before it have none.
+    Train mode normalizes, scales and shifts over the batch statistics with
+    one `ad.normalize` node; eval mode reads the running buffers. beta=None
+    leaves out the shift. A bias that feeds straight into batch norm is
+    cancelled by its mean subtraction, so the layers before it have none.
     """
     if train:
-        xhat, mu, var = ad.normalize(x, tuple(range(np.ndim(val(x)) - 1)), _BN_EPS)
+        out, mu, var = ad.normalize(x, tuple(range(np.ndim(val(x)) - 1)), _BN_EPS, gamma, beta)
         mean_buf *= 1.0 - _BN_MOMENTUM
         mean_buf += _BN_MOMENTUM * mu.reshape(-1)
         var_buf *= 1.0 - _BN_MOMENTUM
         var_buf += _BN_MOMENTUM * var.reshape(-1)
-        return _shift(gamma * xhat, beta)
-    return _shift(gamma * ((x - mean_buf) / np.sqrt(var_buf + _BN_EPS)), beta)
+        return out
+    out = gamma * ((x - mean_buf) / np.sqrt(var_buf + _BN_EPS))
+    return out if beta is None else out + beta
 
 
 def sinusoidal_grid_encoding(h: int, w: int, c: int) -> np.ndarray:
@@ -168,8 +163,8 @@ class Encoder:
         shape = np.shape(val(x))
         if shape[-1] != self.cfg.in_dim:
             raise ShapeError(f"encoder expects patch width {self.cfg.in_dim}, got {shape[-1]}")
-        h = ad.tanh(ad.matmul(x, p["w1"]) + p["b1"])
-        z = ad.tanh(ad.matmul(h, p["w2"]) + p["b2"])
+        h = ad.tanh(ad.linear(x, p["w1"], p["b1"]))
+        z = ad.tanh(ad.linear(h, p["w2"], p["b2"]))
         scale = self.cfg.feature_scale * ball.radius / np.sqrt(self.cfg.feat_dim)
         out = clip_to_ball(z * scale, ball)
         if __debug__ and not isinstance(out, ad.Var):
@@ -180,11 +175,11 @@ class Encoder:
 class SignatureGenerator:
     """Single-head transformer encoder block over support descriptors.
 
-    Attention is one fused `ad.attention` node that keeps no T×T array, and
-    each layer norm one `ad.normalize` node plus its scale (and shift). The
-    key projection has no bias (softmax over the keys is invariant to it),
-    and the output layer norm has no shift: the signature only reaches the
-    relation net's first conv, whose batch norm cancels it.
+    Attention is one fused `ad.attention` node that keeps no T×T array, each
+    affine layer one `ad.linear` node and each layer norm one `ad.normalize`
+    node. The key projection has no bias (softmax over the keys is invariant
+    to it), and the output layer norm has no shift: the signature only
+    reaches the relation net's first conv, whose batch norm cancels it.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -208,12 +203,12 @@ class SignatureGenerator:
     def __call__(self, tokens, params=None):
         """One post-LN block on (..., T, C) token stacks."""
         p = params if params is not None else self.params
-        q = ad.matmul(tokens, p["wq"]) + p["bq"]
-        k = ad.matmul(tokens, p["wk"])
-        v = ad.matmul(tokens, p["wv"]) + p["bv"]
-        att = ad.matmul(ad.attention(q, k, v), p["wo"]) + p["bo"]
+        q = ad.linear(tokens, p["wq"], p["bq"])
+        k = ad.linear(tokens, p["wk"])
+        v = ad.linear(tokens, p["wv"], p["bv"])
+        att = ad.linear(ad.attention(q, k, v), p["wo"], p["bo"])
         h = layer_norm(tokens + att, p["ln1_g"], p["ln1_b"])
-        f = ad.matmul(ad.relu(ad.matmul(h, p["ffw1"]) + p["ffb1"]), p["ffw2"]) + p["ffb2"]
+        f = ad.linear(ad.relu(ad.linear(h, p["ffw1"], p["ffb1"])), p["ffw2"], p["ffb2"])
         return layer_norm(h + f, p["ln2_g"])
 
     def refine(self, proj, params=None):
@@ -364,11 +359,11 @@ class S2SNetwork:
         shape = np.shape(val(d))
         if len(shape) != 2 or shape[-1] != self.in_width:
             raise ShapeError(f"s2s input must be (B, {self.in_width}), got {shape}")
-        x = ad.matmul(d, p["w1"])
+        x = ad.linear(d, p["w1"])
         x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
                        self.buffers["bn1_var"], train)
         x = dropout(ad.relu(x), 0.5, rng if train else None)
-        x = ad.matmul(x, p["w2"])
+        x = ad.linear(x, p["w2"])
         x = batch_norm(x, p["bn2_g"], None, self.buffers["bn2_mean"],
                        self.buffers["bn2_var"], train)
         return ad.reshape(x, (shape[0],))
@@ -413,7 +408,8 @@ class ModelBundle:
         if set(state) != set(own):
             missing = sorted(set(own) - set(state))
             extra = sorted(set(state) - set(own))
-            raise DataFormatError(f"state mismatch: missing {missing}, unexpected {extra}")
+            raise DataFormatError(f"state mismatch: {len(missing)} names missing (first "
+                                  f"{missing[:1]}), {len(extra)} unexpected (first {extra[:1]})")
         for mod_name, mod in self.modules().items():
             for store in (mod.params, mod.buffers):
                 for k in store:
@@ -433,6 +429,9 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path, cfg: ModelConfig, seed: int = 0) -> "ModelBundle":
-        bundle = cls(cfg, seed=seed)
-        bundle.load_state(load_tensors(path))
+        bundle, state = cls(cfg, seed=seed), load_tensors(path)
+        try:
+            bundle.load_state(state)
+        except DataFormatError as e:
+            raise DataFormatError(f"{path}: {e}") from None
         return bundle

@@ -112,10 +112,16 @@ def test_oversized_shape_rejected(tmp_path, shape):
 
 @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_nonfinite_float_tensor_rejected(tmp_path, dtype, bad):
+def test_nonfinite_float_tensor_rejected(tmp_path, dtype, bad, write_unchecked_tensors):
+    """`save_tensors` refuses the tensor before it opens a file, and
+    `load_tensors` refuses a file that holds one."""
     path = tmp_path / "t.bin"
     weights = np.ones(4, dtype)
     weights[2] = bad
-    save_tensors(path, {"ok": np.ones(2), "weights": weights})
+    tensors = {"ok": np.ones(2), "weights": weights}
+    with pytest.raises(DataFormatError, match="tensor weights holds NaN or inf"):
+        save_tensors(path, tensors)
+    assert list(tmp_path.iterdir()) == []
+    write_unchecked_tensors(path, tensors)
     with pytest.raises(DataFormatError, match="tensor weights holds NaN or inf"):
         load_tensors(path)
