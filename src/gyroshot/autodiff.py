@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, TapeError
+from .errors import ShapeError, TapeError
 
 _SAFE_NORM_FLOOR = 1e-15
 
@@ -267,14 +267,6 @@ def tanh(x):
     return _node(out, "tanh", (x, lambda g: g * (1.0 - out * out)))
 
 
-def arctanh(x):
-    xv = val(x)
-    if np.any(np.abs(xv) >= 1.0):
-        worst = float(np.max(np.abs(xv)))
-        raise DomainError(f"arctanh argument magnitude {worst} >= 1")
-    return _node(np.arctanh(xv), "arctanh", (x, lambda g: g / (1.0 - xv * xv)))
-
-
 def sigmoid(x):
     xv = val(x)
     # exp only of non-positive numbers: stable for large |x|
@@ -286,15 +278,6 @@ def sigmoid(x):
 def relu(x):
     xv = val(x)
     return _node(np.maximum(xv, 0.0), "relu", (x, lambda g: g * (xv > 0)))
-
-
-def where(cond, a, b):
-    """Elementwise select by a plain boolean mask (the mask is not traced)."""
-    cond = np.asarray(cond, dtype=bool)
-    av, bv = val(a), val(b)
-    return _node(np.where(cond, av, bv), "where",
-                 (a, lambda g: _unbroadcast(np.where(cond, g, 0.0), np.shape(av))),
-                 (b, lambda g: _unbroadcast(np.where(cond, 0.0, g), np.shape(bv))))
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +538,8 @@ class FiniteDiffReport:
     """Outcome of comparing tape gradients against central differences.
 
     `flagged` lists flat indices whose relative error exceeded the tolerance;
-    at a kink or clip boundary the two estimates legitimately disagree, and
-    those coordinates show up here.
+    at a kink the two estimates legitimately disagree, and those coordinates
+    show up here.
     """
 
     max_rel_error: float

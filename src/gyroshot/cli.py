@@ -208,7 +208,7 @@ def cmd_gen(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
-    dataset = load_features(_require(cfg, "dataset"), cfg.ball())
+    dataset = load_features(_require(cfg, "dataset"))
     init_state = None
     if cfg.resume is not None:
         init_state = load_tensors(cfg.resume)
@@ -226,7 +226,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> int:
-    dataset = load_features(_require(cfg, "dataset"), cfg.ball())
+    dataset = load_features(_require(cfg, "dataset"))
     bundle = ModelBundle.load(_require(cfg, "checkpoint"), cfg.model_cfg(dataset.dims))
     report = evaluate(
         dataset, bundle, cfg.train_cfg(),
@@ -249,7 +249,7 @@ _ROBUSTNESS_VARIANTS = ("app2s", "prototype", "euclidean_ap2s")
 
 
 def cmd_robustness(cfg: RunConfig, out: Path) -> int:
-    dataset = load_features(_require(cfg, "dataset"), cfg.ball())
+    dataset = load_features(_require(cfg, "dataset"))
     variants = {}
     for name in _ROBUSTNESS_VARIANTS:
         vcfg = cfg.override(variant=name).train_cfg()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, InsufficientDataError, ShapeError
-from .fileio import load_tensors, save_tensors
+from .fileio import check_names, load_tensors, save_tensors
 from .geometry import BallConfig, clip_to_ball, exp_map
 
 
@@ -211,12 +211,11 @@ def save_dataset(dataset: Dataset, path) -> None:
     })
 
 
-def load_features(path, cfg: BallConfig | None = None) -> Dataset:
-    """Read a dataset file; with a BallConfig the features are clipped into
-    that ball on load (otherwise taken as stored)."""
+def load_features(path) -> Dataset:
+    """Read a dataset file; the features are taken as stored, so a generated
+    dataset and its saved-and-loaded copy hold the same bits."""
     tensors = load_tensors(path)
-    if sorted(tensors) != ["features", "labels"]:
-        raise DataFormatError(f"{path}: tensors {sorted(tensors)}, not ['features', 'labels']")
+    check_names(tensors, ("features", "labels"), f"{path}: not a dataset")
     feats, labels = tensors["features"], tensors["labels"]
     if feats.dtype.str != "<f4" or feats.ndim != 4 or 0 in feats.shape[1:] \
             or labels.dtype.str != "<u4" or labels.shape != feats.shape[:1]:
@@ -225,7 +224,4 @@ def load_features(path, cfg: BallConfig | None = None) -> Dataset:
             f"(S,); got {feats.dtype.str} {feats.shape} and {labels.dtype.str} {labels.shape}"
         )
     n, h, w, c = feats.shape
-    feats = feats.astype(np.float64).reshape(n, h * w, c)
-    if cfg is not None:
-        feats = clip_to_ball(feats, cfg)
-    return Dataset(features=feats, labels=labels.astype(np.int64), dims=(h, w, c))
+    return Dataset(features=feats.reshape(n, h * w, c), labels=labels, dims=(h, w, c))

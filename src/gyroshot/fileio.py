@@ -121,3 +121,13 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     if offset != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes after tensor data")
     return out
+
+
+def check_names(tensors, expected, what: str) -> None:
+    """Raise `DataFormatError` unless `tensors` holds exactly the `expected`
+    names: `what`, then the counts of missing and unexpected names, each with its first."""
+    missing = sorted(set(expected) - set(tensors))
+    extra = sorted(set(tensors) - set(expected))
+    if missing or extra:
+        raise DataFormatError(f"{what}: {len(missing)} names missing (first {missing[:1]}), "
+                              f"{len(extra)} unexpected (first {extra[:1]})")

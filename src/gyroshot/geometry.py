@@ -5,7 +5,8 @@ Conventions
 The ball of curvature magnitude c > 0 is {x : sqrt(c) * ||x|| < 1}, radius
 1/sqrt(c). Coordinates live on the last axis; every function broadcasts over
 leading axes and accepts plain float64 arrays or autodiff Vars (the same code
-records onto the tape when any operand is a Var).
+records onto the tape when any operand is a Var). `exp_map` and `clip_to_ball`,
+which only dataset generation and `verify` call, take plain arrays only.
 
 Core formulas:
 
@@ -211,14 +212,14 @@ def log_map(x, y, cfg: BallConfig):
     Recorded as one node. The forward runs the arithmetic of the composite
     (2 / (sqrt(c) lambda_x)) arctanh(sqrt(c) ||m||) m / ||m||, m = (-x) (+) y,
     with ||m|| <= 1e-15 replaced by 1 in the last division, and raises the
-    errors of `mobius_add`, `conformal_factor` and `ad.arctanh`. With u = -x
-    that is B h(||m||) m, where m = (A u + B y) / D, A = 1 + 2c<u, y> +
-    c||y||^2, B = 1 - c||x||^2, D = 1 + 2c<u, y> + c^2 ||x||^2 ||y||^2 and
-    h(n) = arctanh(sqrt(c) n) / (sqrt(c) n). The hand-written adjoint
-    differentiates that form, taking h at its limit 1 where ||m|| <= 1e-15,
-    so coincident points get the Jacobian of log_x at x (the identity in
-    y). The node keeps m, its one array of the broadcast (..., C) size, and
-    x and y share one adjoint call.
+    errors of `mobius_add` and `conformal_factor`, and DomainError for an
+    arctanh argument sqrt(c) ||m|| >= 1. With u = -x that is B h(||m||) m,
+    where m = (A u + B y) / D, A = 1 + 2c<u, y> + c||y||^2, B = 1 - c||x||^2,
+    D = 1 + 2c<u, y> + c^2 ||x||^2 ||y||^2 and h(n) = arctanh(sqrt(c) n) /
+    (sqrt(c) n). The hand-written adjoint differentiates that form, taking h
+    at its limit 1 where ||m|| <= 1e-15, so coincident points get the
+    Jacobian of log_x at x (the identity in y). The node keeps m, its one
+    array of the broadcast (..., C) size, and x and y share one adjoint call.
     """
     _check_same_width(x, y, "log_map")
     c, sqrt_c = cfg.c, cfg.sqrt_c
@@ -241,7 +242,10 @@ def log_map(x, y, cfg: BallConfig):
     if np.any(b <= 0.0):
         raise DomainError("conformal_factor: point on or outside the ball")
     lam = 2.0 / b  # lambda_x, kept in the product for the composite's bits
-    at = ad.arctanh(sqrt_c * n)
+    arg = sqrt_c * n
+    if np.any(arg >= 1.0):
+        raise DomainError(f"arctanh argument magnitude {float(np.max(arg))} >= 1")
+    at = np.arctanh(arg)
     out = (2.0 / (sqrt_c * lam)) * at / n_safe * m
 
     def grads(g):
@@ -268,29 +272,18 @@ def log_map(x, y, cfg: BallConfig):
 
 def exp_map(x, v, cfg: BallConfig):
     """Point reached from x along v, raw tangent coordinates at x such as
-    log_map returns; inverse of log_map."""
+    log_map returns; inverse of log_map. Plain arrays only."""
     _check_same_width(x, v, "exp_map")
-    n = ad.norm(v, keepdims=True)
-    nz = val(n) > _TINY
-    n_safe = ad.where(nz, n, np.ones_like(val(n)))
+    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    n_safe = np.where(n > _TINY, n, 1.0)
     lam = conformal_factor(x, cfg, keepdims=True)
-    second = ad.tanh(cfg.sqrt_c * lam * n / 2.0) * v / (cfg.sqrt_c * n_safe)
+    second = np.tanh(cfg.sqrt_c * lam * n / 2.0) * v / (cfg.sqrt_c * n_safe)
     return mobius_add(x, second, cfg)
 
 
 def clip_to_ball(s, cfg: BallConfig):
-    """Radial clip onto the closed ball of radius mu = (1 - eps)/sqrt(c).
-
-    Interior points pass through untouched (identity Jacobian); clipped points
-    are rescaled to norm mu, whose true Jacobian (scaled identity minus the
-    radial rank-one part) falls out of the composite ops. The bound is
-    tested on the plain value, so an input that needs no clip records nothing.
-    """
-    mu = cfg.max_norm
-    over = ad.norm(val(s), keepdims=True) > mu
-    if not np.any(over):
-        return s if isinstance(s, ad.Var) else np.asarray(s, dtype=np.float64)
-    n = ad.norm(s, keepdims=True)
-    n_safe = ad.where(over, n, np.ones_like(val(n)))
-    factor = ad.where(over, mu / n_safe, np.ones_like(val(n)))
-    return s * factor
+    """Radial clip of plain arrays onto the closed ball of radius
+    mu = (1 - eps)/sqrt(c): a point of norm n > mu is scaled by mu / n, and
+    any other by mu / mu = 1.0, which leaves its bits unchanged."""
+    s, mu = np.asarray(s, dtype=np.float64), cfg.max_norm
+    return s * (mu / np.maximum(np.sqrt(np.sum(s * s, axis=-1, keepdims=True)), mu))

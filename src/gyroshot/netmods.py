@@ -9,7 +9,7 @@ whenever `rng` is None, so evaluation and gradient checks are deterministic.
 The four modules:
 
   Encoder            per-patch 2-layer MLP, tanh-bounded output scaled to
-                     feature_scale * ball radius, then clipped into the ball.
+                     feature_scale * ball radius, inside the ball.
   SignatureGenerator one single-head transformer encoder block (post-LN,
                      feed-forward width 4*C) over all support descriptors
                      jointly, with fixed sinusoidal 2-D positional encodings.
@@ -34,8 +34,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import val
 from .errors import ConfigError, DataFormatError, ShapeError
-from .fileio import load_tensors, save_tensors
-from .geometry import BallConfig, clip_to_ball, in_ball, log_map
+from .fileio import check_names, load_tensors, save_tensors
+from .geometry import BallConfig, in_ball, log_map
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
@@ -144,8 +144,9 @@ def sinusoidal_grid_encoding(h: int, w: int, c: int) -> np.ndarray:
 class Encoder:
     """Per-patch MLP embedding raw patches into the ball.
 
-    tanh bounds the output inside radius feature_scale / sqrt(c) before the
-    clip, so arctanh arguments downstream stay well away from 1.
+    tanh bounds the output norm by feature_scale / sqrt(c), so arctanh
+    arguments downstream stay well away from 1. A call raises ConfigError
+    unless feature_scale < 1 - eps, so no output reaches the clip bound.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -163,10 +164,11 @@ class Encoder:
         shape = np.shape(val(x))
         if shape[-1] != self.cfg.in_dim:
             raise ShapeError(f"encoder expects patch width {self.cfg.in_dim}, got {shape[-1]}")
+        if self.cfg.feature_scale >= 1.0 - ball.eps:
+            raise ConfigError(f"feature_scale {self.cfg.feature_scale} must lie below 1 - eps")
         h = ad.tanh(ad.linear(x, p["w1"], p["b1"]))
         z = ad.tanh(ad.linear(h, p["w2"], p["b2"]))
-        scale = self.cfg.feature_scale * ball.radius / np.sqrt(self.cfg.feat_dim)
-        out = clip_to_ball(z * scale, ball)
+        out = z * (self.cfg.feature_scale * ball.radius / np.sqrt(self.cfg.feat_dim))
         if __debug__ and not isinstance(out, ad.Var):
             assert in_ball(out, ball, slack=1e-12)
         return out
@@ -404,12 +406,7 @@ class ModelBundle:
         return out
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        own = self.state_dict()
-        if set(state) != set(own):
-            missing = sorted(set(own) - set(state))
-            extra = sorted(set(state) - set(own))
-            raise DataFormatError(f"state mismatch: {len(missing)} names missing (first "
-                                  f"{missing[:1]}), {len(extra)} unexpected (first {extra[:1]})")
+        check_names(state, self.state_dict(), "state mismatch")
         for mod_name, mod in self.modules().items():
             for store in (mod.params, mod.buffers):
                 for k in store:

@@ -148,8 +148,8 @@ def check_gradient_oracles(seed: int = 2) -> list[PropertyCheck]:
     Covers the geodesic distance, the Einstein midpoint, the log map (both
     arguments), and the full episode objective parameter by parameter.
     Dropout is off; BN uses batch statistics, so the objective is
-    deterministic and smooth almost everywhere. Clip boundaries never arise:
-    the encoder's tanh output is scaled strictly below the clip radius.
+    deterministic and smooth almost everywhere. No op on the tape clips: the
+    encoder's tanh output is scaled strictly below the clip radius.
     """
     tol = 1e-3
     rng = np.random.default_rng(seed)

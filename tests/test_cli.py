@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from gyroshot.cli import RunConfig, _derive_schema, main
-from gyroshot.episodes import SyntheticConfig
+from gyroshot.episodes import SyntheticConfig, generate_synthetic
 from gyroshot.errors import ConfigError, DataFormatError
 from gyroshot.fileio import FORMAT_VERSION, load_tensors, save_tensors
 from gyroshot.netmods import ModelBundle, ModelConfig
-from gyroshot.train import TrainConfig
+from gyroshot.train import TrainConfig, train
 
 TINY = {
     "c": 0.5,
@@ -234,6 +234,23 @@ class TestPipeline:
         assert report.startswith(f"accuracy {np.mean(accs) * 100:.2f}%")
         assert f"over {len(accs)} tasks" in report
 
+    def test_gen_then_train_writes_the_in_process_checkpoint(self, tmp_path):
+        """`gyroshot gen` then `gyroshot train` writes the bytes that train()
+        on generate_synthetic(...) and ModelBundle.save write in-process: the
+        dataset file keeps the generated features, and loading changes none."""
+        keys = {"c": 1.0, "seed": 1, "epochs": 1, "tasks_per_epoch": 5, "val_fraction": 0.0,
+                "dataset": str(tmp_path / "gen/dataset.bin")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(keys))
+        for command in ("gen", "train"):
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 0
+        cfg = RunConfig(keys)
+        dataset = generate_synthetic(cfg.synth(), cfg.ball())
+        result = train(dataset, cfg.train_cfg(), cfg.model_cfg(dataset.dims))
+        result.bundle.save(tmp_path / "in_process.bin")
+        written = (tmp_path / "train/checkpoint.bin").read_bytes()
+        assert written == (tmp_path / "in_process.bin").read_bytes()
+
     def test_quick_start_train_reports_validation_accuracy(self, tmp_path, capsys, caplog):
         """The README's quick-start config keeps the default val_fraction
         0.25 of 20 classes, which holds out 5 classes for 5-way validation,
@@ -374,6 +391,10 @@ class TestErrors:
     def test_negative_value_in_config_file(self, tmp_path, capsys, command, key):
         assert key in self._config_error(tmp_path, capsys, command, **{key: -1})
 
+    def test_feature_scale_at_the_clip_bound(self, tmp_path, capsys):
+        err = self._config_error(tmp_path, capsys, "train", feature_scale=0.9999, eps=1e-3)
+        assert "feature_scale 0.9999 must lie below 1 - eps" in err
+
     def test_unformable_validation_split(self, tmp_path, capsys):
         """0.3 of 6 classes holds out 2, too few for a 3-way episode."""
         err = self._config_error(tmp_path, capsys, "train", error="InsufficientDataError",
@@ -416,7 +437,7 @@ class TestErrors:
         return err
 
     @pytest.mark.parametrize("role,expected", [
-        ("dataset", "not ['features', 'labels']"),
+        ("dataset", "bad.bin: not a dataset: 2 names missing (first ['features'])"),
         ("checkpoint", "bad.bin: state mismatch: 38 names missing"),
     ], ids=["checkpoint-as-dataset", "dataset-as-checkpoint"])
     def test_wrong_kind_of_file_reported(self, tmp_path, capsys, role, expected):
@@ -424,8 +445,7 @@ class TestErrors:
         err = self._artifact_error(tmp_path, capsys, role,
                                    lambda good, path: path.write_bytes(good[other].read_bytes()))
         assert expected in err
-        if role == "checkpoint":
-            assert len(err) < 200
+        assert len(err) < 200
 
     @pytest.mark.parametrize("role", ["dataset", "checkpoint"])
     @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4], [0, 2**70]],

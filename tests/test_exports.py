@@ -11,7 +11,9 @@ An autodiff function is referred to as a bare name inside `autodiff.py`, or
 as an `ad.X` or `autodiff.X` attribute elsewhere, so that `np.broadcast_to`
 does not count as a use of an op of the same name. `Var`'s operator methods
 name the ops they call, so each of those must itself be reached by a taped
-episode of some variant.
+episode of some variant, and so must every public autodiff function but
+`finite_diff_check`, called with a Var: an op that only ever sees arrays
+keeps an adjoint that nothing runs.
 """
 
 import ast
@@ -98,6 +100,22 @@ VAR_OPERATORS = sorted(
 )
 
 
+def _run_taped_episodes():
+    """Forward and backward of a default train-mode episode of each variant."""
+    ball = BallConfig(c=0.7)
+    dataset = generate_synthetic(SyntheticConfig(), ball)
+    for variant in sorted(VARIANTS):
+        cfg = TrainConfig(ball=ball).variant(variant)
+        bundle = ModelBundle(ModelConfig(in_dim=8, grid=(3, 3)), seed=cfg.seed)
+        tape = ad.Tape()
+        modules = bundle.modules()
+        params = {m: {k: tape.var(v) for k, v in modules[m].params.items()}
+                  for m in cfg.spec.modules}
+        loss, _ = episode_forward(sample_episode(dataset, cfg.episode_spec()), bundle, cfg,
+                                  params=params, train=True, rng=np.random.default_rng(0))
+        ad.backward(loss)
+
+
 def test_every_var_operator_is_reached_by_a_taped_episode(monkeypatch):
     """A default train-mode episode of each variant, forward and backward,
     calls every operator method of `Var`."""
@@ -111,17 +129,33 @@ def test_every_var_operator_is_reached_by_a_taped_episode(monkeypatch):
 
     for name in VAR_OPERATORS:
         monkeypatch.setattr(ad.Var, name, counted(name, vars(ad.Var)[name]))
-    ball = BallConfig(c=0.7)
-    dataset = generate_synthetic(SyntheticConfig(), ball)
-    for variant in sorted(VARIANTS):
-        cfg = TrainConfig(ball=ball).variant(variant)
-        bundle = ModelBundle(ModelConfig(in_dim=8, grid=(3, 3)), seed=cfg.seed)
-        tape = ad.Tape()
-        modules = bundle.modules()
-        params = {m: {k: tape.var(v) for k, v in modules[m].params.items()}
-                  for m in cfg.spec.modules}
-        loss, _ = episode_forward(sample_episode(dataset, cfg.episode_spec()), bundle, cfg,
-                                  params=params, train=True, rng=np.random.default_rng(0))
-        ad.backward(loss)
+    _run_taped_episodes()
     assert len(VAR_OPERATORS) >= 8
     assert sorted(set(VAR_OPERATORS) - reached) == []
+
+
+def _holds_var(x):
+    if isinstance(x, ad.Var):
+        return True
+    return isinstance(x, (list, tuple)) and any(_holds_var(item) for item in x)
+
+
+def test_every_autodiff_function_is_called_with_a_var_by_a_taped_episode(monkeypatch):
+    """autodiff keeps only ops the model records: a default train-mode
+    episode of some variant, forward and backward, calls each public
+    function but the finite-difference oracle with a Var among its
+    arguments (`record` with one among its operands)."""
+    called = set()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            if _holds_var(args + tuple(kwargs.values())):
+                called.add(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    names = {f[len("ad."):] for f in AUTODIFF_FUNCTIONS} - {"finite_diff_check"}
+    for name in names:
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    _run_taped_episodes()
+    assert sorted(names - called) == []
