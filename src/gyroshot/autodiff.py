@@ -9,9 +9,10 @@ identical gradients bit for bit.
 
 Every public op accepts either `Var` operands or plain numpy arrays / scalars
 (treated as constants), so the same code path serves taped training and
-untaped evaluation. Mixed expressions work through the `+ - * /` operator
-overloads (an affine map is `linear`); `__array_ufunc__ = None` keeps
-numpy from absorbing a `Var` into an object array.
+untaped evaluation. A `Var` overloads `+ - * /`, and `*` with a constant on
+the left; code whose left operand may be a constant calls `add`, `sub` or
+`div`. `__array_ufunc__ = None` keeps numpy from absorbing a `Var` into an
+object array.
 
 An op computes its value and returns `_node(value, op, (operand, pull), ...)`
 with one pair per operand. `_node` drops the pairs whose operand is a
@@ -30,13 +31,13 @@ downstream adjoints and no stored gradient is ever written through an
 alias. A node that no contribution reached runs no adjoint and ends the
 sweep with a zero gradient.
 
-Softmax, log-softmax, `linear` (product plus bias), single-head attention
-and normalization (with its scale and shift) are fused: each is one node
-with a hand-written adjoint whose forward runs the composite form's
-arithmetic, so untaped results are unchanged. `attention` keeps no T×T array
-and `normalize` only μ and σ; the adjoints rebuild what they need per call
-(attention's P block by block, normalize's x̂) and keep nothing after.
-`conv2d` treats the leading axes of its input as batch axes.
+Softmax, `linear` (product plus bias), single-head attention, normalization
+(with its scale and shift) and the episode loss `cross_entropy` are fused:
+each is one node with a hand-written adjoint whose forward runs the
+composite form's arithmetic, so untaped results are unchanged. `attention`
+keeps no T×T array and `normalize` only μ and σ; the adjoints rebuild what
+they need per call (attention's P block by block, normalize's x̂) and keep
+nothing after. `conv2d` treats the leading axes of its input as batch axes.
 
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
 gradients have been read breaks that cycle, so the arrays are freed by
@@ -99,14 +100,8 @@ class Var:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -116,9 +111,6 @@ class Var:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
 
 def val(x):
@@ -255,11 +247,6 @@ def div(a, b):
 
 # ---------------------------------------------------------------------------
 # elementwise
-
-
-def sqrt(x):
-    out = np.sqrt(val(x))
-    return _node(out, "sqrt", (x, lambda g: g * 0.5 / out))
 
 
 def tanh(x):
@@ -518,15 +505,27 @@ def normalize(x, axes, eps, gamma, beta=None):
     return _node(out, "normalize", *_joint_pulls((x, gamma, beta), grads)), mu, var
 
 
-def log_softmax(x, axis=-1):
-    """log(softmax(x)) along `axis` as one node keeping the shifted exp e and
-    its sum s; the adjoint g − (Σg / s) · e runs the composite's arithmetic."""
+def cross_entropy(x, labels, scale):
+    """The episode loss as one node: -1/n times the sum of log softmax(x *
+    scale) along the last axis times the one-hot rows of `labels`, one label
+    for each of the n rows, by the arithmetic of those five ops. It keeps the
+    shifted exp e and its row sums s; with h = g * (-1/n) * onehot, the
+    adjoint is (h + (sum(-h) / s) * e) * scale, each row's sum formed first.
+    """
     xv = val(x)
-    centered = xv - np.max(xv, axis=axis, keepdims=True)
+    onehot = np.eye(np.shape(xv)[-1])[labels]
+    z = xv * scale
+    centered = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(centered)
-    s = np.sum(e, axis=axis, keepdims=True)
-    return _node(centered - np.log(s), "log_softmax",
-                 (x, lambda g: g + (np.sum(-g, axis=axis, keepdims=True) / s) * e))
+    s = np.sum(e, axis=-1, keepdims=True)
+    inv_n = -1.0 / len(labels)
+
+    def pull(g):
+        h = g * inv_n * onehot
+        return (h + (np.sum(-h, axis=-1, keepdims=True) / s) * e) * scale
+
+    return _node(np.asarray(np.sum((centered - np.log(s)) * onehot) * inv_n), "cross_entropy",
+                 (x, pull))
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, index: int = 0) -> Episo
             f"episode needs {spec.n_way} classes, dataset has {classes.size}"
         )
     chosen = rng.choice(classes, spec.n_way, replace=False)
-    others = np.setdiff1d(classes, chosen)
+    others = np.setdiff1d(classes, chosen) if spec.n_outliers > 0 else None
     if spec.n_outliers > 0 and others.size == 0:
         raise InsufficientDataError("outlier injection needs classes outside the episode")
 

@@ -4,9 +4,9 @@ Conventions
 -----------
 The ball of curvature magnitude c > 0 is {x : sqrt(c) * ||x|| < 1}, radius
 1/sqrt(c). Coordinates live on the last axis; every function broadcasts over
-leading axes and accepts plain float64 arrays or autodiff Vars (the same code
-records onto the tape when any operand is a Var). `exp_map` and `clip_to_ball`,
-which only dataset generation and `verify` call, take plain arrays only.
+leading axes. The distances, the midpoint and the log map accept plain
+float64 arrays or autodiff Vars (the same code records onto the tape when
+any operand is a Var); the other functions take plain arrays only.
 
 Core formulas:
 
@@ -31,12 +31,12 @@ Core formulas:
 As c -> 0 the distance tends to 2||x - y|| and Mobius addition to x + y;
 `flat_distance` implements that limit for the euclidean_ap2s variant.
 
-`geodesic_distance` and `log_map` are fused: each records one tape node
-with a hand-written adjoint, and its forward runs the arithmetic of the
-composite form, so untaped results are the composite's bits. Neither
-keeps more than one array of the broadcast (..., C) size: the geodesic
-rebuilds x - y in its adjoint, and the log map keeps only m = (-x) (+) y.
-The other functions record their composite ops.
+`geodesic_distance`, `log_map` and `einstein_midpoint` are fused: each
+records one tape node with a hand-written adjoint, and its forward runs the
+arithmetic of the composite form, so untaped results are the composite's
+bits. None keeps an array of the broadcast (..., C) size but one: the
+geodesic rebuilds x - y in its adjoint, the log map keeps m = (-x) (+) y,
+and the midpoint keeps its input. `flat_distance` records its ops.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ def _check_same_width(x, y, op: str) -> None:
         raise ShapeError(f"{op}: coordinate widths differ ({xs[-1]} vs {ys[-1]})")
 
 
-def _sq_norm(x, keepdims: bool = True):
-    return ad.sum(x * x, axis=-1, keepdims=keepdims)
-
-
 def _sq_dist(x, y):
     """||x - y||^2 over the last axis of plain arrays, squaring x - y in
     place so that one array of the broadcast (..., C) size exists at a time."""
@@ -105,23 +101,22 @@ def in_ball(x, cfg: BallConfig, slack: float = 0.0) -> bool:
 
 
 def conformal_factor(x, cfg: BallConfig, keepdims: bool = False):
-    """lambda_x = 2 / (1 - c ||x||^2). Grows without bound toward the boundary."""
-    sq = _sq_norm(x, keepdims=keepdims)
-    denom_val = 1.0 - cfg.c * val(sq)
-    if np.any(denom_val <= 0.0):
+    """lambda_x = 2 / (1 - c ||x||^2) of plain arrays; unbounded at the boundary."""
+    denom = 1.0 - cfg.c * np.sum(x * x, axis=-1, keepdims=keepdims)
+    if np.any(denom <= 0.0):
         raise DomainError("conformal_factor: point on or outside the ball")
-    return 2.0 / (1.0 - cfg.c * sq)
+    return 2.0 / denom
 
 
 def mobius_add(x, y, cfg: BallConfig):
-    """Mobius addition x (+) y. Not commutative; (-x) (+) x = 0."""
+    """Mobius addition x (+) y of plain arrays. Not commutative; (-x) (+) x = 0."""
     _check_same_width(x, y, "mobius_add")
     c = cfg.c
-    x2 = _sq_norm(x)
-    y2 = _sq_norm(y)
-    xy = ad.sum(x * y, axis=-1, keepdims=True)
+    x2 = np.sum(x * x, axis=-1, keepdims=True)
+    y2 = np.sum(y * y, axis=-1, keepdims=True)
+    xy = np.sum(x * y, axis=-1, keepdims=True)
     denom = 1.0 + 2.0 * c * xy + c * c * x2 * y2
-    if np.any(np.abs(val(denom)) < cfg.eps ** 2):
+    if np.any(np.abs(denom) < cfg.eps ** 2):
         raise DomainError("mobius_add: denominator vanished (operands too close to the boundary)")
     num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
     return num / denom
@@ -170,36 +165,58 @@ def flat_distance(x, y):
 
 
 def klein_to_poincare(k, cfg: BallConfig):
-    """x_D = x_K / (1 + sqrt(1 - c ||x_K||^2))."""
-    inside = 1.0 - cfg.c * _sq_norm(k)
-    if np.any(val(inside) < 0.0):
+    """x_D = x_K / (1 + sqrt(1 - c ||x_K||^2)) of plain arrays."""
+    inside = 1.0 - cfg.c * np.sum(k * k, axis=-1, keepdims=True)
+    if np.any(inside < 0.0):
         raise DomainError("klein_to_poincare: point outside the Klein disk")
-    return k / (1.0 + ad.sqrt(inside))
+    return k / (1.0 + np.sqrt(inside))
 
 
 def einstein_midpoint(points, cfg: BallConfig):
     """Einstein midpoint of (..., P, C) points over the set axis -2.
 
-    The Klein mean sum_i lambda_i x_i / sum_i (lambda_i - 1), mapped back to
-    the ball. Raises DomainError when a point lies on or outside the ball,
+    The Klein mean k = sum_i lambda_i x_i / sum_i (lambda_i - 1), mapped back
+    to the ball. Raises DomainError when a point lies on or outside the ball,
     which the Klein map would read as its inversion x / (c ||x||^2). In the
     plain-array path both summands are sorted per coordinate before
     reduction, so any permutation of the inputs yields a bit-identical
     result; the taped path keeps evaluation order.
+
+    Recorded as one node, whose adjoint replays the composite's reverse
+    sweep op for op (its negations, which are exact, folded), so gradients
+    keep its bits. With g = dL/d(out), out = k / t, t = 1 + s,
+    s = sqrt(1 - c ||k||^2) and d_i = 1 - c ||x_i||^2, each sum over the C
+    coordinates is formed first and each bracket is added left to right:
+        dk = (g / t + b k) + b k,  b = (sum_C g k / t^2) * 0.5 / s * c,
+        dlam_i = sum_C (dk / den) x_i - sum_C dk num / den^2,
+        dx_i = (lambda_i dk / den + e_i x_i) + e_i x_i,  e_i = dlam_i * 2 / d_i^2 * c.
     """
     shape = np.shape(val(points))
     if len(shape) < 2 or shape[-2] == 0:
         raise ShapeError(f"einstein_midpoint: point set must be (..., P>=1, C), got {shape}")
-    lam = conformal_factor(points, cfg, keepdims=True)
-    weighted = lam * points
-    gamma = lam - 1.0
+    x, c = val(points), cfg.c
+    lam = conformal_factor(x, cfg, keepdims=True)
+    weighted, gamma = lam * x, lam - 1.0
     if isinstance(points, ad.Var):
-        num = ad.sum(weighted, axis=-2)
-        den = ad.sum(gamma, axis=-2)
+        num, den = np.sum(weighted, axis=-2), np.sum(gamma, axis=-2)
     else:
         num = np.sort(weighted, axis=-2).sum(axis=-2)
         den = np.sort(gamma, axis=-2).sum(axis=-2)
-    return klein_to_poincare(num / den, cfg)
+    k = num / den
+
+    def pull(g):
+        s = np.sqrt(1.0 - c * np.sum(k * k, axis=-1, keepdims=True))
+        t = 1.0 + s
+        bk = ad._unbroadcast(g * k / (t * t), t.shape) * 0.5 / s * c * k
+        gk = (g / t + bk) + bk
+        gw = (gk / den)[..., None, :]  # d(loss)/d(lambda_i x_i)
+        gden = ad._unbroadcast(gk * num / (den * den), den.shape)
+        glam = ad._unbroadcast(gw * x, lam.shape) - gden[..., None, :]
+        d = 1.0 - c * np.sum(x * x, axis=-1, keepdims=True)
+        ex = glam * 2.0 / (d * d) * c * x
+        return (gw * lam + ex) + ex
+
+    return ad._node(klein_to_poincare(k, cfg), "midpoint", (points, pull))
 
 
 def log_map(x, y, cfg: BallConfig):

@@ -110,7 +110,7 @@ def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool):
         var_buf += _BN_MOMENTUM * var.reshape(-1)
         return out
     out = gamma * ((x - mean_buf) / np.sqrt(var_buf + _BN_EPS))
-    return out if beta is None else out + beta
+    return out if beta is None else ad.add(out, beta)
 
 
 def sinusoidal_grid_encoding(h: int, w: int, c: int) -> np.ndarray:
@@ -209,9 +209,9 @@ class SignatureGenerator:
         k = ad.linear(tokens, p["wk"])
         v = ad.linear(tokens, p["wv"], p["bv"])
         att = ad.linear(ad.attention(q, k, v), p["wo"], p["bo"])
-        h = layer_norm(tokens + att, p["ln1_g"], p["ln1_b"])
+        h = layer_norm(ad.add(tokens, att), p["ln1_g"], p["ln1_b"])
         f = ad.linear(ad.relu(ad.linear(h, p["ffw1"], p["ffb1"])), p["ffw2"], p["ffb2"])
-        return layer_norm(h + f, p["ln2_g"])
+        return layer_norm(ad.add(h, f), p["ln2_g"])
 
     def refine(self, proj, params=None):
         """Attend jointly over all support maps.
@@ -297,7 +297,7 @@ class RelationGenerator:
                 f"relation inputs must be maps (..., {cell[0]}, {cell[1]}, {c}) and "
                 f"signatures broadcasting against them, got {shape} and {sig_shape}"
             )
-        x = ad.conv2d(maps, p["conv1_map_w"]) + ad.conv2d(signature, p["conv1_sig_w"])
+        x = ad.add(ad.conv2d(maps, p["conv1_map_w"]), ad.conv2d(signature, p["conv1_sig_w"]))
         x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
                        self.buffers["bn1_var"], train)
         x = dropout(ad.relu(x), 0.5, rng if train else None)

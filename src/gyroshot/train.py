@@ -189,11 +189,8 @@ def episode_forward(episode: Episode, bundle: ModelBundle, cfg: TrainConfig, *,
             svals = ad.mean(D, axis=(-2, -1))
         dists = metrics.adaptive_combine(svals, weights)
 
-    logits = dists * (-1.0 / cfg.temperature)
-    logp = ad.log_softmax(logits, axis=-1)
     labels = episode.query_labels
-    onehot = np.eye(n)[labels]
-    loss = ad.sum(logp * onehot) * (-1.0 / n_query_total)
+    loss = ad.cross_entropy(dists, labels, -1.0 / cfg.temperature)
 
     d_val = np.asarray(val(dists))
     preds = np.argmin(d_val, axis=-1)

@@ -1,6 +1,7 @@
 """Tape, primitive ops, and the finite-difference oracle."""
 
 import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ def _square(x):
 
 def _exp(x):
     """Taped exp for the reference composites; autodiff fuses every exp it
-    needs into softmax, log_softmax and attention."""
+    needs into softmax, cross_entropy and attention."""
     out = np.exp(val(x))
     return ad._node(out, "exp", (x, lambda g: g * out))
 
@@ -49,7 +50,7 @@ def test_reverse_order_is_topological_and_deterministic():
     def build():
         tape = Tape()
         x = tape.var(np.array([0.3, -0.2, 0.9]))
-        y = ad.sum(ad.tanh(x * 2.0) / (1.0 + _exp(-1.0 * x)))
+        y = ad.sum(ad.tanh(x * 2.0) / (_exp(-1.0 * x) + 1.0))
         backward(y)
         return x.grad.copy()
 
@@ -98,7 +99,6 @@ _CONSTANT_CALLS = {
     "sub": lambda: ad.sub(_X, 1.0),
     "mul": lambda: ad.mul(2.0, _X),
     "div": lambda: ad.div(_X, _X),
-    "sqrt": lambda: ad.sqrt(_X),
     "tanh": lambda: ad.tanh(_X),
     "sigmoid": lambda: ad.sigmoid(_X),
     "relu": lambda: ad.relu(_X - 0.25),
@@ -109,7 +109,7 @@ _CONSTANT_CALLS = {
     "linear": lambda: ad.linear(_X, _X, _X[0]),
     "conv2d": lambda: ad.conv2d(_X[None, :, :, None], np.ones((1, 2, 1, 3))),
     "softmax": lambda: ad.softmax(_X),
-    "log_softmax": lambda: ad.log_softmax(_X),
+    "cross_entropy": lambda: ad.cross_entropy(_X, [1, 0], -1.0),
     "attention": lambda: ad.attention(_X, _X, _X),
     "normalize": lambda: ad.normalize(_X, -1, 1e-5, _X[0], _X[1])[0],
     "geodesic_distance": lambda: geodesic_distance(_X, _X[::-1], BallConfig(c=1.0)),
@@ -151,7 +151,6 @@ def test_broadcast_gradients_have_operand_shapes():
 @pytest.mark.parametrize(
     "name,fn,low,high",
     [
-        ("sqrt", lambda x: ad.sum(ad.sqrt(x)), 0.2, 2.0),
         ("tanh", lambda x: ad.sum(ad.tanh(x)), -2.0, 2.0),
         ("sigmoid", lambda x: ad.sum(ad.sigmoid(x)), -3.0, 3.0),
         ("relu", lambda x: ad.sum(ad.relu(x)), 0.1, 2.0),
@@ -160,8 +159,8 @@ def test_broadcast_gradients_have_operand_shapes():
         ("softmax", lambda x: ad.sum(_square(ad.softmax(x, axis=-1))), -2.0, 2.0),
         ("softmax_axis0", lambda x: ad.sum(ad.softmax(x, axis=0) * np.arange(8.0).reshape(2, 4)),
          -2.0, 2.0),
-        ("log_softmax", lambda x: ad.sum(ad.log_softmax(x, axis=-1) * 0.3), -2.0, 2.0),
-        ("div", lambda x: ad.sum(x / (2.0 + x)), -1.0, 1.0),
+        ("cross_entropy", lambda x: ad.cross_entropy(x, [3, 0], -1.7) * 0.3, -2.0, 2.0),
+        ("div", lambda x: ad.sum(x / (x + 2.0)), -1.0, 1.0),
         ("reshape",
          lambda x: ad.sum(_square(ad.reshape(x, (2, 3))) * np.arange(6.0).reshape(2, 3)),
          -1.0, 1.0),
@@ -169,7 +168,7 @@ def test_broadcast_gradients_have_operand_shapes():
 )
 def test_primitive_gradients_match_finite_differences(name, fn, low, high):
     rng = np.random.default_rng(sum(name.encode()))
-    shape = (2, 4) if name in ("softmax", "softmax_axis0", "log_softmax") else (6,)
+    shape = (2, 4) if name in ("softmax", "softmax_axis0", "cross_entropy") else (6,)
     point = rng.uniform(low, high, shape)
     report = finite_diff_check(fn, point)
     assert report.passed, f"{name}: max rel err {report.max_rel_error} flagged {report.flagged}"
@@ -457,6 +456,47 @@ def test_attention_rejects_mismatched_shapes():
         ad.attention(q, np.ones((5, 3)), np.ones((5, 3)))
     with pytest.raises(ShapeError):
         ad.attention(q, q, np.ones((5, 3)))
+
+
+def _log_softmax(x):
+    """Taped log-softmax along the last axis for the reference composite:
+    the one node the episode loss took for it before the whole loss was
+    fused."""
+    xv = val(x)
+    centered = xv - np.max(xv, axis=-1, keepdims=True)
+    e = np.exp(centered)
+    s = np.sum(e, axis=-1, keepdims=True)
+    return ad._node(centered - np.log(s), "log_softmax",
+                    (x, lambda g: g + (np.sum(-g, axis=-1, keepdims=True) / s) * e))
+
+
+def _composite_cross_entropy(x, labels, scale):
+    """The 5-op episode loss: scale, log-softmax, one-hot pick, sum, -1/n."""
+    onehot = np.eye(np.shape(val(x))[-1])[labels]
+    return ad.sum(_log_softmax(x * scale) * onehot) * (-1.0 / len(labels))
+
+
+@pytest.mark.parametrize("temperature", (1.0, 0.3, 2.0))
+def test_fused_cross_entropy_equals_the_composite_bit_for_bit(temperature):
+    """One node whose value, taped and untaped, and whose gradient equal the
+    5-op composite's bits, on (NQ, N) = (15, 5) distances like a default
+    episode's, with the loss as the root and scaled by 0.37 before it."""
+    labels = np.repeat(np.arange(5), 3)
+    scale = -1.0 / temperature
+    for seed, root_scale in itertools.product(range(4), (1.0, 0.37)):
+        d0 = np.random.default_rng(seed).uniform(0.0, 6.0, size=(15, 5))
+        runs = []
+        for loss_fn in (ad.cross_entropy, _composite_cross_entropy):
+            tape = Tape()
+            d = tape.var(d0)
+            loss = loss_fn(d, labels, scale)
+            runs.append((len(tape) - 1, loss.value, d))
+            backward(loss if root_scale == 1.0 else loss * root_scale)
+        (nodes, value, d), (ref_nodes, ref_value, ref_d) = runs
+        assert (nodes, ref_nodes) == (1, 5)
+        np.testing.assert_array_equal(value, ref_value)
+        np.testing.assert_array_equal(ad.cross_entropy(d0, labels, scale), ref_value)
+        np.testing.assert_array_equal(d.grad, ref_d.grad)
 
 
 def _fused_tape():

@@ -1,5 +1,6 @@
 """Synthetic data generation, episode sampling, and dataset file IO tests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -179,6 +180,25 @@ class TestSampleEpisode:
     def test_outliers_need_spare_classes(self):
         with pytest.raises(InsufficientDataError):
             sample_episode(self.ds, EpisodeSpec(n_way=6, k_shot=2, n_query=2, n_outliers=1))
+
+    @pytest.mark.parametrize("n_outliers,digest", [
+        (0, "65428e8618a204e5b58e592589eb35c6af8976cf86bd2b493a9f52ab51ecc720"),
+        (2, "2fab5826ab5c539ecc1903ed9844b0a703dd5f65efa790a1186ccf0fa17136a7"),
+    ])
+    def test_episode_stream_frozen(self, n_outliers, digest):
+        """50 default-sized episodes from 20 classes of 30 samples, each
+        sample's one feature its index, hash to the values frozen from a
+        version that formed the outlier pool for clean episodes too: that
+        pool draws no random numbers, so skipping it changes no episode."""
+        ds = Dataset(features=np.arange(600.0).reshape(600, 1, 1),
+                     labels=np.repeat(np.arange(20), 30), dims=(1, 1, 1))
+        spec = EpisodeSpec(n_way=5, k_shot=5, n_query=3, n_outliers=n_outliers, seed=11)
+        h = hashlib.sha256()
+        for index in range(50):
+            ep = sample_episode(ds, spec, index)
+            for a in (ep.support, ep.query, ep.class_ids, ep.support_origin):
+                h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
     def test_spec_validation(self):
         with pytest.raises(ShapeError):

@@ -307,9 +307,6 @@ def test_geometry_gradients_match_finite_differences(c):
     assert finite_diff_check(lambda x: geodesic_distance(x, y0, cfg), x0).passed
     assert finite_diff_check(lambda y: geodesic_distance(x0, y, cfg), y0, tol=2e-4).passed
     assert finite_diff_check(
-        lambda x: ad.sum(mobius_add(x, y0, cfg) * np.arange(5.0)), x0
-    ).passed
-    assert finite_diff_check(
         lambda x: ad.sum(log_map(x, y0, cfg) * np.arange(5.0)), x0
     ).passed
 
@@ -390,6 +387,61 @@ def test_midpoint_error_at_the_boundary_against_longdouble(case):
 def test_midpoint_gradient_at_the_boundary(case, seed):
     cfg, pts = case
     u = np.random.default_rng(seed).normal(size=pts.shape[-1])
+    report = finite_diff_check(lambda p: ad.sum(einstein_midpoint(p, cfg) * u), pts, step=1e-7)
+    assert report.passed, report.max_rel_error
+
+
+def _sqrt(x):
+    """Taped sqrt for the reference composite; the midpoint, the one op of
+    the geometry that takes a square root on the tape, is fused."""
+    out = np.sqrt(val(x))
+    return ad._node(out, "sqrt", (x, lambda g: g * 0.5 / out))
+
+
+def composite_midpoint(points, cfg):
+    """The 17-op taped midpoint whose reverse sweep the fused adjoint
+    replays: 5 ops for the conformal factors, 5 for the two weighted sums
+    and their quotient, and 7 for the map back to the ball."""
+    lam = ad.div(2.0, ad.sub(1.0, cfg.c * ad.sum(points * points, axis=-1, keepdims=True)))
+    weighted, gamma = lam * points, lam - 1.0
+    k = ad.sum(weighted, axis=-2) / ad.sum(gamma, axis=-2)
+    return k / ad.add(1.0, _sqrt(ad.sub(1.0, cfg.c * ad.sum(k * k, axis=-1, keepdims=True))))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (5, 5, 16), (2, 3, 4, 4)],
+                         ids=["one_point", "prototype_set", "two_leading_axes"])
+@pytest.mark.parametrize("frac", (0.5, 0.999))
+@pytest.mark.parametrize("c", CURVATURE_GRID)
+def test_fused_midpoint_equals_the_composite_bit_for_bit(shape, frac, c):
+    """One node whose value and gradient equal the 17-op composite's bits,
+    the gradient taken through random weights of the midpoint."""
+    cfg = BallConfig(c=c)
+    rng = np.random.default_rng(int(1000 * frac) + shape[-2])
+    pts = points_at_radius(rng, shape, rng.uniform(0.0, frac, size=shape[:-1] + (1,)), cfg)
+    u = rng.normal(size=shape[:-2] + shape[-1:])
+    runs = []
+    for midpoint in (einstein_midpoint, composite_midpoint):
+        tape = Tape()
+        x = tape.var(pts)
+        mid = midpoint(x, cfg)
+        runs.append((len(tape) - 1, mid.value, x))
+        backward(ad.sum(mid * u))
+    (nodes, value, x), (ref_nodes, ref_value, ref_x) = runs
+    assert (nodes, ref_nodes) == (1, 17)
+    np.testing.assert_array_equal(value, ref_value)
+    np.testing.assert_array_equal(x.grad, ref_x.grad)
+
+
+@BOUNDARY
+@given(point_sets(), SEEDS)
+def test_fused_midpoint_gradient_matches_finite_differences(case, seed):
+    """Points up to 0.999 of the radius, c on CURVATURE_GRID, through the
+    one midpoint node."""
+    cfg, pts = case
+    u = np.random.default_rng(seed).normal(size=pts.shape[-1])
+    tape = Tape()
+    einstein_midpoint(tape.var(pts), cfg)
+    assert [n.op for n in tape.nodes] == ["leaf", "midpoint"]
     report = finite_diff_check(lambda p: ad.sum(einstein_midpoint(p, cfg) * u), pts, step=1e-7)
     assert report.passed, report.max_rel_error
 

@@ -12,7 +12,7 @@ import pytest
 import importlib
 
 from gyroshot import autodiff as ad
-from gyroshot import geometry, metrics, netmods
+from gyroshot import metrics, netmods
 from gyroshot.cli import RunConfig
 
 # the package re-exports the train() function under the submodule's name,
@@ -558,7 +558,7 @@ def _eager_backward(root):
 
 def _exp(x):
     """Taped exp for the reference composite; autodiff fuses every exp it
-    needs into softmax, log_softmax and attention."""
+    needs into softmax, cross_entropy and attention."""
     out = np.exp(ad.val(x))
     return ad._node(out, "exp", (x, lambda g: g * out))
 
@@ -576,8 +576,20 @@ def _composite_softmax(x, axis=-1):
     return ad.div(e, ad.sum(e, axis=axis, keepdims=True))
 
 
+def _mobius_add(x, y, cfg):
+    """Taped Mobius addition for the reference composite; the package's
+    mobius_add, which no model path records, takes plain arrays."""
+    c = cfg.c
+    x2 = ad.sum(x * x, axis=-1, keepdims=True)
+    y2 = ad.sum(y * y, axis=-1, keepdims=True)
+    xy = ad.sum(x * y, axis=-1, keepdims=True)
+    denom = ad.add(1.0, 2.0 * c * xy) + c * c * x2 * y2
+    num = (ad.add(1.0, 2.0 * c * xy) + c * y2) * x + ad.sub(1.0, c * x2) * y
+    return num / denom
+
+
 def _composite_geodesic(x, y, cfg):
-    m = geometry.mobius_add(-1.0 * x, y, cfg)
+    m = _mobius_add(-1.0 * x, y, cfg)
     return (2.0 / cfg.sqrt_c) * _arctanh(cfg.sqrt_c * ad.norm(m))
 
 
@@ -700,10 +712,10 @@ def test_refine_records_at_most_23_nodes(monkeypatch):
 
 
 def test_midpoint_records_at_most_17_nodes(monkeypatch):
-    """Each taped Einstein midpoint records 17 nodes: 5 for the conformal
-    factors, 5 for the two weighted sums and their quotient, and 7 for the
-    map back to the ball (23 through the forward Klein map). The prototype
-    variant calls it three times and app2s once."""
+    """Each taped Einstein midpoint records one node (17 as a composite: 5
+    for the conformal factors, 5 for the two weighted sums and their
+    quotient, and 7 for the map back to the ball; 23 through the forward
+    Klein map). The prototype variant calls it three times and app2s once."""
     midpoint, counts = tr.einstein_midpoint, []
 
     def counted(points, cfg):
@@ -715,7 +727,7 @@ def test_midpoint_records_at_most_17_nodes(monkeypatch):
     monkeypatch.setattr(tr, "einstein_midpoint", counted)
     for name in ("prototype", "app2s"):
         _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)).variant(name))
-    assert len(counts) == 4 and max(counts) <= 17
+    assert counts == [1, 1, 1, 1]
 
 
 def _episode_tape_size(cfg):
@@ -732,14 +744,17 @@ def _episode_tape_size(cfg):
 
 def test_prototype_episode_records_at_most_82_nodes():
     """A default taped prototype episode, its 4 encoder leaves included,
-    records 74 nodes (100 through the forward Klein map, 82 with the
-    encoder's biases and the composite log-softmax as nodes of their own)."""
-    assert _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")) <= 74
+    records 22 nodes: 5 per encoder call, one per midpoint, three reshapes,
+    the geodesic and one loss node (74 with the composite midpoints and the
+    5-op loss, 100 through the forward Klein map, 82 with the encoder's
+    biases and the composite log-softmax as nodes of their own)."""
+    assert _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")) <= 22
 
 
 def test_app2s_episode_records_at_most_139_nodes(monkeypatch):
     """A default taped app2s episode, its 30 parameter leaves included,
-    records 116 nodes (179 with the composite log map and the relation net
+    records 96 nodes (116 with the composite midpoint and the 5-op loss,
+    179 with the composite log map and the relation net
     on concatenated pairs, 146 with the midpoint through the forward Klein
     map, 140 with the relation net's first kernel cut in two on the tape,
     139 with it stored as two halves, while biases, scales, shifts and the
@@ -757,7 +772,7 @@ def test_app2s_episode_records_at_most_139_nodes(monkeypatch):
     monkeypatch.setattr(netmods, "project_support", counted)
     size = _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)))
     assert len(counts) == 1 and counts[0] <= 2
-    assert size <= 116
+    assert size <= 96
 
 
 def test_app2s_step_records_no_node_above_5d_outside_pairwise(monkeypatch):
@@ -792,7 +807,7 @@ def test_lazy_backward_matches_eager_sweep_bit_for_bit(monkeypatch):
     episode agree exactly. The tape uses the composite softmax and geodesic,
     whose many nodes and fan-outs exercise accumulation, the fused attention
     node and the fused normalize nodes, whose pulls share one adjoint
-    computation, and the fused linear and log-softmax nodes."""
+    computation, and the fused linear, midpoint and loss nodes."""
     monkeypatch.setattr(ad, "softmax", _composite_softmax)
     monkeypatch.setattr(metrics, "geodesic_distance", _composite_geodesic)
     cfg = tr.TrainConfig(ball=BallConfig(c=0.7))
