@@ -6,6 +6,8 @@ combinations of learned set-to-set distances, with the mixing weights
 produced by a signature/relation network pair.
 """
 
+from types import ModuleType as _ModuleType
+
 from .autodiff import Tape, Var, backward, finite_diff_check
 from .episodes import (
     Dataset,
@@ -65,53 +67,5 @@ from .train import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallConfig",
-    "ConfigError",
-    "DataFormatError",
-    "Dataset",
-    "DomainError",
-    "Encoder",
-    "Episode",
-    "EpisodeSpec",
-    "EvalReport",
-    "GyroshotError",
-    "InsufficientDataError",
-    "ModelBundle",
-    "ModelConfig",
-    "RelationGenerator",
-    "S2SNetwork",
-    "ShapeError",
-    "SignatureGenerator",
-    "SyntheticConfig",
-    "Tape",
-    "TapeError",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingDivergedError",
-    "VARIANTS",
-    "Var",
-    "adaptive_combine",
-    "backward",
-    "clip_to_ball",
-    "conformal_factor",
-    "einstein_midpoint",
-    "evaluate",
-    "exp_map",
-    "finite_diff_check",
-    "flat_distance",
-    "generate_synthetic",
-    "geodesic_distance",
-    "klein_to_poincare",
-    "load_features",
-    "load_tensors",
-    "log_map",
-    "mobius_add",
-    "pairwise_matrix",
-    "run_robustness",
-    "s2s_learned",
-    "sample_episode",
-    "save_dataset",
-    "save_tensors",
-    "train",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -9,10 +9,10 @@ identical gradients bit for bit.
 
 Every public op accepts either `Var` operands or plain numpy arrays / scalars
 (treated as constants), so the same code path serves taped training and
-untaped evaluation. A `Var` overloads `+ - * /`, and `*` with a constant on
-the left; code whose left operand may be a constant calls `add`, `sub` or
-`div`. `__array_ufunc__ = None` keeps numpy from absorbing a `Var` into an
-object array.
+untaped evaluation. A `Var` overloads `+ * /`, and `*` with a constant on
+the left; a difference, and a sum or quotient whose left operand may be a
+constant, calls `sub`, `add` or `div`. `__array_ufunc__ = None` keeps numpy
+from absorbing a `Var` into an object array.
 
 An op computes its value and returns `_node(value, op, (operand, pull), ...)`
 with one pair per operand. `_node` drops the pairs whose operand is a
@@ -31,13 +31,16 @@ downstream adjoints and no stored gradient is ever written through an
 alias. A node that no contribution reached runs no adjoint and ends the
 sweep with a zero gradient.
 
-Softmax, `linear` (product plus bias), single-head attention, normalization
-(with its scale and shift) and the episode loss `cross_entropy` are fused:
-each is one node with a hand-written adjoint whose forward runs the
-composite form's arithmetic, so untaped results are unchanged. `attention`
-keeps no T×T array and `normalize` only μ and σ; the adjoints rebuild what
-they need per call (attention's P block by block, normalize's x̂) and keep
-nothing after. `conv2d` treats the leading axes of its input as batch axes.
+Softmax, `linear` (product, bias, activation), `conv2d` (with a bias),
+single-head attention, normalization (with its scale, shift, relu and
+dropout mask) and the episode loss `cross_entropy` are fused: each is one
+node with a hand-written adjoint whose forward runs the composite form's
+arithmetic, so untaped results are unchanged. `attention` keeps no T×T array
+and `normalize` only μ and σ; the adjoints rebuild what they need per call
+(attention's P block by block, normalize's x̂) and keep nothing after, and an
+activation's adjoint reads its derivative off the node's own value, so no
+pre-activation array or mask is kept. `conv2d` treats the leading axes of
+its input as batch axes.
 
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
 gradients have been read breaks that cycle, so the arrays are freed by
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, TapeError
+from .errors import ConfigError, ShapeError, TapeError
 
 _SAFE_NORM_FLOOR = 1e-15
 
@@ -99,9 +102,6 @@ class Var:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -249,11 +249,6 @@ def div(a, b):
 # elementwise
 
 
-def tanh(x):
-    out = np.tanh(val(x))
-    return _node(out, "tanh", (x, lambda g: g * (1.0 - out * out)))
-
-
 def sigmoid(x):
     xv = val(x)
     # exp only of non-positive numbers: stable for large |x|
@@ -262,9 +257,27 @@ def sigmoid(x):
     return _node(out, "sigmoid", (x, lambda g: g * out * (1.0 - out)))
 
 
-def relu(x):
-    xv = val(x)
-    return _node(np.maximum(xv, 0.0), "relu", (x, lambda g: g * (xv > 0)))
+def _activate(out, act, keep=None):
+    """Apply a fused node's epilogue to its fresh value `out` in place: `act`
+    (None, "tanh" or "relu"), then, after a relu, the inverted-dropout mask
+    `keep` (zeros and one scale s = 1/(1 − p)). Returns the map of the
+    node's adjoint g to the pre-activation adjoint, read off `out` alone with
+    the unfused adjoints' bits: g · (1 − out²), g · (out > 0) or, with the
+    mask, (g · s) · (out > 0)."""
+    if act is None and keep is None:
+        return lambda g: g
+    if act == "tanh" and keep is None:
+        np.tanh(out, out=out)
+        return lambda g: g * (1.0 - out * out)
+    if act != "relu":
+        raise ConfigError(f"no epilogue act={act!r}"
+                          + ("" if keep is None else " with a dropout mask"))
+    np.maximum(out, 0.0, out=out)
+    if keep is None:
+        return lambda g: g * (out > 0)
+    out *= keep
+    scale = np.max(keep, initial=0.0)
+    return lambda g: (g * scale) * (out > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,27 +342,35 @@ def reshape(x, shape):
 # linear maps
 
 
-def linear(x, w, b=None):
-    """x @ w, plus the bias b when given, recorded as one node."""
+def linear(x, w, b=None, act=None):
+    """x @ w, plus the bias b when given, then `act` (None, "tanh" or "relu";
+    see `_activate`) as one node."""
     xv, wv, bv = val(x), val(w), val(b)
     if np.ndim(xv) < 2 or np.ndim(wv) < 2:
         raise ShapeError("linear operands must have ndim >= 2")
     out = xv @ wv
     if b is not None:
         out += bv
-    return _node(out, "linear",
-                 (x, lambda g: _unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape)),
-                 (w, lambda g: _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape)),
-                 (b, lambda g: _unbroadcast(g, np.shape(bv))))
+    pre = _activate(out, act)
+
+    def grads(g):  # x is a constant in the encoder's first layer
+        g = pre(g)
+        return (_unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape) if isinstance(x, Var)
+                else None,
+                _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape),
+                None if b is None else _unbroadcast(g, np.shape(bv)))
+
+    return _node(out, "linear", *_joint_pulls((x, w, b), grads))
 
 
-def conv2d(x, k):
-    """Valid-padding stride-1 convolution, channels last.
+def conv2d(x, k, b=None):
+    """Valid-padding stride-1 convolution, channels last, plus b when given.
 
     x: (..., H, W, Cin), k: (kh, kw, Cin, Cout) -> (..., H-kh+1, W-kw+1, Cout);
-    the leading axes of x are batch axes.
+    the leading axes of x are batch axes. b, which may be another conv's
+    output, broadcasts against the kernel sum as `linear`'s bias does.
     """
-    xv, kv = val(x), val(k)
+    xv, kv, bv = val(x), val(k), val(b)
     if np.ndim(xv) < 3 or np.ndim(kv) != 4:
         raise ShapeError("conv2d expects a (..., H, W, Cin) input and a 4-D kernel")
     *lead, H, W, Ci = xv.shape
@@ -379,7 +400,10 @@ def conv2d(x, k):
                 gk[di, dj] = np.tensordot(xv[..., di:di + Ho, dj:dj + Wo, :], g, axes=(axes, axes))
         return gk
 
-    return _node(out, "conv2d", (x, pull_x), (k, pull_k))
+    if b is not None:
+        out += bv
+    return _node(out, "conv2d", (x, pull_x), (k, pull_k),
+                 (b, lambda g: _unbroadcast(g, np.shape(bv))))
 
 
 # ---------------------------------------------------------------------------
@@ -474,32 +498,45 @@ def attention(q, k, v):
     return _node(out, "attention", *_joint_pulls((q, k, v), grads))
 
 
-def normalize(x, axes, eps, gamma, beta=None):
+def normalize(x, axes, eps, gamma, beta=None, act=None, keep=None, stats=None):
     """γ · x̂ + β over `axes` as one node; beta=None leaves out the shift.
 
     Returns (γ · x̂ + β, μ, var): x̂ = (x − μ) / σ, σ = sqrt(var + eps), μ and
     var the (biased) mean and variance as plain arrays of the reduced shape
-    with kept dimensions, by the composite form's arithmetic. The node keeps
-    μ and σ; the adjoint rebuilds x̂ from x and, with gx = g ⊙ γ, gives
-    dx = (gx − mean(gx) − x̂ · mean(gx ⊙ x̂)) / σ, dγ = Σ g ⊙ x̂ and dβ = Σ g.
+    with kept dimensions, by the composite form's arithmetic; `stats` =
+    (mean, var) takes copies of those instead. `act` and `keep` add
+    `_activate`'s epilogue. The node keeps μ and σ; the adjoint maps g
+    through the epilogue, rebuilds x̂ from x and, with gx = g ⊙ γ, gives
+    dx = (gx − mean(gx) − x̂ · mean(gx ⊙ x̂)) / σ (gx / σ with `stats`),
+    dγ = Σ g ⊙ x̂ and dβ = Σ g.
     """
     xv, gv, bv = val(x), val(gamma), val(beta)
     axes = _normalize_axes(axes, np.ndim(xv))
     inv_n = 1.0 / float(np.prod([xv.shape[a] for a in axes]))
-    mu = np.sum(xv, axis=axes, keepdims=True) * inv_n
-    out = xv - mu
-    var = np.sum(out * out, axis=axes, keepdims=True) * inv_n
+    if stats is None:
+        mu = np.sum(xv, axis=axes, keepdims=True) * inv_n
+        out = xv - mu
+        var = np.sum(out * out, axis=axes, keepdims=True) * inv_n
+    else:  # copies: a later update of the buffers must not reach the adjoint
+        mu, var = (np.array(s, dtype=np.float64) for s in stats)
+        out = xv - mu
     sigma = np.sqrt(var + eps)
     out = gv * (out / sigma)
     if beta is not None:
         out += bv
+    pre = _activate(out, act, keep)
 
     def grads(g):
+        g = pre(g)
         xhat = (xv - mu) / sigma
         gx = g * gv
-        mean_g = np.sum(gx, axis=axes, keepdims=True) * inv_n
-        mean_gx = np.sum(gx * xhat, axis=axes, keepdims=True) * inv_n
-        return ((gx - mean_g - xhat * mean_gx) / sigma, _unbroadcast(g * xhat, np.shape(gv)),
+        if stats is None:
+            mean_g = np.sum(gx, axis=axes, keepdims=True) * inv_n
+            mean_gx = np.sum(gx * xhat, axis=axes, keepdims=True) * inv_n
+            dx = (gx - mean_g - xhat * mean_gx) / sigma
+        else:
+            dx = gx / sigma
+        return (dx, _unbroadcast(g * xhat, np.shape(gv)),
                 None if beta is None else _unbroadcast(g, np.shape(bv)))
 
     return _node(out, "normalize", *_joint_pulls((x, gamma, beta), grads)), mu, var

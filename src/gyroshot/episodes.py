@@ -52,7 +52,9 @@ class SyntheticConfig:
 
 @dataclass
 class Dataset:
-    """In-memory sample store: features (S, HW, C) float64, integer labels."""
+    """In-memory sample store: features (S, HW, C) float64, integer labels,
+    with `classes`, the sorted distinct labels, and `pools`, each class's
+    sample indices in order, built once for the episode sampler."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -68,14 +70,15 @@ class Dataset:
             )
         if self.labels.shape != (self.features.shape[0],):
             raise ShapeError("labels must be one integer per sample")
+        self.classes, counts = np.unique(self.labels, return_counts=True)
+        order = np.argsort(self.labels, kind="stable")
+        self.pools = dict(zip(self.classes.tolist(), np.split(order, np.cumsum(counts)[:-1])))
+        for a in (self.classes, *self.pools.values()):
+            a.flags.writeable = False
 
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
 
     def subset(self, classes) -> "Dataset":
         mask = np.isin(self.labels, classes)
@@ -165,7 +168,7 @@ def sample_episode(dataset: Dataset, spec: EpisodeSpec, index: int = 0) -> Episo
     need = spec.k_shot + spec.n_query
     sup_rows, query_rows, origin_rows = [], [], []
     for cls in chosen:
-        pool = np.flatnonzero(dataset.labels == cls)
+        pool = dataset.pools[cls]
         if pool.size < need:
             raise InsufficientDataError(
                 f"class {cls} has {pool.size} samples, episode needs {need}"
@@ -197,7 +200,7 @@ def _draw_outliers(dataset: Dataset, others: np.ndarray, n: int, rng):
     feats, orig = [], []
     for _ in range(n):
         cls = rng.choice(others)
-        pool = np.flatnonzero(dataset.labels == cls)
+        pool = dataset.pools[cls]
         feats.append(dataset.features[rng.choice(pool)])
         orig.append(cls)
     return np.stack(feats), orig

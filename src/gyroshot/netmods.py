@@ -80,12 +80,12 @@ def _conv_init(rng, kh: int, kw: int, cin: int, cout: int):
     return rng.uniform(-bound, bound, (kh, kw, cin, cout))
 
 
-def dropout(x, p: float, rng):
-    """Inverted dropout; identity when `rng` is None (eval / checks)."""
+def dropout(shape, p: float, rng):
+    """Inverted-dropout mask of `shape` for `batch_norm`, zeros and 1/(1 - p);
+    None when `rng` is None or p <= 0 (eval / checks)."""
     if rng is None or p <= 0.0:
-        return x
-    mask = (rng.random(np.shape(val(x))) >= p) / (1.0 - p)
-    return x * mask
+        return None
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def layer_norm(x, gamma, beta=None, eps: float = 1e-5):
@@ -94,23 +94,23 @@ def layer_norm(x, gamma, beta=None, eps: float = 1e-5):
     return ad.normalize(x, -1, eps, gamma, beta)[0]
 
 
-def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool):
+def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool, act=None, keep=None):
     """Normalize over all axes but the last; running buffers updated in train mode.
 
-    Train mode normalizes, scales and shifts over the batch statistics with
-    one `ad.normalize` node; eval mode reads the running buffers. beta=None
-    leaves out the shift. A bias that feeds straight into batch norm is
-    cancelled by its mean subtraction, so the layers before it have none.
+    One `ad.normalize` node over the batch statistics (train) or the running
+    buffers (eval). beta=None leaves out the shift; act="relu" adds a relu,
+    then the dropout mask `keep`. A bias that feeds straight into batch norm
+    is cancelled by its mean subtraction, so the layers before it have none.
     """
+    out, mu, var = ad.normalize(x, tuple(range(np.ndim(val(x)) - 1)), _BN_EPS, gamma, beta,
+                                act=act, keep=keep,
+                                stats=None if train else (mean_buf, var_buf))
     if train:
-        out, mu, var = ad.normalize(x, tuple(range(np.ndim(val(x)) - 1)), _BN_EPS, gamma, beta)
         mean_buf *= 1.0 - _BN_MOMENTUM
         mean_buf += _BN_MOMENTUM * mu.reshape(-1)
         var_buf *= 1.0 - _BN_MOMENTUM
         var_buf += _BN_MOMENTUM * var.reshape(-1)
-        return out
-    out = gamma * ((x - mean_buf) / np.sqrt(var_buf + _BN_EPS))
-    return out if beta is None else ad.add(out, beta)
+    return out
 
 
 def sinusoidal_grid_encoding(h: int, w: int, c: int) -> np.ndarray:
@@ -144,9 +144,10 @@ def sinusoidal_grid_encoding(h: int, w: int, c: int) -> np.ndarray:
 class Encoder:
     """Per-patch MLP embedding raw patches into the ball.
 
-    tanh bounds the output norm by feature_scale / sqrt(c), so arctanh
-    arguments downstream stay well away from 1. A call raises ConfigError
-    unless feature_scale < 1 - eps, so no output reaches the clip bound.
+    Each layer is one `ad.linear` node with a tanh epilogue. The last tanh
+    bounds the output norm by feature_scale / sqrt(c), so arctanh arguments
+    downstream stay well away from 1. A call raises ConfigError unless
+    feature_scale < 1 - eps, so no output reaches the clip bound.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -166,8 +167,8 @@ class Encoder:
             raise ShapeError(f"encoder expects patch width {self.cfg.in_dim}, got {shape[-1]}")
         if self.cfg.feature_scale >= 1.0 - ball.eps:
             raise ConfigError(f"feature_scale {self.cfg.feature_scale} must lie below 1 - eps")
-        h = ad.tanh(ad.linear(x, p["w1"], p["b1"]))
-        z = ad.tanh(ad.linear(h, p["w2"], p["b2"]))
+        h = ad.linear(x, p["w1"], p["b1"], act="tanh")
+        z = ad.linear(h, p["w2"], p["b2"], act="tanh")
         out = z * (self.cfg.feature_scale * ball.radius / np.sqrt(self.cfg.feat_dim))
         if __debug__ and not isinstance(out, ad.Var):
             assert in_ball(out, ball, slack=1e-12)
@@ -179,9 +180,10 @@ class SignatureGenerator:
 
     Attention is one fused `ad.attention` node that keeps no T×T array, each
     affine layer one `ad.linear` node and each layer norm one `ad.normalize`
-    node. The key projection has no bias (softmax over the keys is invariant
-    to it), and the output layer norm has no shift: the signature only
-    reaches the relation net's first conv, whose batch norm cancels it.
+    node, the feed-forward's relu included. The key projection has no bias
+    (softmax over the keys is invariant to it), and the output layer norm
+    has no shift: the signature only reaches the relation net's first conv,
+    whose batch norm cancels it.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -210,7 +212,7 @@ class SignatureGenerator:
         v = ad.linear(tokens, p["wv"], p["bv"])
         att = ad.linear(ad.attention(q, k, v), p["wo"], p["bo"])
         h = layer_norm(ad.add(tokens, att), p["ln1_g"], p["ln1_b"])
-        f = ad.linear(ad.relu(ad.linear(h, p["ffw1"], p["ffb1"])), p["ffw2"], p["ffb2"])
+        f = ad.linear(ad.linear(h, p["ffw1"], p["ffb1"], act="relu"), p["ffw2"], p["ffb2"])
         return layer_norm(ad.add(h, f), p["ln2_g"])
 
     def refine(self, proj, params=None):
@@ -247,10 +249,11 @@ class RelationGenerator:
     """Convolutional scorer of (projected map, class signature) agreement.
 
     The first conv reads a map and its signature side by side, which it
-    computes as conv(map, conv1_map_w) + conv(signature, conv1_sig_w): its
-    (kh, kw, 2C, F) kernel is drawn whole and stored as its two channel
-    halves, so the signature half runs once per signature rather than once
-    per map. The convs have no bias: each feeds straight into batch norm.
+    computes as conv(map, conv1_map_w) with conv(signature, conv1_sig_w) as
+    its bias: its (kh, kw, 2C, F) kernel is drawn whole and stored as its two
+    channel halves, so the signature half runs once per signature rather
+    than once per map. No conv has a learned bias: each feeds straight into
+    batch norm, whose node also applies the relu and the dropout mask.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -297,10 +300,10 @@ class RelationGenerator:
                 f"relation inputs must be maps (..., {cell[0]}, {cell[1]}, {c}) and "
                 f"signatures broadcasting against them, got {shape} and {sig_shape}"
             )
-        x = ad.add(ad.conv2d(maps, p["conv1_map_w"]), ad.conv2d(signature, p["conv1_sig_w"]))
+        x = ad.conv2d(maps, p["conv1_map_w"], ad.conv2d(signature, p["conv1_sig_w"]))
         x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
-                       self.buffers["bn1_var"], train)
-        x = dropout(ad.relu(x), 0.5, rng if train else None)
+                       self.buffers["bn1_var"], train, act="relu",
+                       keep=dropout(np.shape(val(x)), 0.5, rng if train else None))
         x = ad.conv2d(x, p["conv2_w"])
         x = batch_norm(x, p["bn2_g"], p["bn2_b"], self.buffers["bn2_mean"],
                        self.buffers["bn2_var"], train)
@@ -363,8 +366,8 @@ class S2SNetwork:
             raise ShapeError(f"s2s input must be (B, {self.in_width}), got {shape}")
         x = ad.linear(d, p["w1"])
         x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
-                       self.buffers["bn1_var"], train)
-        x = dropout(ad.relu(x), 0.5, rng if train else None)
+                       self.buffers["bn1_var"], train, act="relu",
+                       keep=dropout(np.shape(val(x)), 0.5, rng if train else None))
         x = ad.linear(x, p["w2"])
         x = batch_norm(x, p["bn2_g"], None, self.buffers["bn2_mean"],
                        self.buffers["bn2_var"], train)

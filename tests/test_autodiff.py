@@ -9,8 +9,8 @@ import pytest
 
 from gyroshot import autodiff as ad
 from gyroshot.autodiff import Tape, backward, finite_diff_check, val
-from gyroshot.errors import ShapeError, TapeError
-from gyroshot.geometry import BallConfig, geodesic_distance, log_map
+from gyroshot.errors import ConfigError, ShapeError, TapeError
+from gyroshot.geometry import BallConfig, flat_distance, geodesic_distance, log_map
 
 
 def _square(x):
@@ -22,6 +22,13 @@ def _exp(x):
     needs into softmax, cross_entropy and attention."""
     out = np.exp(val(x))
     return ad._node(out, "exp", (x, lambda g: g * out))
+
+
+def _activated(x, act):
+    """act(x) of a 1-D x as the model records it, the epilogue of a fused
+    linear node: x @ I is exact, so the value is act(x) bit for bit."""
+    n = np.shape(val(x))[-1]
+    return ad.reshape(ad.linear(ad.reshape(x, (1, n)), np.eye(n), act=act), (n,))
 
 
 def test_hand_worked_gradient():
@@ -50,7 +57,7 @@ def test_reverse_order_is_topological_and_deterministic():
     def build():
         tape = Tape()
         x = tape.var(np.array([0.3, -0.2, 0.9]))
-        y = ad.sum(ad.tanh(x * 2.0) / (_exp(-1.0 * x) + 1.0))
+        y = ad.sum(_activated(x * 2.0, "tanh") / (_exp(-1.0 * x) + 1.0))
         backward(y)
         return x.grad.copy()
 
@@ -92,6 +99,11 @@ def test_mixed_tapes_rejected(op):
 
 
 _X = np.array([[0.2, 0.5], [0.3, 0.1]])
+#: an inverted-dropout mask for _X's shape, p = 0.5
+_KEEP = np.array([[2.0, 0.0], [2.0, 2.0]])
+#: the activation epilogues of linear and normalize, which the table covers
+#: under their own names
+_EPILOGUES = {"tanh", "relu"}
 
 #: public op name -> call on constant operands only
 _CONSTANT_CALLS = {
@@ -99,15 +111,16 @@ _CONSTANT_CALLS = {
     "sub": lambda: ad.sub(_X, 1.0),
     "mul": lambda: ad.mul(2.0, _X),
     "div": lambda: ad.div(_X, _X),
-    "tanh": lambda: ad.tanh(_X),
+    "tanh": lambda: ad.linear(_X, _X, _X[0], act="tanh"),
     "sigmoid": lambda: ad.sigmoid(_X),
-    "relu": lambda: ad.relu(_X - 0.25),
+    "relu": lambda: ad.normalize(_X - 0.25, -1, 1e-5, _X[0], act="relu", keep=_KEEP,
+                                 stats=(_X[1], _X[0]))[0],
     "sum": lambda: ad.sum(_X, axis=0),
     "mean": lambda: ad.mean(_X, axis=-1),
     "norm": lambda: ad.norm(_X),
     "reshape": lambda: ad.reshape(_X, (4,)),
     "linear": lambda: ad.linear(_X, _X, _X[0]),
-    "conv2d": lambda: ad.conv2d(_X[None, :, :, None], np.ones((1, 2, 1, 3))),
+    "conv2d": lambda: ad.conv2d(_X[None, :, :, None], np.ones((1, 2, 1, 3)), _X[0, :1]),
     "softmax": lambda: ad.softmax(_X),
     "cross_entropy": lambda: ad.cross_entropy(_X, [1, 0], -1.0),
     "attention": lambda: ad.attention(_X, _X, _X),
@@ -132,7 +145,7 @@ def test_contract_tables_cover_every_public_op():
         if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")
     }
     not_ops = {"val", "record", "backward", "finite_diff_check"}
-    assert public - not_ops == set(_CONSTANT_CALLS) - {"geodesic_distance", "log_map"}
+    assert public - not_ops == set(_CONSTANT_CALLS) - {"geodesic_distance", "log_map"} - _EPILOGUES
 
 
 def test_broadcast_gradients_have_operand_shapes():
@@ -151,9 +164,9 @@ def test_broadcast_gradients_have_operand_shapes():
 @pytest.mark.parametrize(
     "name,fn,low,high",
     [
-        ("tanh", lambda x: ad.sum(ad.tanh(x)), -2.0, 2.0),
+        ("tanh", lambda x: ad.sum(_activated(x, "tanh")), -2.0, 2.0),
         ("sigmoid", lambda x: ad.sum(ad.sigmoid(x)), -3.0, 3.0),
-        ("relu", lambda x: ad.sum(ad.relu(x)), 0.1, 2.0),
+        ("relu", lambda x: ad.sum(_activated(x, "relu")), 0.1, 2.0),
         ("norm", lambda x: ad.sum(ad.norm(x)), 0.2, 1.0),
         ("mean", lambda x: ad.mean(x * x), -2.0, 2.0),
         ("softmax", lambda x: ad.sum(_square(ad.softmax(x, axis=-1))), -2.0, 2.0),
@@ -262,7 +275,7 @@ def test_sigmoid_stable_for_extreme_inputs():
 
 def test_finite_diff_report_flags_kink():
     # relu has no two-sided derivative at 0: central difference sees 0.5, tape says 0
-    report = finite_diff_check(lambda x: ad.sum(ad.relu(x)), np.zeros(1), tol=1e-4)
+    report = finite_diff_check(lambda x: ad.sum(_activated(x, "relu")), np.zeros(1), tol=1e-4)
     assert not report.passed
     assert report.flagged == [0]
 
@@ -326,7 +339,7 @@ def test_unreached_nodes_run_no_adjoint_and_end_with_zero_gradients():
 def test_repeated_backward_recomputes_instead_of_accumulating():
     tape = Tape()
     x = tape.var(np.array([0.5, -1.0, 2.0]))
-    y = ad.sum(ad.tanh(x) * x + x)
+    y = ad.sum(_activated(x, "tanh") * x + x)
     backward(y)
     first = x.grad.copy()
     backward(y)
@@ -500,14 +513,22 @@ def test_fused_cross_entropy_equals_the_composite_bit_for_bit(temperature):
 
 
 def _fused_tape():
+    """Every fused op and epilogue on one tape: relu after a linear and,
+    with a dropout mask, after a normalize; a conv with a bias; a normalize
+    over running statistics; tanh after a linear."""
     tape = Tape()
     q, k, v = (tape.var(a) for a in _attention_inputs())
     gamma, beta, w, b = (tape.var(a) for a in _affine_params())
+    keep, mean, var = _epilogue_inputs()
     h = ad.normalize(ad.attention(q, k, v), -1, 1e-5, gamma, beta)[0]
-    y = ad.normalize(ad.linear(h, w, b), (0, 1), 1e-5, gamma)[0]
+    y = ad.normalize(ad.linear(h, w, b, act="relu"), (0, 1), 1e-5, gamma, act="relu",
+                     keep=keep)[0]
+    c = ad.conv2d(ad.reshape(h, (2, 4, 1, 3)), ad.reshape(w, (1, 1, 3, 3)), b)
+    s = ad.normalize(ad.reshape(c, (2, 4, 3)), (0, 1), 1e-5, gamma, beta, stats=(mean, var))[0]
     # every pair of rows, both operands taped, well inside the c = 0.7 ball
-    d = geodesic_distance(ad.reshape(0.3 * ad.tanh(y), (2, 4, 1, 3)),
-                          ad.reshape(0.3 * ad.tanh(h), (2, 1, 4, 3)), BallConfig(c=0.7))
+    d = geodesic_distance(ad.reshape(ad.linear(y, w, act="tanh") * 0.3, (2, 4, 1, 3)),
+                          ad.reshape(ad.linear(s, w, b, act="tanh") * 0.3, (2, 1, 4, 3)),
+                          BallConfig(c=0.7))
     rng = np.random.default_rng(9)
     losses = [ad.sum(y * rng.normal(size=(2, 4, 3))) + ad.sum(d * rng.normal(size=(2, 4, 4)))
               for _ in range(2)]
@@ -518,6 +539,14 @@ def _affine_params():
     """γ and β of a 3-wide normalization, w and b of a 3 → 3 linear."""
     rng = np.random.default_rng(14)
     return rng.normal(size=3), rng.normal(size=3), rng.normal(size=(3, 3)), rng.normal(size=3)
+
+
+def _epilogue_inputs():
+    """An inverted-dropout mask (p = 0.5) for a (2, 4, 3) value, and the
+    running mean and variance of a 3-wide normalization."""
+    rng = np.random.default_rng(15)
+    return ((rng.random((2, 4, 3)) >= 0.5) / 0.5, rng.normal(size=3),
+            rng.uniform(0.5, 2.0, size=3))
 
 
 def test_fused_ops_keep_nothing_between_backward_calls():
@@ -538,11 +567,15 @@ def test_fused_ops_keep_nothing_between_backward_calls():
 
 
 def test_fused_ops_do_not_write_through_their_inputs():
-    arrays = _attention_inputs() + _affine_params()
+    arrays = _attention_inputs() + _affine_params() + _epilogue_inputs()
     saved = [a.copy() for a in arrays]
     ad.attention(*arrays[:3])
     ad.normalize(arrays[0], -1, 1e-5, arrays[3], arrays[4])
-    ad.linear(arrays[0], arrays[5], arrays[6])
+    ad.normalize(arrays[0], -1, 1e-5, arrays[3], arrays[4], act="relu", keep=arrays[7],
+                 stats=arrays[8:])
+    for act in (None, "tanh", "relu"):
+        ad.linear(arrays[0], arrays[5], arrays[6], act=act)
+    ad.conv2d(arrays[0][..., None, :], arrays[5][None, None], arrays[6])
     leaves, (loss, _) = _fused_tape()
     values = [x.value.copy() for x in leaves]
     backward(loss)
@@ -550,3 +583,206 @@ def test_fused_ops_do_not_write_through_their_inputs():
         np.testing.assert_array_equal(a, s)
     for x, s in zip(leaves, values):
         np.testing.assert_array_equal(x.value, s)
+
+
+# ---------------------------------------------------------------------------
+# activation epilogues, conv bias and running statistics
+
+
+def _tanh(x):
+    """Taped tanh for the reference composites; the model applies every tanh
+    as the epilogue of a fused linear node."""
+    out = np.tanh(val(x))
+    return ad._node(out, "tanh", (x, lambda g: g * (1.0 - out * out)))
+
+
+def _relu(x):
+    """Taped relu for the reference composites; the model applies every
+    relu as the epilogue of a fused linear or normalize node."""
+    xv = val(x)
+    return ad._node(np.maximum(xv, 0.0), "relu", (x, lambda g: g * (xv > 0)))
+
+
+def _masked(x, keep):
+    """Taped inverted dropout for the reference composites: x times its
+    mask, one node whose adjoint multiplies by the mask."""
+    return ad.mul(x, keep)
+
+
+def _stats_composite(x, gamma, beta, mean, var, eps=1e-5):
+    """Batch norm over running statistics as four ops: shift, scale by the
+    running σ, γ and β."""
+    return ad.add(ad.mul(gamma, ad.div(ad.sub(x, mean), np.sqrt(var + eps))), beta)
+
+
+def _epilogue_case(seed):
+    """Operands of every fused form. The (4, 5, 3) normalize input drops all
+    of its channel 0, where γ is positive and the weights of the loss are
+    negative, so the relu-and-mask adjoint meets negative adjoints at
+    dropped positions."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(4, 5, 3)) * 1.5 + 0.3
+    keep = (rng.random((4, 5, 3)) >= 0.5) / 0.5
+    keep[..., 0] = 0.0
+    weights = rng.normal(size=(4, 5, 3))
+    weights[..., 0] = -np.abs(weights[..., 0]) - 0.1
+    gamma = rng.normal(size=3)
+    gamma[0] = np.abs(gamma[0]) + 0.1
+    return dict(
+        x=x, keep=keep, weights=weights,
+        w=rng.normal(size=(3, 4)), b=rng.normal(size=4), gamma=gamma,
+        beta=rng.normal(size=3), mean=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3),
+        img=rng.normal(size=(2, 3, 4, 2)), k=rng.normal(size=(2, 2, 2, 3)),
+        kb=rng.normal(size=(2, 1, 3, 3)))
+
+
+#: name -> (operand names, fused form, composite form); each form maps the
+#: case and the operands, Vars or arrays, to one output
+_FUSED_FORMS = {
+    "linear_tanh": (("x", "w", "b"), lambda c, x, w, b: ad.linear(x, w, b, act="tanh"),
+                    lambda c, x, w, b: _tanh(ad.linear(x, w, b))),
+    "linear_relu": (("x", "w", "b"), lambda c, x, w, b: ad.linear(x, w, b, act="relu"),
+                    lambda c, x, w, b: _relu(ad.linear(x, w, b))),
+    "conv2d_bias": (("img", "k", "kb"), lambda c, x, k, b: ad.conv2d(x, k, b),
+                    lambda c, x, k, b: ad.add(ad.conv2d(x, k), b)),
+    "normalize_relu_keep": (
+        ("x", "gamma", "beta"),
+        lambda c, x, g, b: ad.normalize(x, (0, 1), 1e-5, g, b, act="relu", keep=c["keep"])[0],
+        lambda c, x, g, b: _masked(_relu(ad.normalize(x, (0, 1), 1e-5, g, b)[0]), c["keep"])),
+    "normalize_stats": (
+        ("x", "gamma", "beta"),
+        lambda c, x, g, b: ad.normalize(x, (0, 1), 1e-5, g, b, stats=(c["mean"], c["var"]))[0],
+        lambda c, x, g, b: _stats_composite(x, g, b, c["mean"], c["var"])),
+    "normalize_stats_relu": (
+        ("x", "gamma", "beta"),
+        lambda c, x, g, b: ad.normalize(x, (0, 1), 1e-5, g, b, act="relu",
+                                        stats=(c["mean"], c["var"]))[0],
+        lambda c, x, g, b: _relu(_stats_composite(x, g, b, c["mean"], c["var"]))),
+}
+
+
+def _assert_same_bits(a, b, what):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), what
+
+
+def _taped_run(form, case, names, taped):
+    """Value, node count and the gradients of the taped operands of
+    sum(form(...) * weights), the operands in `taped` as Vars."""
+    tape = Tape()
+    args = [tape.var(case[n]) if n in taped else case[n] for n in names]
+    out = form(case, *args)
+    if not isinstance(out, ad.Var):
+        return out, 0, {}
+    n_nodes = len(tape) - len(taped)
+    w = case["weights"] if np.shape(out.value) == case["weights"].shape else 0.7
+    backward(ad.sum(out * w))
+    return out.value, n_nodes, {n: a.grad for n, a in zip(names, args) if n in taped}
+
+
+@pytest.mark.parametrize("form", sorted(_FUSED_FORMS))
+def test_fused_epilogue_forms_equal_their_composites_bit_for_bit(form):
+    """One node whose value, taped and untaped, and whose every operand
+    gradient carry the composite's bits, signed zeros included."""
+    names, fused, composite = _FUSED_FORMS[form]
+    for seed in range(3):
+        case = _epilogue_case(seed)
+        value, nodes, grads = _taped_run(fused, case, names, set(names))
+        ref_value, ref_nodes, ref_grads = _taped_run(composite, case, names, set(names))
+        assert nodes == 1 and ref_nodes > 1
+        _assert_same_bits(value, ref_value, "value")
+        _assert_same_bits(fused(case, *(case[n] for n in names)), ref_value, "untaped value")
+        for n in names:
+            _assert_same_bits(grads[n], ref_grads[n], n)
+
+
+def test_dropped_positions_carry_the_sign_of_their_adjoint():
+    """The bit-for-bit comparison above sees signed zeros: channel 0 is
+    dropped everywhere, its adjoints are negative and its γ positive, so the
+    relu-and-mask adjoint hands normalize -0 there, and dx of that channel
+    is zero with both signs, in the fused form as in the composite."""
+    names, fused, composite = _FUSED_FORMS["normalize_relu_keep"]
+    for form in (fused, composite):
+        _, _, grads = _taped_run(form, _epilogue_case(0), names, set(names))
+        dx0 = grads["x"][..., 0]
+        assert np.all(dx0 == 0.0) and 0 < np.sum(np.signbit(dx0)) < dx0.size
+
+
+@pytest.mark.parametrize("form", ["linear_tanh", "linear_relu", "conv2d_bias",
+                                  "normalize_relu_keep", "normalize_stats",
+                                  "normalize_stats_relu"])
+def test_fused_epilogue_gradients_match_finite_differences(form):
+    """With each operand taped in turn; no pre-activation lies within a step
+    of the relu's kink."""
+    names, fused, _ = _FUSED_FORMS[form]
+    case = _epilogue_case(5)
+    for name in names:
+        def f(t):
+            out = fused(case, *(t if n == name else case[n] for n in names))
+            w = case["weights"] if np.shape(val(out)) == case["weights"].shape else 0.7
+            return ad.sum(out * w)
+
+        report = finite_diff_check(f, case[name].copy())
+        assert report.passed, f"{name}: max rel err {report.max_rel_error} flagged {report.flagged}"
+
+
+def test_epilogue_rejects_unknown_activations_and_a_mask_without_relu():
+    x = np.ones((2, 3))
+    with pytest.raises(ConfigError, match="sigmoid"):
+        ad.linear(x, np.ones((3, 3)), act="sigmoid")
+    with pytest.raises(ConfigError, match="dropout mask"):
+        ad.normalize(x, -1, 1e-5, np.ones(3), keep=np.ones((2, 3)))
+
+
+def test_normalize_over_running_statistics_keeps_its_own_copies():
+    """A buffer updated in place after the forward (as batch norm's next
+    train-mode call does) changes neither the value nor the gradient."""
+    case = _epilogue_case(6)
+    mean, var = case["mean"].copy(), case["var"].copy()
+    tape = Tape()
+    x = tape.var(case["x"])
+    out, mu, v = ad.normalize(x, (0, 1), 1e-5, case["gamma"], case["beta"], stats=(mean, var))
+    np.testing.assert_array_equal(mu, case["mean"])
+    np.testing.assert_array_equal(v, case["var"])
+    mean += 1.0
+    var *= 3.0
+    backward(ad.sum(out * case["weights"]))
+    np.testing.assert_array_equal(
+        x.grad, (case["weights"] * case["gamma"]) / np.sqrt(case["var"] + 1e-5))
+
+
+# ---------------------------------------------------------------------------
+# every array/Var pattern of an op's operands
+
+
+#: name -> (operands, op); the operands lie inside the c = 0.7 ball where
+#: the op needs it
+_CONTRACT = {
+    "flat_distance": (("x", "y"), lambda c, x, y: flat_distance(x, y)),
+    "geodesic_distance": (("x", "y"), lambda c, x, y: geodesic_distance(x, y, BallConfig(c=0.7))),
+    "log_map": (("x", "y"), lambda c, x, y: log_map(x, y, BallConfig(c=0.7))),
+    **{name: _FUSED_FORMS[name][:2] for name in
+       ("linear_tanh", "linear_relu", "conv2d_bias", "normalize_relu_keep", "normalize_stats")},
+}
+
+
+@pytest.mark.parametrize("op", sorted(_CONTRACT))
+def test_every_array_var_pattern_matches_the_all_var_call(op):
+    """Each pattern of plain arrays and Vars among an op's operands gives the
+    all-array value and the all-Var call's gradients of its Var operands,
+    bit for bit."""
+    names, fn = _CONTRACT[op]
+    case = _epilogue_case(7)
+    if names == ("x", "y"):
+        rng = np.random.default_rng(8)
+        case["x"], case["y"] = (rng.uniform(-0.3, 0.3, size=(4, 5, 3)) for _ in range(2))
+    plain = fn(case, *(case[n] for n in names))
+    assert isinstance(plain, np.ndarray)
+    _, _, all_grads = _taped_run(fn, case, names, set(names))
+    for pattern in itertools.product((False, True), repeat=len(names)):
+        taped = {n for n, is_var in zip(names, pattern) if is_var}
+        value, nodes, grads = _taped_run(fn, case, names, taped)
+        _assert_same_bits(value, plain, f"{sorted(taped)}: value")
+        assert nodes == (1 if taped else 0) or op == "flat_distance"
+        for n in taped:
+            _assert_same_bits(grads[n], all_grads[n], f"{sorted(taped)}: d{n}")

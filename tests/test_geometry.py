@@ -403,7 +403,7 @@ def composite_midpoint(points, cfg):
     replays: 5 ops for the conformal factors, 5 for the two weighted sums
     and their quotient, and 7 for the map back to the ball."""
     lam = ad.div(2.0, ad.sub(1.0, cfg.c * ad.sum(points * points, axis=-1, keepdims=True)))
-    weighted, gamma = lam * points, lam - 1.0
+    weighted, gamma = lam * points, ad.sub(lam, 1.0)
     k = ad.sum(weighted, axis=-2) / ad.sum(gamma, axis=-2)
     return k / ad.add(1.0, _sqrt(ad.sub(1.0, cfg.c * ad.sum(k * k, axis=-1, keepdims=True))))
 

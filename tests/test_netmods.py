@@ -36,6 +36,13 @@ def _sqrt(x):
     return ad._node(out, "sqrt", (x, lambda g: g * 0.5 / out))
 
 
+def _relu(x):
+    """Taped relu for the reference composites; the package applies every
+    relu as the epilogue of a fused linear or normalize node."""
+    xv = ad.val(x)
+    return ad._node(np.maximum(xv, 0.0), "relu", (x, lambda g: g * (xv > 0)))
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -86,22 +93,34 @@ class TestPositionalEncoding:
 
 class TestDropout:
     def test_identity_without_rng(self):
+        """No mask without a generator or at p = 0, and batch norm without
+        one is its relu alone."""
+        assert dropout((4, 5), 0.5, None) is None
+        assert dropout((4, 5), 0.0, rng(0)) is None
         x = rng(1).random((4, 5))
-        assert dropout(x, 0.5, None) is x
-        assert dropout(x, 0.0, rng(0)) is x
+        args = (np.ones(5), np.zeros(5), np.zeros(5), np.ones(5), True)
+        np.testing.assert_array_equal(
+            batch_norm(x, *args, act="relu", keep=dropout((4, 5), 0.5, None)),
+            np.maximum(batch_norm(x, *args), 0.0))
 
     def test_mask_and_scale(self):
-        x = np.ones((200, 50))
-        y = dropout(x, 0.5, rng(2))
-        vals = np.unique(y)
-        np.testing.assert_array_equal(vals, [0.0, 2.0])
-        assert abs((y == 0).mean() - 0.5) < 0.02
+        mask = dropout((200, 50), 0.5, rng(2))
+        np.testing.assert_array_equal(np.unique(mask), [0.0, 2.0])
+        assert abs((mask == 0).mean() - 0.5) < 0.02
+        x = rng(3).normal(size=(200, 50))
+        y = batch_norm(x, np.ones(50), np.zeros(50), np.zeros(50), np.ones(50), True,
+                       act="relu", keep=mask)
+        np.testing.assert_array_equal(y, np.maximum(batch_norm(
+            x, np.ones(50), np.zeros(50), np.zeros(50), np.ones(50), True), 0.0) * mask)
 
     def test_seeded_determinism(self):
-        x = rng(3).random((6, 6))
-        a = dropout(x, 0.5, np.random.default_rng(9))
-        b = dropout(x, 0.5, np.random.default_rng(9))
+        """The same draw from the same stream position: one uniform per
+        entry, kept where it is at least p, scaled by 1/(1 - p)."""
+        a = dropout((6, 6), 0.5, np.random.default_rng(9))
+        b = dropout((6, 6), 0.5, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
+        r = np.random.default_rng(9)
+        np.testing.assert_array_equal(a, (r.random((6, 6)) >= 0.5) / 0.5)
 
 
 class TestNormalization:
@@ -128,6 +147,18 @@ class TestNormalization:
         np.testing.assert_allclose(y, expect, rtol=1e-12)
         np.testing.assert_array_equal(mean_buf, 0.5)  # eval must not touch buffers
 
+    def test_eval_batch_norm_is_one_node_with_the_composite_bits(self):
+        """Over the running buffers, a taped input records one normalize
+        node whose value is the four-op composite's."""
+        r = rng(11)
+        x, gamma, beta = r.normal(size=(5, 3)), r.normal(size=3), r.normal(size=3)
+        mean_buf, var_buf = r.normal(size=3), r.uniform(0.5, 2.0, size=3)
+        tape = ad.Tape()
+        y = batch_norm(tape.var(x), gamma, beta, mean_buf, var_buf, train=False)
+        assert [n.op for n in tape.nodes] == ["leaf", "normalize"]
+        np.testing.assert_array_equal(
+            y.value, gamma * ((x - mean_buf) / np.sqrt(var_buf + 1e-5)) + beta)
+
     def test_missing_beta_records_no_shift(self):
         """The scale and the shift live in the one normalize node, so
         beta=None and a zero beta record as many nodes and give the same
@@ -148,7 +179,7 @@ class TestNormalization:
     @staticmethod
     def _composite_layer_norm(x, gamma, beta, eps=1e-5):
         mu = ad.mean(x, axis=-1, keepdims=True)
-        d = x - mu
+        d = ad.sub(x, mu)
         var = ad.mean(d * d, axis=-1, keepdims=True)
         return gamma * (d / _sqrt(var + eps)) + beta
 
@@ -156,7 +187,7 @@ class TestNormalization:
     def _composite_batch_norm(x, gamma, beta, eps=1e-5):
         axes = tuple(range(np.ndim(ad.val(x)) - 1))
         mu = ad.mean(x, axis=axes, keepdims=True)
-        d = x - mu
+        d = ad.sub(x, mu)
         var = ad.mean(d * d, axis=axes, keepdims=True)
         return gamma * (d / _sqrt(var + eps)) + beta, mu, var
 
@@ -323,15 +354,16 @@ def _concat_relation(rel, maps, sig, train=False, rng=None, params=None):
     """The relation net on explicit pairs: each (B, K, H, W, C) map is
     concatenated channel-wise with its (B, H, W, C) signature, and the
     first conv reads all 2C channels at once with the joint kernel
-    `conv1_w`. Maps and signatures are plain arrays; `params` may hold
-    Vars."""
+    `conv1_w`. The relu and the dropout mask are nodes of their own. Maps
+    and signatures are plain arrays; `params` may hold Vars."""
     p = params if params is not None else dict(rel.params, conv1_w=_joint_kernel(rel))
     shape = maps.shape
     pairs = np.concatenate([maps, np.broadcast_to(sig[:, None], shape)], axis=-1)
     g = pairs.reshape((-1,) + shape[2:-1] + (2 * shape[-1],))
     x = batch_norm(ad.conv2d(g, p["conv1_w"]), p["bn1_g"], p["bn1_b"],
                    rel.buffers["bn1_mean"], rel.buffers["bn1_var"], train)
-    x = dropout(ad.relu(x), 0.5, rng if train else None)
+    keep = dropout(np.shape(ad.val(x)), 0.5, rng if train else None)
+    x = _relu(x) if keep is None else _relu(x) * keep
     x = batch_norm(ad.conv2d(x, p["conv2_w"]), p["bn2_g"], p["bn2_b"],
                    rel.buffers["bn2_mean"], rel.buffers["bn2_var"], train)
     return ad.reshape(ad.sigmoid(x), shape[:2])
@@ -405,12 +437,14 @@ class TestFactoredRelation:
         ops = [n.op for n in tape.nodes]
         assert "broadcast" not in ops and "concat" not in ops
         assert max(n.value.ndim for n in tape.nodes) == 5
-        convs = [n for n in tape.nodes if n.op == "conv2d"]
-        assert [c.parents[0].value.shape for c in convs[:2]] == [(75, 5, 3, 3, 16),
-                                                                 (75, 1, 3, 3, 16)]
+        sig_conv, map_conv = [n for n in tape.nodes if n.op == "conv2d"][:2]
+        assert [c.parents[0].value.shape for c in (map_conv, sig_conv)] == [
+            (75, 5, 3, 3, 16), (75, 1, 3, 3, 16)]
         # each half of the first kernel enters its conv as a leaf, uncut
-        assert [c.parents[1] for c in convs[:2]] == [params["conv1_map_w"],
-                                                     params["conv1_sig_w"]]
+        assert [c.parents[1] for c in (map_conv, sig_conv)] == [params["conv1_map_w"],
+                                                                params["conv1_sig_w"]]
+        # and the signature conv enters the map conv as its bias, with no add
+        assert map_conv.parents[2] is sig_conv and "add" not in ops
 
     def test_first_kernel_is_drawn_whole_and_stored_as_halves(self):
         """One (kh, kw, 2C, F) draw, as before the split, then conv2_w from
