@@ -14,13 +14,15 @@ the left; a difference, and a sum or quotient whose left operand may be a
 constant, calls `sub`, `add` or `div`. `__array_ufunc__ = None` keeps numpy
 from absorbing a `Var` into an object array.
 
-An op computes its value and returns `_node(value, op, (operand, pull), ...)`
-with one pair per operand. `_node` drops the pairs whose operand is a
-constant and returns the plain value when none is left; otherwise it checks
-that the kept operands share one tape (`TapeError` if not) and calls
-`record`, the only place a node is made. Pulls run only in `backward`, so
-work that only an adjoint needs (a mask, a floored denominator) sits inside
-them and untaped calls compute the primal value only.
+An op computes its value and returns `_node(value, op, operands, adjoint)`,
+where `adjoint(g)` maps the node's output adjoint to one contribution per
+operand, in order. `_node` returns the plain value when no operand is a
+Var; otherwise it checks that the Var operands share one tape (`TapeError`
+if not) and calls `record`, the only place a node is made, which hands each
+Var operand its contribution and drops the constants'. Adjoints run only in
+`backward`, so work that only an adjoint needs (a mask, a floored
+denominator) sits inside them and untaped calls compute the primal value
+only.
 
 Gradients are allocated lazily. A node's first adjoint contribution becomes
 its `.grad` (copied to C order when it is a strided view, such as the
@@ -119,40 +121,39 @@ def val(x):
 
 
 def record(value, pulls, tape: Tape, op: str = "op") -> Var:
-    """Append a node with primal `value` and adjoint rules `pulls`.
+    """Append a node with primal `value` and the adjoint rule `pulls`.
 
-    `pulls` is a list of (operand Var, pull fn) pairs; each pull maps the
-    node's output adjoint to that operand's gradient contribution.
+    `pulls` is (operands, adjoint): `adjoint(g)` maps the node's output
+    adjoint to one gradient contribution per operand, in order. Only the
+    operands that are Vars become parents and receive theirs; the others'
+    are dropped.
     """
-    out = Var(value, tape, op=op, parents=tuple(v for v, _ in pulls))
+    operands, adjoint = pulls
+    out = Var(value, tape, op=op, parents=[v for v in operands if isinstance(v, Var)])
 
     def _bw(g):
-        for v, pull in pulls:
-            _accumulate(v, pull(g), op)
+        for v, contrib in zip(operands, adjoint(g)):
+            if isinstance(v, Var):
+                _accumulate(v, contrib, op)
 
     out._backward = _bw
     return out
 
 
-def _node(out, op: str, *pulls):
-    """`out` as an `op` node, or `out` itself when no operand is a Var.
-
-    `pulls` holds one (operand, pull fn) pair per operand; pairs whose
-    operand is a constant are dropped. The kept operands must share a tape.
-    `record` is looked up when called, so a wrapper installed as
-    `autodiff.record` (perfbench's stage tracing) sees every node.
+def _node(out, op: str, operands, adjoint):
+    """`out` as an `op` node over `operands`, or `out` itself when none of
+    them is a Var; the Var operands must share a tape. `adjoint(g)` returns
+    one contribution per operand (see `record`). `record` is looked up when
+    called, so a wrapper installed as `autodiff.record` (perfbench's stage
+    tracing) sees every node.
     """
-    kept = []
-    for p in pulls:
-        if isinstance(p[0], Var):
-            kept.append(p)
-    if not kept:
-        return out
-    tape = kept[0][0].tape
-    for v, _ in kept:
-        if v.tape is not tape:
-            raise TapeError(f"{op}: operands live on different tapes")
-    return record(out, kept, tape, op)
+    tape = None
+    for v in operands:
+        if isinstance(v, Var):
+            if tape is not None and v.tape is not tape:
+                raise TapeError(f"{op}: operands live on different tapes")
+            tape = v.tape
+    return out if tape is None else record(out, (operands, adjoint), tape, op)
 
 
 def _accumulate(v: Var, contrib, op: str) -> None:
@@ -219,30 +220,26 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     av, bv = val(a), val(b)
-    return _node(av + bv, "add",
-                 (a, lambda g: _unbroadcast(g, np.shape(av))),
-                 (b, lambda g: _unbroadcast(g, np.shape(bv))))
+    return _node(av + bv, "add", (a, b), lambda g: (
+        _unbroadcast(g, np.shape(av)), _unbroadcast(g, np.shape(bv))))
 
 
 def sub(a, b):
     av, bv = val(a), val(b)
-    return _node(av - bv, "sub",
-                 (a, lambda g: _unbroadcast(g, np.shape(av))),
-                 (b, lambda g: _unbroadcast(-g, np.shape(bv))))
+    return _node(av - bv, "sub", (a, b), lambda g: (
+        _unbroadcast(g, np.shape(av)), _unbroadcast(-g, np.shape(bv))))
 
 
 def mul(a, b):
     av, bv = val(a), val(b)
-    return _node(av * bv, "mul",
-                 (a, lambda g: _unbroadcast(g * bv, np.shape(av))),
-                 (b, lambda g: _unbroadcast(g * av, np.shape(bv))))
+    return _node(av * bv, "mul", (a, b), lambda g: (
+        _unbroadcast(g * bv, np.shape(av)), _unbroadcast(g * av, np.shape(bv))))
 
 
 def div(a, b):
     av, bv = val(a), val(b)
-    return _node(av / bv, "div",
-                 (a, lambda g: _unbroadcast(g / bv, np.shape(av))),
-                 (b, lambda g: _unbroadcast(-g * av / (bv * bv), np.shape(bv))))
+    return _node(av / bv, "div", (a, b), lambda g: (
+        _unbroadcast(g / bv, np.shape(av)), _unbroadcast(-g * av / (bv * bv), np.shape(bv))))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +251,7 @@ def sigmoid(x):
     # exp only of non-positive numbers: stable for large |x|
     z = np.exp(-np.abs(xv))
     out = np.where(xv >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return _node(out, "sigmoid", (x, lambda g: g * out * (1.0 - out)))
+    return _node(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def _activate(out, act, keep=None):
@@ -295,13 +292,13 @@ def _normalize_axes(axis, ndim):
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
     xv = val(x)
 
-    def pull(g):
+    def adjoint(g):
         axes = _normalize_axes(axis, np.ndim(xv))
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, xv.shape)
+        return (np.broadcast_to(g, xv.shape),)
 
-    return _node(np.sum(xv, axis=axis, keepdims=keepdims), "sum", (x, pull))
+    return _node(np.sum(xv, axis=axis, keepdims=keepdims), "sum", (x,), adjoint)
 
 
 def mean(x, axis=None, keepdims=False):
@@ -321,12 +318,12 @@ def norm(x, keepdims=False):
     xv = val(x)
     out_keep = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True))
 
-    def pull(g):
+    def adjoint(g):
         if not keepdims:
             g = np.asarray(g)[..., None]
-        return g * xv / np.maximum(out_keep, _SAFE_NORM_FLOOR)
+        return (g * xv / np.maximum(out_keep, _SAFE_NORM_FLOOR),)
 
-    return _node(out_keep if keepdims else out_keep[..., 0], "norm", (x, pull))
+    return _node(out_keep if keepdims else out_keep[..., 0], "norm", (x,), adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +332,7 @@ def norm(x, keepdims=False):
 
 def reshape(x, shape):
     xv = val(x)
-    return _node(np.reshape(xv, shape), "reshape", (x, lambda g: np.reshape(g, xv.shape)))
+    return _node(np.reshape(xv, shape), "reshape", (x,), lambda g: (np.reshape(g, xv.shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +350,13 @@ def linear(x, w, b=None, act=None):
         out += bv
     pre = _activate(out, act)
 
-    def grads(g):  # x is a constant in the encoder's first layer
+    def adjoint(g):
         g = pre(g)
-        return (_unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape) if isinstance(x, Var)
-                else None,
+        return (_unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape),
                 _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape),
                 None if b is None else _unbroadcast(g, np.shape(bv)))
 
-    return _node(out, "linear", *_joint_pulls((x, w, b), grads))
+    return _node(out, "linear", (x, w, b), adjoint)
 
 
 def conv2d(x, k, b=None):
@@ -385,25 +381,18 @@ def conv2d(x, k, b=None):
         for dj in range(kw):
             out += xv[..., di:di + Ho, dj:dj + Wo, :] @ kv[di, dj]
 
-    def pull_x(g):
-        gx = np.zeros_like(xv)
-        for di in range(kh):
-            for dj in range(kw):
-                gx[..., di:di + Ho, dj:dj + Wo, :] += g @ kv[di, dj].T
-        return gx
-
-    def pull_k(g):
-        gk = np.zeros_like(kv)
+    def adjoint(g):
+        gx, gk = np.zeros_like(xv), np.zeros_like(kv)
         axes = list(range(xv.ndim - 1))
         for di in range(kh):
             for dj in range(kw):
+                gx[..., di:di + Ho, dj:dj + Wo, :] += g @ kv[di, dj].T
                 gk[di, dj] = np.tensordot(xv[..., di:di + Ho, dj:dj + Wo, :], g, axes=(axes, axes))
-        return gk
+        return gx, gk, None if b is None else _unbroadcast(g, np.shape(bv))
 
     if b is not None:
         out += bv
-    return _node(out, "conv2d", (x, pull_x), (k, pull_k),
-                 (b, lambda g: _unbroadcast(g, np.shape(bv))))
+    return _node(out, "conv2d", (x, k, b), adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -420,32 +409,8 @@ def softmax(x, axis=-1):
     xv = val(x)
     e = np.exp(xv - np.max(xv, axis=axis, keepdims=True))
     out = e / np.sum(e, axis=axis, keepdims=True)
-    return _node(out, "softmax",
-                 (x, lambda g: out * (g - np.sum(g * out, axis=axis, keepdims=True))))
-
-
-def _joint_pulls(operands, grads):
-    """(operand, pull) pairs for the Var operands, whose contributions all
-    come from one call of `grads(g)`, which returns one per operand in order.
-
-    `record` runs a node's pulls in order within one adjoint call: the first
-    makes every contribution, each hands out its own, and the last drops the
-    rest, so nothing computed for one call is kept for the next.
-    """
-    held = []
-    wanted = [i for i, o in enumerate(operands) if isinstance(o, Var)]
-
-    def pull(i):
-        def hand_out(g):
-            if i == wanted[0]:
-                held[:] = grads(g)
-            contrib = held[i]
-            if i == wanted[-1]:
-                held.clear()
-            return contrib
-        return hand_out
-
-    return [(operands[i], pull(i)) for i in wanted]
+    return _node(out, "softmax", (x,),
+                 lambda g: (out * (g - np.sum(g * out, axis=axis, keepdims=True)),))
 
 
 def _attend(q, k, v):
@@ -491,11 +456,11 @@ def attention(q, k, v):
     out = np.reshape([_attend(*b)[0] for b in blocks(qv, kv, vv)],
                      np.shape(qv)[:-1] + np.shape(vv)[-1:])
 
-    def grads(g):
+    def adjoint(g):
         per_block = zip(*(_attend_adjoint(*b) for b in blocks(qv, kv, vv, out, g)))
         return [np.reshape(d, np.shape(a)) for d, a in zip(per_block, (qv, kv, vv))]
 
-    return _node(out, "attention", *_joint_pulls((q, k, v), grads))
+    return _node(out, "attention", (q, k, v), adjoint)
 
 
 def normalize(x, axes, eps, gamma, beta=None, act=None, keep=None, stats=None):
@@ -526,7 +491,7 @@ def normalize(x, axes, eps, gamma, beta=None, act=None, keep=None, stats=None):
         out += bv
     pre = _activate(out, act, keep)
 
-    def grads(g):
+    def adjoint(g):
         g = pre(g)
         xhat = (xv - mu) / sigma
         gx = g * gv
@@ -539,7 +504,7 @@ def normalize(x, axes, eps, gamma, beta=None, act=None, keep=None, stats=None):
         return (dx, _unbroadcast(g * xhat, np.shape(gv)),
                 None if beta is None else _unbroadcast(g, np.shape(bv)))
 
-    return _node(out, "normalize", *_joint_pulls((x, gamma, beta), grads)), mu, var
+    return _node(out, "normalize", (x, gamma, beta), adjoint), mu, var
 
 
 def cross_entropy(x, labels, scale):
@@ -557,12 +522,12 @@ def cross_entropy(x, labels, scale):
     s = np.sum(e, axis=-1, keepdims=True)
     inv_n = -1.0 / len(labels)
 
-    def pull(g):
+    def adjoint(g):
         h = g * inv_n * onehot
-        return (h + (np.sum(-h, axis=-1, keepdims=True) / s) * e) * scale
+        return ((h + (np.sum(-h, axis=-1, keepdims=True) / s) * e) * scale,)
 
     return _node(np.asarray(np.sum((centered - np.log(s)) * onehot) * inv_n), "cross_entropy",
-                 (x, pull))
+                 (x,), adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +556,11 @@ def finite_diff_check(f, point, step: float = 1e-5, tol: float = 1e-4) -> Finite
 
     `f` maps a Var (or array) to a scalar. The analytic gradient comes from
     one taped evaluation at `point`; the numeric one from 2 * point.size
-    untaped evaluations. Relative error per coordinate is
-    |a - n| / max(|a|, |n|, 1).
+    untaped evaluations that step a private C-ordered copy of `point`, so
+    the caller's array stays unchanged even when `f` raises. Relative error
+    per coordinate is |a - n| / max(|a|, |n|, 1).
     """
-    point = np.asarray(point, dtype=np.float64)
+    point = np.array(point, dtype=np.float64, order="C")
     tape = Tape()
     x = tape.var(point)
     out = f(x)

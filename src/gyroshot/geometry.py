@@ -147,7 +147,7 @@ def geodesic_distance(x, y, cfg: BallConfig):
     sinh = np.sqrt(z * (z + 2.0))
     out = np.log1p(z + sinh)[..., 0] / cfg.sqrt_c
 
-    def grads(g):  # the radial terms are summed before they meet their operand
+    def adjoint(g):  # the radial terms are summed before they meet their operand
         w = g[..., None] * (4.0 * cfg.sqrt_c / (ab * np.maximum(sinh, _TINY)))
         wd = xv - yv
         wd *= w
@@ -155,7 +155,7 @@ def geodesic_distance(x, y, cfg: BallConfig):
                 + sign * ad._unbroadcast(wd, np.shape(v))
                 for v, r, sign in ((xv, a, 1.0), (yv, b, -1.0))]
 
-    return ad._node(out, "geodesic", *ad._joint_pulls((x, y), grads))
+    return ad._node(out, "geodesic", (x, y), adjoint)
 
 
 def flat_distance(x, y):
@@ -204,7 +204,7 @@ def einstein_midpoint(points, cfg: BallConfig):
         den = np.sort(gamma, axis=-2).sum(axis=-2)
     k = num / den
 
-    def pull(g):
+    def adjoint(g):
         s = np.sqrt(1.0 - c * np.sum(k * k, axis=-1, keepdims=True))
         t = 1.0 + s
         bk = ad._unbroadcast(g * k / (t * t), t.shape) * 0.5 / s * c * k
@@ -214,9 +214,9 @@ def einstein_midpoint(points, cfg: BallConfig):
         glam = ad._unbroadcast(gw * x, lam.shape) - gden[..., None, :]
         d = 1.0 - c * np.sum(x * x, axis=-1, keepdims=True)
         ex = glam * 2.0 / (d * d) * c * x
-        return (gw * lam + ex) + ex
+        return ((gw * lam + ex) + ex,)
 
-    return ad._node(klein_to_poincare(k, cfg), "midpoint", (points, pull))
+    return ad._node(klein_to_poincare(k, cfg), "midpoint", (points,), adjoint)
 
 
 def log_map(x, y, cfg: BallConfig):
@@ -236,7 +236,7 @@ def log_map(x, y, cfg: BallConfig):
     (sqrt(c) n). The hand-written adjoint differentiates that form, taking h
     at its limit 1 where ||m|| <= 1e-15, so coincident points get the
     Jacobian of log_x at x (the identity in y). The node keeps m, its one
-    array of the broadcast (..., C) size, and x and y share one adjoint call.
+    array of the broadcast (..., C) size.
     """
     _check_same_width(x, y, "log_map")
     c, sqrt_c = cfg.c, cfg.sqrt_c
@@ -265,7 +265,7 @@ def log_map(x, y, cfg: BallConfig):
     at = np.arctanh(arg)
     out = (2.0 / (sqrt_c * lam)) * at / n_safe * m
 
-    def grads(g):
+    def adjoint(g):
         h = np.where(nz, at / (sqrt_c * n_safe), 1.0)
         dh_over_n = np.where(nz, (1.0 / (1.0 - c * n * n) - h) / (n_safe * n_safe), 0.0)
         s = np.sum(g * m, axis=-1, keepdims=True)
@@ -284,7 +284,7 @@ def log_map(x, y, cfg: BallConfig):
         gn += (2.0 * c * c * y2 * gd - 2.0 * c * gb) * u
         return [-ad._unbroadcast(gn, np.shape(xv)), ad._unbroadcast(gy, np.shape(yv))]
 
-    return ad._node(out, "log_map", *ad._joint_pulls((x, y), grads))
+    return ad._node(out, "log_map", (x, y), adjoint)
 
 
 def exp_map(x, v, cfg: BallConfig):

@@ -21,7 +21,7 @@ def _exp(x):
     """Taped exp for the reference composites; autodiff fuses every exp it
     needs into softmax, cross_entropy and attention."""
     out = np.exp(val(x))
-    return ad._node(out, "exp", (x, lambda g: g * out))
+    return ad._node(out, "exp", (x,), lambda g: (g * out,))
 
 
 def _activated(x, act):
@@ -285,6 +285,32 @@ def test_finite_diff_requires_var_result():
         finite_diff_check(lambda x: float(np.sum(val(x))), np.ones(2))
 
 
+def test_finite_diff_steps_a_non_contiguous_point():
+    """A transposed point, whose ravel() is a copy, is stepped through a
+    private C-ordered copy, so every step reaches f."""
+    point = np.arange(6.0).reshape(2, 3).T
+    report = finite_diff_check(lambda x: ad.sum(x * x), point)
+    assert report.passed, report.max_rel_error
+    np.testing.assert_allclose(report.numeric, 2.0 * point, rtol=1e-8, atol=1e-6)
+
+
+def test_finite_diff_leaves_the_point_unchanged_when_f_raises():
+    """An f that raises between the +step and the -step evaluation of a
+    coordinate leaves the caller's array as it was."""
+    point = np.full(3, 0.5)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) == 3:  # taped call, +step call, then the -step call
+            raise RuntimeError("f failed")
+        return ad.sum(x * x)
+
+    with pytest.raises(RuntimeError, match="f failed"):
+        finite_diff_check(f, point)
+    assert np.array_equal(point, np.full(3, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # the lazy backward sweep
 
@@ -292,12 +318,12 @@ def test_finite_diff_requires_var_result():
 def test_gradient_contribution_of_wrong_shape_names_the_op():
     tape = Tape()
     x = tape.var(np.ones(3))
-    y = ad.record(2.0 * x.value, [(x, lambda g: np.sum(g))], tape, "badpull")
+    y = ad.record(2.0 * x.value, ((x,), lambda g: (np.sum(g),)), tape, "badpull")
     with pytest.raises(TapeError, match="badpull"):
         backward(ad.sum(y))
     tape = Tape()
     x = tape.var(np.ones(3))
-    y = ad.record(2.0 * x.value, [(x, lambda g: g[None, :])], tape, "badpull")
+    y = ad.record(2.0 * x.value, ((x,), lambda g: (g[None, :],)), tape, "badpull")
     with pytest.raises(TapeError, match=r"badpull.*\(1, 3\)"):
         backward(ad.sum(y))
 
@@ -324,9 +350,9 @@ def test_unreached_nodes_run_no_adjoint_and_end_with_zero_gradients():
 
     tape = Tape()
     x = tape.var(np.array([1.0, 2.0]))
-    side = ad.record(x.value * 5.0, [(x, never)], tape, "side")
+    side = ad.record(x.value * 5.0, ((x,), never), tape, "side")
     loss = ad.sum(x * x)
-    after = ad.record(np.ones(2), [(loss, never)], tape, "after")
+    after = ad.record(np.ones(2), ((loss,), never), tape, "after")
     backward(loss)
     assert np.array_equal(x.grad, [2.0, 4.0])
     for node in (side, after):
@@ -479,8 +505,8 @@ def _log_softmax(x):
     centered = xv - np.max(xv, axis=-1, keepdims=True)
     e = np.exp(centered)
     s = np.sum(e, axis=-1, keepdims=True)
-    return ad._node(centered - np.log(s), "log_softmax",
-                    (x, lambda g: g + (np.sum(-g, axis=-1, keepdims=True) / s) * e))
+    return ad._node(centered - np.log(s), "log_softmax", (x,),
+                    lambda g: (g + (np.sum(-g, axis=-1, keepdims=True) / s) * e,))
 
 
 def _composite_cross_entropy(x, labels, scale):
@@ -593,14 +619,14 @@ def _tanh(x):
     """Taped tanh for the reference composites; the model applies every tanh
     as the epilogue of a fused linear node."""
     out = np.tanh(val(x))
-    return ad._node(out, "tanh", (x, lambda g: g * (1.0 - out * out)))
+    return ad._node(out, "tanh", (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def _relu(x):
     """Taped relu for the reference composites; the model applies every
     relu as the epilogue of a fused linear or normalize node."""
     xv = val(x)
-    return ad._node(np.maximum(xv, 0.0), "relu", (x, lambda g: g * (xv > 0)))
+    return ad._node(np.maximum(xv, 0.0), "relu", (x,), lambda g: (g * (xv > 0),))
 
 
 def _masked(x, keep):
@@ -761,6 +787,9 @@ _CONTRACT = {
     "flat_distance": (("x", "y"), lambda c, x, y: flat_distance(x, y)),
     "geodesic_distance": (("x", "y"), lambda c, x, y: geodesic_distance(x, y, BallConfig(c=0.7))),
     "log_map": (("x", "y"), lambda c, x, y: log_map(x, y, BallConfig(c=0.7))),
+    **{op.__name__: (("x", "y"), lambda c, x, y, op=op: op(x, y))
+       for op in (ad.add, ad.sub, ad.mul, ad.div)},
+    "attention": (("x", "weights", "keep"), lambda c, q, k, v: ad.attention(q, k, v)),
     **{name: _FUSED_FORMS[name][:2] for name in
        ("linear_tanh", "linear_relu", "conv2d_bias", "normalize_relu_keep", "normalize_stats")},
 }

@@ -395,7 +395,7 @@ def _sqrt(x):
     """Taped sqrt for the reference composite; the midpoint, the one op of
     the geometry that takes a square root on the tape, is fused."""
     out = np.sqrt(val(x))
-    return ad._node(out, "sqrt", (x, lambda g: g * 0.5 / out))
+    return ad._node(out, "sqrt", (x,), lambda g: (g * 0.5 / out,))
 
 
 def composite_midpoint(points, cfg):

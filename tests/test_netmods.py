@@ -33,14 +33,14 @@ def _sqrt(x):
     """Taped sqrt for the reference composites; the package fuses every
     square root the model takes into normalize and the Einstein midpoint."""
     out = np.sqrt(ad.val(x))
-    return ad._node(out, "sqrt", (x, lambda g: g * 0.5 / out))
+    return ad._node(out, "sqrt", (x,), lambda g: (g * 0.5 / out,))
 
 
 def _relu(x):
     """Taped relu for the reference composites; the package applies every
     relu as the epilogue of a fused linear or normalize node."""
     xv = ad.val(x)
-    return ad._node(np.maximum(xv, 0.0), "relu", (x, lambda g: g * (xv > 0)))
+    return ad._node(np.maximum(xv, 0.0), "relu", (x,), lambda g: (g * (xv > 0),))
 
 
 def rng(seed=0):

@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import importlib
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
 
 from gyroshot import autodiff as ad
 from gyroshot import metrics, netmods
@@ -540,11 +542,13 @@ class TestCsvWriters:
 def _eager_record(value, pulls, tape, op="op"):
     """The reference engine's node: each adjoint adds in place into a
     pre-zeroed gradient."""
-    out = ad.Var(value, tape, op=op, parents=tuple(v for v, _ in pulls))
+    operands, adjoint = pulls
+    out = ad.Var(value, tape, op=op, parents=[v for v in operands if isinstance(v, ad.Var)])
 
     def bw(g):
-        for v, pull in pulls:
-            v.grad += pull(g)
+        for v, contrib in zip(operands, adjoint(g)):
+            if isinstance(v, ad.Var):
+                v.grad += contrib
 
     out._backward = bw
     return out
@@ -563,14 +567,14 @@ def _exp(x):
     """Taped exp for the reference composite; autodiff fuses every exp it
     needs into softmax, cross_entropy and attention."""
     out = np.exp(ad.val(x))
-    return ad._node(out, "exp", (x, lambda g: g * out))
+    return ad._node(out, "exp", (x,), lambda g: (g * out,))
 
 
 def _arctanh(x):
     """Taped arctanh for the reference composite; the log map, the one op of
     the model that takes an arctanh, is fused."""
     xv = ad.val(x)
-    return ad._node(np.arctanh(xv), "arctanh", (x, lambda g: g / (1.0 - xv * xv)))
+    return ad._node(np.arctanh(xv), "arctanh", (x,), lambda g: (g / (1.0 - xv * xv),))
 
 
 def _composite_softmax(x, axis=-1):
@@ -714,7 +718,7 @@ def test_signature_attention_is_not_one_hot(name, monkeypatch):
     assert np.median(np.concatenate(probs)) < 0.5
 
 
-def test_refine_records_at_most_23_nodes(monkeypatch):
+def test_refine_records_at_most_15_nodes(monkeypatch):
     """The signature stage of a default app2s episode records 15 nodes: one
     fused attention node, one linear node per affine layer and one normalize
     node per layer norm (23 with the bias, scale and shift as nodes of
@@ -732,7 +736,7 @@ def test_refine_records_at_most_23_nodes(monkeypatch):
     assert len(counts) == 1 and counts[0] <= 15
 
 
-def test_midpoint_records_at_most_17_nodes(monkeypatch):
+def test_midpoint_records_one_node_per_call(monkeypatch):
     """Each taped Einstein midpoint records one node (17 as a composite: 5
     for the conformal factors, 5 for the two weighted sums and their
     quotient, and 7 for the map back to the ball; 23 through the forward
@@ -763,7 +767,7 @@ def _episode_tape_size(cfg):
     return size
 
 
-def test_prototype_episode_records_at_most_82_nodes():
+def test_prototype_episode_records_at_most_18_nodes():
     """A default taped prototype episode, its 4 encoder leaves included,
     records 18 nodes: 3 per encoder call (two linear nodes with their tanh
     and the scale), one per midpoint, three reshapes, the geodesic and one
@@ -774,7 +778,7 @@ def test_prototype_episode_records_at_most_82_nodes():
     assert _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")) <= 18
 
 
-def test_app2s_episode_records_at_most_139_nodes(monkeypatch):
+def test_app2s_episode_records_at_most_86_nodes(monkeypatch):
     """A default taped app2s episode, its 30 parameter leaves included,
     records 86 nodes (96 with each tanh, relu and dropout mask and the
     relation net's sum of its two first convs as nodes of their own, 116
@@ -798,6 +802,44 @@ def test_app2s_episode_records_at_most_139_nodes(monkeypatch):
     size = _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)))
     assert len(counts) == 1 and counts[0] <= 2
     assert size <= 86
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py, imported from its file as it stands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_labels_every_node_of_a_taped_app2s_episode():
+    """The benchmark's tracer wraps `autodiff.record`: around one taped
+    default app2s episode it counts every node the episode records under a
+    stage, times the backward of each of the 9 stages the episode reaches
+    (all but the prototype path's geodesic), and uninstalls cleanly."""
+    tracing = _perfbench_tracing()
+    original = ad.record
+    tracer = tracing.Tracer(SimpleNamespace(step=1, kind="train", traced=True), [])
+    tracer.exact = True
+    tapes = []
+
+    def sweep(loss):
+        tapes.append(loss.tape)
+        ad.backward(loss)
+
+    tracer.install()
+    try:
+        _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)), sweep)
+    finally:
+        tracer.uninstall()
+    assert ad.record is original
+    (tape,) = tapes
+    recorded = sum(node.op != "leaf" for node in tape.nodes)
+    assert recorded > 0 and sum(tracer.nodes.values()) == recorded
+    reached = set(tracing.STAGES) - {"geometry.geodesic"}
+    assert {stage for _, stage in tracer.nodes} == reached
+    assert {stage for (_, stage), t in tracer.bwd.items() if t > 0} == reached
 
 
 def test_app2s_step_records_no_node_above_5d_outside_pairwise(monkeypatch):
@@ -830,9 +872,9 @@ def test_app2s_step_records_no_node_above_5d_outside_pairwise(monkeypatch):
 def test_lazy_backward_matches_eager_sweep_bit_for_bit(monkeypatch):
     """Same tape, two engines: parameter gradients of one default app2s
     episode agree exactly. The tape uses the composite softmax and geodesic,
-    whose many nodes and fan-outs exercise accumulation, the fused attention
-    node and the fused normalize nodes, whose pulls share one adjoint
-    computation, and the fused linear, midpoint and loss nodes."""
+    whose many nodes and fan-outs exercise accumulation, and the fused
+    attention, normalize, linear, midpoint and loss nodes, each of whose
+    adjoints returns the contributions of all its operands in one call."""
     monkeypatch.setattr(ad, "softmax", _composite_softmax)
     monkeypatch.setattr(metrics, "geodesic_distance", _composite_geodesic)
     cfg = tr.TrainConfig(ball=BallConfig(c=0.7))
