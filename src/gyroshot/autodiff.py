@@ -9,10 +9,10 @@ identical gradients bit for bit.
 
 Every public op accepts either `Var` operands or plain numpy arrays / scalars
 (treated as constants), so the same code path serves taped training and
-untaped evaluation. A `Var` overloads `+ * /`, and `*` with a constant on
-the left; a difference, and a sum or quotient whose left operand may be a
-constant, calls `sub`, `add` or `div`. `__array_ufunc__ = None` keeps numpy
-from absorbing a `Var` into an object array.
+untaped evaluation. A `Var` has no arithmetic operators: every taped
+expression names its op (`add`, `sub`, `mul`, `div`, ...), so `v * 2.0`,
+`2.0 * v` and `np.ones(3) * v` all raise TypeError; `__array_ufunc__ = None`
+keeps numpy from absorbing a `Var` into an object array instead.
 
 An op computes its value and returns `_node(value, op, operands, adjoint)`,
 where `adjoint(g)` maps the node's output adjoint to one contribution per
@@ -80,8 +80,8 @@ class Tape:
 class Var:
     """One tape node: primal value, gradient slot, and local adjoint rule."""
 
-    # Refuse numpy's ufunc protocol so `ndarray <op> Var` falls back to our
-    # reflected operators instead of building an object array.
+    # Refuse numpy's ufunc protocol so `ndarray <op> Var` raises TypeError
+    # instead of building an object array.
     __array_ufunc__ = None
 
     __slots__ = ("value", "grad", "tape", "op", "parents", "_backward")
@@ -101,18 +101,6 @@ class Var:
 
     def __repr__(self) -> str:
         return f"Var(op={self.op!r}, shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
 
 def val(x):

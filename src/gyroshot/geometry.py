@@ -161,7 +161,7 @@ def geodesic_distance(x, y, cfg: BallConfig):
 def flat_distance(x, y):
     """Euclidean limit of the geodesic distance: 2 ||x - y||."""
     _check_same_width(x, y, "flat_distance")
-    return 2.0 * ad.norm(ad.sub(x, y))
+    return ad.mul(2.0, ad.norm(ad.sub(x, y)))
 
 
 def klein_to_poincare(k, cfg: BallConfig):

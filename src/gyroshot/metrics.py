@@ -75,6 +75,4 @@ def adaptive_combine(s2s_vals, weights):
         raise DomainError("adaptive weights must be nonnegative")
     if np.any(np.sum(wv, axis=-1) <= 0.0):
         raise DomainError("adaptive weights must not all vanish")
-    num = ad.sum(weights * s2s_vals, axis=-1)
-    den = ad.sum(weights, axis=-1)
-    return num / den
+    return ad.div(ad.sum(ad.mul(weights, s2s_vals), axis=-1), ad.sum(weights, axis=-1))

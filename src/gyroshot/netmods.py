@@ -169,7 +169,7 @@ class Encoder:
             raise ConfigError(f"feature_scale {self.cfg.feature_scale} must lie below 1 - eps")
         h = ad.linear(x, p["w1"], p["b1"], act="tanh")
         z = ad.linear(h, p["w2"], p["b2"], act="tanh")
-        out = z * (self.cfg.feature_scale * ball.radius / np.sqrt(self.cfg.feat_dim))
+        out = ad.mul(z, self.cfg.feature_scale * ball.radius / np.sqrt(self.cfg.feat_dim))
         if __debug__ and not isinstance(out, ad.Var):
             assert in_ball(out, ball, slack=1e-12)
         return out
@@ -228,7 +228,7 @@ class SignatureGenerator:
             raise ShapeError(
                 f"refine expects (..., M, {self.cfg.hw}, {self.cfg.feat_dim}), got {shape}"
             )
-        x = proj + self.pos
+        x = ad.add(proj, self.pos)
         t = ad.reshape(x, shape[:-3] + (shape[-3] * shape[-2], shape[-1]))
         y = self(t, params=params)
         return ad.reshape(y, shape)

@@ -5,10 +5,10 @@ against a pinned tolerance. The CLI `verify` command prints one line per
 property; the acceptance tests call the same functions with the same
 default sizes.
 
-Sampling note: identity checks draw radii up to 0.75 of the ball radius.
-Closer to the boundary the arctanh conditioning (1/(1 - u^2)) alone amplifies
-float64 rounding past the 1e-12 symmetry tolerance, which would report
-failures no implementation could avoid.
+Sampling note: identity checks draw radii up to 0.75 of the ball radius,
+where every tolerance is flat. Up to 0.999 (tests/test_verify.py) five keep
+them, but the rounding of the exp/log round trip and of the conformal
+relation grows like lambda^2, so there they are bounded by 8 ulps * lambda^2.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def check_gradient_oracles(seed: int = 2) -> list[PropertyCheck]:
     for _ in range(3):
         pts = sample_ball_points(rng, 5, 4, cfg)
         u = rng.normal(size=4)
-        r = finite_diff_check(lambda p: ad.sum(einstein_midpoint(p, cfg) * u), pts, tol=tol)
+        r = finite_diff_check(lambda p: ad.sum(ad.mul(einstein_midpoint(p, cfg), u)), pts, tol=tol)
         worst = max(worst, r.max_rel_error)
     out.append(_check("gradient: einstein_midpoint vs finite differences", tol, worst))
 
@@ -178,8 +178,8 @@ def check_gradient_oracles(seed: int = 2) -> list[PropertyCheck]:
         x0 = sample_ball_points(rng, 1, 6, cfg)[0]
         y0 = sample_ball_points(rng, 1, 6, cfg)[0]
         u = rng.normal(size=6)
-        r1 = finite_diff_check(lambda x: ad.sum(log_map(x, y0, cfg) * u), x0, tol=tol)
-        r2 = finite_diff_check(lambda y: ad.sum(log_map(x0, y, cfg) * u), y0, tol=tol)
+        r1 = finite_diff_check(lambda x: ad.sum(ad.mul(log_map(x, y0, cfg), u)), x0, tol=tol)
+        r2 = finite_diff_check(lambda y: ad.sum(ad.mul(log_map(x0, y, cfg), u)), y0, tol=tol)
         worst = max(worst, r1.max_rel_error, r2.max_rel_error)
     out.append(_check("gradient: log_map vs finite differences", tol, worst))
 

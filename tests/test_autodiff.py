@@ -10,11 +10,14 @@ import pytest
 from gyroshot import autodiff as ad
 from gyroshot.autodiff import Tape, backward, finite_diff_check, val
 from gyroshot.errors import ConfigError, ShapeError, TapeError
-from gyroshot.geometry import BallConfig, flat_distance, geodesic_distance, log_map
+from gyroshot.geometry import (BallConfig, einstein_midpoint, flat_distance, geodesic_distance,
+                               log_map)
+from gyroshot.metrics import adaptive_combine, pairwise_matrix
+from gyroshot.netmods import project_support
 
 
 def _square(x):
-    return x * x
+    return ad.mul(x, x)
 
 
 def _exp(x):
@@ -36,8 +39,8 @@ def test_hand_worked_gradient():
     tape = Tape()
     a = tape.var(3.0)
     b = tape.var(2.0)
-    u = a * b + a
-    f = u * u
+    u = ad.add(ad.mul(a, b), a)
+    f = ad.mul(u, u)
     backward(f)
     assert float(val(f)) == 81.0
     assert float(a.grad) == 54.0
@@ -48,7 +51,7 @@ def test_gradient_accumulates_on_reuse():
     # y = x*x + x uses x twice: dy/dx = 2x + 1
     tape = Tape()
     x = tape.var(4.0)
-    y = x * x + x
+    y = ad.add(ad.mul(x, x), x)
     backward(y)
     assert float(x.grad) == 9.0
 
@@ -57,7 +60,7 @@ def test_reverse_order_is_topological_and_deterministic():
     def build():
         tape = Tape()
         x = tape.var(np.array([0.3, -0.2, 0.9]))
-        y = ad.sum(_activated(x * 2.0, "tanh") / (_exp(-1.0 * x) + 1.0))
+        y = ad.sum(ad.div(_activated(ad.mul(x, 2.0), "tanh"), ad.add(_exp(ad.mul(-1.0, x)), 1.0)))
         backward(y)
         return x.grad.copy()
 
@@ -68,7 +71,7 @@ def test_reverse_order_is_topological_and_deterministic():
 def test_backward_requires_scalar_root():
     tape = Tape()
     x = tape.var(np.ones(3))
-    y = x * 2.0
+    y = ad.mul(x, 2.0)
     with pytest.raises(TapeError):
         backward(y)
 
@@ -76,7 +79,7 @@ def test_backward_requires_scalar_root():
 #: op name -> (operand shape, call with both operands); every op that
 #: takes more than one operand that may be a Var
 _MULTI_OPERAND = {
-    "add": ((2, 2), lambda a, b: a + b),
+    "add": ((2, 2), ad.add),
     "sub": ((2, 2), ad.sub),
     "mul": ((2, 2), ad.mul),
     "div": ((2, 2), ad.div),
@@ -152,7 +155,7 @@ def test_broadcast_gradients_have_operand_shapes():
     tape = Tape()
     x = tape.var(np.ones((2, 3)))
     w = tape.var(np.arange(3.0))
-    y = ad.sum(x * w + w)
+    y = ad.sum(ad.add(ad.mul(x, w), w))
     backward(y)
     assert x.grad.shape == (2, 3)
     assert w.grad.shape == (3,)
@@ -168,14 +171,15 @@ def test_broadcast_gradients_have_operand_shapes():
         ("sigmoid", lambda x: ad.sum(ad.sigmoid(x)), -3.0, 3.0),
         ("relu", lambda x: ad.sum(_activated(x, "relu")), 0.1, 2.0),
         ("norm", lambda x: ad.sum(ad.norm(x)), 0.2, 1.0),
-        ("mean", lambda x: ad.mean(x * x), -2.0, 2.0),
+        ("mean", lambda x: ad.mean(ad.mul(x, x)), -2.0, 2.0),
         ("softmax", lambda x: ad.sum(_square(ad.softmax(x, axis=-1))), -2.0, 2.0),
-        ("softmax_axis0", lambda x: ad.sum(ad.softmax(x, axis=0) * np.arange(8.0).reshape(2, 4)),
+        ("softmax_axis0",
+         lambda x: ad.sum(ad.mul(ad.softmax(x, axis=0), np.arange(8.0).reshape(2, 4))),
          -2.0, 2.0),
-        ("cross_entropy", lambda x: ad.cross_entropy(x, [3, 0], -1.7) * 0.3, -2.0, 2.0),
-        ("div", lambda x: ad.sum(x / (x + 2.0)), -1.0, 1.0),
+        ("cross_entropy", lambda x: ad.mul(ad.cross_entropy(x, [3, 0], -1.7), 0.3), -2.0, 2.0),
+        ("div", lambda x: ad.sum(ad.div(x, ad.add(x, 2.0))), -1.0, 1.0),
         ("reshape",
-         lambda x: ad.sum(_square(ad.reshape(x, (2, 3))) * np.arange(6.0).reshape(2, 3)),
+         lambda x: ad.sum(ad.mul(_square(ad.reshape(x, (2, 3))), np.arange(6.0).reshape(2, 3))),
          -1.0, 1.0),
     ],
 )
@@ -237,8 +241,8 @@ def test_conv2d_leading_axes_are_batch_axes():
     out = ad.conv2d(x0, k0)
     np.testing.assert_allclose(out.reshape(6, 2, 2, 3), ad.conv2d(x0.reshape(6, 3, 4, 2), k0),
                                rtol=0, atol=1e-15)
-    assert finite_diff_check(lambda x: ad.sum(ad.conv2d(x, k0) * w), x0).passed
-    assert finite_diff_check(lambda k: ad.sum(ad.conv2d(x0, k) * w), k0).passed
+    assert finite_diff_check(lambda x: ad.sum(ad.mul(ad.conv2d(x, k0), w)), x0).passed
+    assert finite_diff_check(lambda k: ad.sum(ad.mul(ad.conv2d(x0, k), w)), k0).passed
 
 
 def test_conv2d_shape_errors():
@@ -289,7 +293,7 @@ def test_finite_diff_steps_a_non_contiguous_point():
     """A transposed point, whose ravel() is a copy, is stepped through a
     private C-ordered copy, so every step reaches f."""
     point = np.arange(6.0).reshape(2, 3).T
-    report = finite_diff_check(lambda x: ad.sum(x * x), point)
+    report = finite_diff_check(lambda x: ad.sum(ad.mul(x, x)), point)
     assert report.passed, report.max_rel_error
     np.testing.assert_allclose(report.numeric, 2.0 * point, rtol=1e-8, atol=1e-6)
 
@@ -304,7 +308,7 @@ def test_finite_diff_leaves_the_point_unchanged_when_f_raises():
         calls.append(x)
         if len(calls) == 3:  # taped call, +step call, then the -step call
             raise RuntimeError("f failed")
-        return ad.sum(x * x)
+        return ad.sum(ad.mul(x, x))
 
     with pytest.raises(RuntimeError, match="f failed"):
         finite_diff_check(f, point)
@@ -334,8 +338,8 @@ def test_leaf_gradients_own_writable_memory_of_the_leaf_shape():
     summed = tape.var(np.ones((2, 3)))       # reached only through sum's broadcast view
     shared = tape.var(np.ones((2, 3)))       # an add hands both operands one array
     unused = tape.var(np.ones(4))
-    y = ad.reshape(viewed, (2, 3)) + shared
-    loss = ad.sum(y * 3.0) + ad.sum(summed)
+    y = ad.add(ad.reshape(viewed, (2, 3)), shared)
+    loss = ad.add(ad.sum(ad.mul(y, 3.0)), ad.sum(summed))
     backward(loss)
     for leaf, expect in ((viewed, 3.0), (summed, 1.0), (shared, 3.0), (unused, 0.0)):
         assert leaf.grad.shape == leaf.value.shape
@@ -351,7 +355,7 @@ def test_unreached_nodes_run_no_adjoint_and_end_with_zero_gradients():
     tape = Tape()
     x = tape.var(np.array([1.0, 2.0]))
     side = ad.record(x.value * 5.0, ((x,), never), tape, "side")
-    loss = ad.sum(x * x)
+    loss = ad.sum(ad.mul(x, x))
     after = ad.record(np.ones(2), ((loss,), never), tape, "after")
     backward(loss)
     assert np.array_equal(x.grad, [2.0, 4.0])
@@ -365,7 +369,7 @@ def test_unreached_nodes_run_no_adjoint_and_end_with_zero_gradients():
 def test_repeated_backward_recomputes_instead_of_accumulating():
     tape = Tape()
     x = tape.var(np.array([0.5, -1.0, 2.0]))
-    y = ad.sum(_activated(x, "tanh") * x + x)
+    y = ad.sum(ad.add(ad.mul(_activated(x, "tanh"), x), x))
     backward(y)
     first = x.grad.copy()
     backward(y)
@@ -407,7 +411,7 @@ def test_attention_gradients_match_finite_differences(wrt):
     w = np.random.default_rng(6).normal(size=(2, 4, 3))
 
     def f(x):
-        return ad.sum(ad.attention(*(x if i == wrt else a for i, a in enumerate(args))) * w)
+        return ad.sum(ad.mul(ad.attention(*(x if i == wrt else a for i, a in enumerate(args))), w))
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         report = finite_diff_check(f, args[wrt].copy())
@@ -426,7 +430,7 @@ def test_normalize_gradients_match_finite_differences(axes, shape):
     for wrt, name in enumerate(("x", "gamma", "beta")):
         def f(t):
             x, gamma, beta = (t if i == wrt else a for i, a in enumerate(args))
-            return ad.sum(ad.normalize(x, axes, 1e-5, gamma, beta)[0] * w)
+            return ad.sum(ad.mul(ad.normalize(x, axes, 1e-5, gamma, beta)[0], w))
 
         report = finite_diff_check(f, args[wrt].copy())
         assert report.passed, f"{name}: max rel err {report.max_rel_error} flagged {report.flagged}"
@@ -473,7 +477,7 @@ def test_taped_attention_and_its_backward_never_hold_the_whole_score_stack():
     stack_bytes = 16 * 128 * 128 * 8
     tracemalloc.start()
     try:
-        backward(ad.sum(ad.attention(q, k, v) * w))
+        backward(ad.sum(ad.mul(ad.attention(q, k, v), w)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -512,7 +516,7 @@ def _log_softmax(x):
 def _composite_cross_entropy(x, labels, scale):
     """The 5-op episode loss: scale, log-softmax, one-hot pick, sum, -1/n."""
     onehot = np.eye(np.shape(val(x))[-1])[labels]
-    return ad.sum(_log_softmax(x * scale) * onehot) * (-1.0 / len(labels))
+    return ad.mul(ad.sum(ad.mul(_log_softmax(ad.mul(x, scale)), onehot)), -1.0 / len(labels))
 
 
 @pytest.mark.parametrize("temperature", (1.0, 0.3, 2.0))
@@ -530,7 +534,7 @@ def test_fused_cross_entropy_equals_the_composite_bit_for_bit(temperature):
             d = tape.var(d0)
             loss = loss_fn(d, labels, scale)
             runs.append((len(tape) - 1, loss.value, d))
-            backward(loss if root_scale == 1.0 else loss * root_scale)
+            backward(loss if root_scale == 1.0 else ad.mul(loss, root_scale))
         (nodes, value, d), (ref_nodes, ref_value, ref_d) = runs
         assert (nodes, ref_nodes) == (1, 5)
         np.testing.assert_array_equal(value, ref_value)
@@ -552,11 +556,12 @@ def _fused_tape():
     c = ad.conv2d(ad.reshape(h, (2, 4, 1, 3)), ad.reshape(w, (1, 1, 3, 3)), b)
     s = ad.normalize(ad.reshape(c, (2, 4, 3)), (0, 1), 1e-5, gamma, beta, stats=(mean, var))[0]
     # every pair of rows, both operands taped, well inside the c = 0.7 ball
-    d = geodesic_distance(ad.reshape(ad.linear(y, w, act="tanh") * 0.3, (2, 4, 1, 3)),
-                          ad.reshape(ad.linear(s, w, b, act="tanh") * 0.3, (2, 1, 4, 3)),
+    d = geodesic_distance(ad.reshape(ad.mul(ad.linear(y, w, act="tanh"), 0.3), (2, 4, 1, 3)),
+                          ad.reshape(ad.mul(ad.linear(s, w, b, act="tanh"), 0.3), (2, 1, 4, 3)),
                           BallConfig(c=0.7))
     rng = np.random.default_rng(9)
-    losses = [ad.sum(y * rng.normal(size=(2, 4, 3))) + ad.sum(d * rng.normal(size=(2, 4, 4)))
+    losses = [ad.add(ad.sum(ad.mul(y, rng.normal(size=(2, 4, 3)))),
+                     ad.sum(ad.mul(d, rng.normal(size=(2, 4, 4)))))
               for _ in range(2)]
     return (q, k, v, gamma, beta, w, b), losses
 
@@ -642,10 +647,11 @@ def _stats_composite(x, gamma, beta, mean, var, eps=1e-5):
 
 
 def _epilogue_case(seed):
-    """Operands of every fused form. The (4, 5, 3) normalize input drops all
-    of its channel 0, where γ is positive and the weights of the loss are
-    negative, so the relu-and-mask adjoint meets negative adjoints at
-    dropped positions."""
+    """Operands of every fused form, and positive weights `p` for
+    `adaptive_combine`. The (4, 5, 3) normalize input drops all of its
+    channel 0, where γ is positive and the weights of the loss are negative,
+    so the relu-and-mask adjoint meets negative adjoints at dropped
+    positions."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(4, 5, 3)) * 1.5 + 0.3
     keep = (rng.random((4, 5, 3)) >= 0.5) / 0.5
@@ -659,7 +665,7 @@ def _epilogue_case(seed):
         w=rng.normal(size=(3, 4)), b=rng.normal(size=4), gamma=gamma,
         beta=rng.normal(size=3), mean=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3),
         img=rng.normal(size=(2, 3, 4, 2)), k=rng.normal(size=(2, 2, 2, 3)),
-        kb=rng.normal(size=(2, 1, 3, 3)))
+        kb=rng.normal(size=(2, 1, 3, 3)), p=rng.uniform(0.5, 2.0, size=(4, 5, 3)))
 
 
 #: name -> (operand names, fused form, composite form); each form maps the
@@ -702,7 +708,7 @@ def _taped_run(form, case, names, taped):
         return out, 0, {}
     n_nodes = len(tape) - len(taped)
     w = case["weights"] if np.shape(out.value) == case["weights"].shape else 0.7
-    backward(ad.sum(out * w))
+    backward(ad.sum(ad.mul(out, w)))
     return out.value, n_nodes, {n: a.grad for n, a in zip(names, args) if n in taped}
 
 
@@ -746,7 +752,7 @@ def test_fused_epilogue_gradients_match_finite_differences(form):
         def f(t):
             out = fused(case, *(t if n == name else case[n] for n in names))
             w = case["weights"] if np.shape(val(out)) == case["weights"].shape else 0.7
-            return ad.sum(out * w)
+            return ad.sum(ad.mul(out, w))
 
         report = finite_diff_check(f, case[name].copy())
         assert report.passed, f"{name}: max rel err {report.max_rel_error} flagged {report.flagged}"
@@ -772,7 +778,7 @@ def test_normalize_over_running_statistics_keeps_its_own_copies():
     np.testing.assert_array_equal(v, case["var"])
     mean += 1.0
     var *= 3.0
-    backward(ad.sum(out * case["weights"]))
+    backward(ad.sum(ad.mul(out, case["weights"])))
     np.testing.assert_array_equal(
         x.grad, (case["weights"] * case["gamma"]) / np.sqrt(case["var"] + 1e-5))
 
@@ -782,17 +788,27 @@ def test_normalize_over_running_statistics_keeps_its_own_copies():
 
 
 #: name -> (operands, op); the operands lie inside the c = 0.7 ball where
-#: the op needs it
+#: the op needs it. The point-to-set stages take (4, 5, 3) operands: 4×5
+#: sets of 3-wide points for pairwise_matrix, 4 maps of 5 support patches
+#: against 4×5 query bases for project_support, and 4×5 rows of 3
+#: set-to-set values and their weights for adaptive_combine (constant
+#: weights are the p2s_uniform path).
 _CONTRACT = {
     "flat_distance": (("x", "y"), lambda c, x, y: flat_distance(x, y)),
     "geodesic_distance": (("x", "y"), lambda c, x, y: geodesic_distance(x, y, BallConfig(c=0.7))),
     "log_map": (("x", "y"), lambda c, x, y: log_map(x, y, BallConfig(c=0.7))),
+    "pairwise_matrix": (("x", "y"), lambda c, x, y: pairwise_matrix(x, y, BallConfig(c=0.7))),
+    "project_support": (("x", "y"), lambda c, x, y: project_support(
+        ad.reshape(x, (4, 1, 5, 3)), y, BallConfig(c=0.7))),
+    "adaptive_combine": (("x", "p"), lambda c, x, p: adaptive_combine(x, p)),
     **{op.__name__: (("x", "y"), lambda c, x, y, op=op: op(x, y))
        for op in (ad.add, ad.sub, ad.mul, ad.div)},
     "attention": (("x", "weights", "keep"), lambda c, q, k, v: ad.attention(q, k, v)),
     **{name: _FUSED_FORMS[name][:2] for name in
        ("linear_tanh", "linear_relu", "conv2d_bias", "normalize_relu_keep", "normalize_stats")},
 }
+#: the rows that record more than one node
+_COMPOSITES = {"flat_distance", "pairwise_matrix", "project_support", "adaptive_combine"}
 
 
 @pytest.mark.parametrize("op", sorted(_CONTRACT))
@@ -812,6 +828,18 @@ def test_every_array_var_pattern_matches_the_all_var_call(op):
         taped = {n for n, is_var in zip(names, pattern) if is_var}
         value, nodes, grads = _taped_run(fn, case, names, taped)
         _assert_same_bits(value, plain, f"{sorted(taped)}: value")
-        assert nodes == (1 if taped else 0) or op == "flat_distance"
+        assert nodes == (1 if taped else 0) or op in _COMPOSITES
         for n in taped:
             _assert_same_bits(grads[n], all_grads[n], f"{sorted(taped)}: d{n}")
+
+
+def test_taped_midpoint_value_is_within_ulps_of_the_untaped_one():
+    """The one exception to the contract above: the untaped Einstein
+    midpoint sorts each coordinate's summands before it sums them, so that
+    permuting the points cannot change its bits, and the taped one sums them
+    in order. The two values agree to within 4 ulps of the radius."""
+    cfg = BallConfig(c=0.7)
+    pts = np.random.default_rng(8).uniform(-0.3, 0.3, size=(3, 4, 5))
+    taped = einstein_midpoint(Tape().var(pts), cfg).value
+    plain = einstein_midpoint(pts, cfg)
+    assert np.max(np.abs(taped - plain)) <= 4.0 * np.finfo(np.float64).eps * cfg.radius

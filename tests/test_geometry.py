@@ -307,7 +307,7 @@ def test_geometry_gradients_match_finite_differences(c):
     assert finite_diff_check(lambda x: geodesic_distance(x, y0, cfg), x0).passed
     assert finite_diff_check(lambda y: geodesic_distance(x0, y, cfg), y0, tol=2e-4).passed
     assert finite_diff_check(
-        lambda x: ad.sum(log_map(x, y0, cfg) * np.arange(5.0)), x0
+        lambda x: ad.sum(ad.mul(log_map(x, y0, cfg), np.arange(5.0))), x0
     ).passed
 
 
@@ -318,7 +318,7 @@ def test_midpoint_gradient_matches_finite_differences():
     u = rng.normal(size=3)
 
     def f(p):
-        return ad.sum(einstein_midpoint(p, cfg) * u)
+        return ad.sum(ad.mul(einstein_midpoint(p, cfg), u))
 
     assert finite_diff_check(f, pts).passed
 
@@ -387,7 +387,8 @@ def test_midpoint_error_at_the_boundary_against_longdouble(case):
 def test_midpoint_gradient_at_the_boundary(case, seed):
     cfg, pts = case
     u = np.random.default_rng(seed).normal(size=pts.shape[-1])
-    report = finite_diff_check(lambda p: ad.sum(einstein_midpoint(p, cfg) * u), pts, step=1e-7)
+    report = finite_diff_check(lambda p: ad.sum(ad.mul(einstein_midpoint(p, cfg), u)), pts,
+                               step=1e-7)
     assert report.passed, report.max_rel_error
 
 
@@ -402,10 +403,12 @@ def composite_midpoint(points, cfg):
     """The 17-op taped midpoint whose reverse sweep the fused adjoint
     replays: 5 ops for the conformal factors, 5 for the two weighted sums
     and their quotient, and 7 for the map back to the ball."""
-    lam = ad.div(2.0, ad.sub(1.0, cfg.c * ad.sum(points * points, axis=-1, keepdims=True)))
-    weighted, gamma = lam * points, ad.sub(lam, 1.0)
-    k = ad.sum(weighted, axis=-2) / ad.sum(gamma, axis=-2)
-    return k / ad.add(1.0, _sqrt(ad.sub(1.0, cfg.c * ad.sum(k * k, axis=-1, keepdims=True))))
+    sq = ad.sum(ad.mul(points, points), axis=-1, keepdims=True)
+    lam = ad.div(2.0, ad.sub(1.0, ad.mul(cfg.c, sq)))
+    weighted, gamma = ad.mul(lam, points), ad.sub(lam, 1.0)
+    k = ad.div(ad.sum(weighted, axis=-2), ad.sum(gamma, axis=-2))
+    inside = ad.sub(1.0, ad.mul(cfg.c, ad.sum(ad.mul(k, k), axis=-1, keepdims=True)))
+    return ad.div(k, ad.add(1.0, _sqrt(inside)))
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (5, 5, 16), (2, 3, 4, 4)],
@@ -425,7 +428,7 @@ def test_fused_midpoint_equals_the_composite_bit_for_bit(shape, frac, c):
         x = tape.var(pts)
         mid = midpoint(x, cfg)
         runs.append((len(tape) - 1, mid.value, x))
-        backward(ad.sum(mid * u))
+        backward(ad.sum(ad.mul(mid, u)))
     (nodes, value, x), (ref_nodes, ref_value, ref_x) = runs
     assert (nodes, ref_nodes) == (1, 17)
     np.testing.assert_array_equal(value, ref_value)
@@ -442,7 +445,8 @@ def test_fused_midpoint_gradient_matches_finite_differences(case, seed):
     tape = Tape()
     einstein_midpoint(tape.var(pts), cfg)
     assert [n.op for n in tape.nodes] == ["leaf", "midpoint"]
-    report = finite_diff_check(lambda p: ad.sum(einstein_midpoint(p, cfg) * u), pts, step=1e-7)
+    report = finite_diff_check(lambda p: ad.sum(ad.mul(einstein_midpoint(p, cfg), u)), pts,
+                               step=1e-7)
     assert report.passed, report.max_rel_error
 
 
@@ -476,8 +480,8 @@ def test_fused_geodesic_gradients_in_model_layouts(layout, frac, c):
         assert report.passed, f"max rel err {report.max_rel_error} at {report.flagged}"
         assert np.all(np.isfinite(report.analytic))
 
-    check(lambda x: ad.sum(geodesic_distance(x, y0, cfg) * w), x0)
-    check(lambda y: ad.sum(geodesic_distance(x0, y, cfg) * w), y0)
+    check(lambda x: ad.sum(ad.mul(geodesic_distance(x, y0, cfg), w)), x0)
+    check(lambda y: ad.sum(ad.mul(geodesic_distance(x0, y, cfg), w)), y0)
 
 
 @pytest.mark.parametrize("frac", (0.5, 0.999))
@@ -493,9 +497,11 @@ def test_fused_geodesic_gradient_same_whichever_operand_is_taped(frac):
     w = rng.uniform(0.5, 1.5, size=np.broadcast_shapes(xs, ys)[:-1])
     tape = Tape()
     x, y = tape.var(x0), tape.var(y0)
-    backward(ad.sum(geodesic_distance(x, y, cfg) * w))
-    only_x = finite_diff_check(lambda x: ad.sum(geodesic_distance(x, y0, cfg) * w), x0, step=1e-7)
-    only_y = finite_diff_check(lambda y: ad.sum(geodesic_distance(x0, y, cfg) * w), y0, step=1e-7)
+    backward(ad.sum(ad.mul(geodesic_distance(x, y, cfg), w)))
+    only_x = finite_diff_check(lambda x: ad.sum(ad.mul(geodesic_distance(x, y0, cfg), w)), x0,
+                               step=1e-7)
+    only_y = finite_diff_check(lambda y: ad.sum(ad.mul(geodesic_distance(x0, y, cfg), w)), y0,
+                               step=1e-7)
     for report, both in ((only_x, x.grad), (only_y, y.grad)):
         assert report.passed, f"max rel err {report.max_rel_error} at {report.flagged}"
         np.testing.assert_array_equal(report.analytic, both)
@@ -611,8 +617,8 @@ def test_fused_log_map_gradients_in_model_layout(frac, c):
     limit 1 where ||(-x) (+) y|| <= 1e-15."""
     cfg = BallConfig(c=c)
     x0, y0, w = _tangent_points(frac, cfg, seed=int(1000 * frac) + int(10 * c))
-    for f, point in ((lambda x: ad.sum(log_map(x, y0, cfg) * w), x0),
-                     (lambda y: ad.sum(log_map(x0, y, cfg) * w), y0)):
+    for f, point in ((lambda x: ad.sum(ad.mul(log_map(x, y0, cfg), w)), x0),
+                     (lambda y: ad.sum(ad.mul(log_map(x0, y, cfg), w)), y0)):
         report = finite_diff_check(f, point, step=1e-7)
         assert report.passed, f"max rel err {report.max_rel_error} at {report.flagged}"
 
@@ -629,7 +635,7 @@ def test_fused_log_map_same_bits_whichever_operand_is_taped(frac):
         out = log_map(x, y, cfg)
         assert len(tape) == len(taped) + 1
         np.testing.assert_array_equal(val(out), log_map(x0, y0, cfg))
-        backward(ad.sum(out * w))
+        backward(ad.sum(ad.mul(out, w)))
         grads[taped] = [v.grad for v in (x, y) if isinstance(v, ad.Var)]
     np.testing.assert_array_equal(grads["x"][0], grads["xy"][0])
     np.testing.assert_array_equal(grads["y"][0], grads["xy"][1])
@@ -645,7 +651,7 @@ def test_fused_log_map_at_coincident_points(frac):
     tape = Tape()
     x, y = tape.var(p), tape.var(p.copy())
     t = log_map(x, y, cfg)
-    backward(ad.sum(t * u))
+    backward(ad.sum(ad.mul(t, u)))
     assert np.array_equal(val(t), np.zeros(4))
     np.testing.assert_allclose(y.grad, u, rtol=1e-9)
     np.testing.assert_allclose(x.grad, -u, rtol=1e-9)

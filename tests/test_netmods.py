@@ -180,16 +180,16 @@ class TestNormalization:
     def _composite_layer_norm(x, gamma, beta, eps=1e-5):
         mu = ad.mean(x, axis=-1, keepdims=True)
         d = ad.sub(x, mu)
-        var = ad.mean(d * d, axis=-1, keepdims=True)
-        return gamma * (d / _sqrt(var + eps)) + beta
+        var = ad.mean(ad.mul(d, d), axis=-1, keepdims=True)
+        return ad.add(ad.mul(gamma, ad.div(d, _sqrt(ad.add(var, eps)))), beta)
 
     @staticmethod
     def _composite_batch_norm(x, gamma, beta, eps=1e-5):
         axes = tuple(range(np.ndim(ad.val(x)) - 1))
         mu = ad.mean(x, axis=axes, keepdims=True)
         d = ad.sub(x, mu)
-        var = ad.mean(d * d, axis=axes, keepdims=True)
-        return gamma * (d / _sqrt(var + eps)) + beta, mu, var
+        var = ad.mean(ad.mul(d, d), axis=axes, keepdims=True)
+        return ad.add(ad.mul(gamma, ad.div(d, _sqrt(ad.add(var, eps)))), beta), mu, var
 
     def test_fused_forms_equal_composites_bit_for_bit(self):
         r = rng(9)
@@ -218,7 +218,7 @@ class TestNormalization:
             for f in (fused, composite):
                 tape = ad.Tape()
                 x = tape.var(x0)
-                ad.backward(ad.sum(f(x) * w))
+                ad.backward(ad.sum(ad.mul(f(x), w)))
                 grads.append(x.grad)
             np.testing.assert_allclose(grads[0], grads[1], rtol=1e-10, atol=1e-13)
 
@@ -413,14 +413,14 @@ class TestFactoredRelation:
         net = RelationGenerator(cfg, rng(45))
         tape = ad.Tape()
         params = {k: tape.var(v) for k, v in net.params.items()}
-        ad.backward(ad.sum(net(maps, sig[:, None], train=True, params=params) * w))
+        ad.backward(ad.sum(ad.mul(net(maps, sig[:, None], train=True, params=params), w)))
         factored = np.concatenate([params["conv1_map_w"].grad, params["conv1_sig_w"].grad],
                                   axis=2)
         net = RelationGenerator(cfg, rng(45))
         tape = ad.Tape()
         params = {k: tape.var(v) for k, v in net.params.items()}
         params["conv1_w"] = tape.var(_joint_kernel(net))
-        ad.backward(ad.sum(_concat_relation(net, maps, sig, train=True, params=params) * w))
+        ad.backward(ad.sum(ad.mul(_concat_relation(net, maps, sig, train=True, params=params), w)))
         joint = params["conv1_w"].grad
         rel_err = np.max(np.abs(factored - joint)) / np.max(np.abs(joint))
         assert rel_err < 1e-12

@@ -587,17 +587,18 @@ def _mobius_add(x, y, cfg):
     """Taped Mobius addition for the reference composite; the package's
     mobius_add, which no model path records, takes plain arrays."""
     c = cfg.c
-    x2 = ad.sum(x * x, axis=-1, keepdims=True)
-    y2 = ad.sum(y * y, axis=-1, keepdims=True)
-    xy = ad.sum(x * y, axis=-1, keepdims=True)
-    denom = ad.add(1.0, 2.0 * c * xy) + c * c * x2 * y2
-    num = (ad.add(1.0, 2.0 * c * xy) + c * y2) * x + ad.sub(1.0, c * x2) * y
-    return num / denom
+    x2 = ad.sum(ad.mul(x, x), axis=-1, keepdims=True)
+    y2 = ad.sum(ad.mul(y, y), axis=-1, keepdims=True)
+    xy = ad.sum(ad.mul(x, y), axis=-1, keepdims=True)
+    denom = ad.add(ad.add(1.0, ad.mul(2.0 * c, xy)), ad.mul(ad.mul(c * c, x2), y2))
+    num = ad.add(ad.mul(ad.add(ad.add(1.0, ad.mul(2.0 * c, xy)), ad.mul(c, y2)), x),
+                 ad.mul(ad.sub(1.0, ad.mul(c, x2)), y))
+    return ad.div(num, denom)
 
 
 def _composite_geodesic(x, y, cfg):
-    m = _mobius_add(-1.0 * x, y, cfg)
-    return (2.0 / cfg.sqrt_c) * _arctanh(cfg.sqrt_c * ad.norm(m))
+    m = _mobius_add(ad.mul(-1.0, x), y, cfg)
+    return ad.mul(2.0 / cfg.sqrt_c, _arctanh(ad.mul(cfg.sqrt_c, ad.norm(m))))
 
 
 def _default_param_grads(cfg, sweep=ad.backward):

@@ -1,11 +1,17 @@
 """Invariant-suite tests: the checks pass on the real library and, crucially,
-fail when a deliberately broken operation is injected (mutation check)."""
+fail when a deliberately broken operation is injected (mutation check); and
+the identities hold up to 0.999 of the radius, beyond verify's 0.75."""
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gyroshot import verify
-from gyroshot.geometry import BallConfig
-from gyroshot.verify import PropertyCheck, check_geometry_identities, sample_ball_points
+from gyroshot.geometry import BallConfig, conformal_factor
+from gyroshot.verify import (CURVATURE_GRID, PropertyCheck, check_geometry_identities,
+                             sample_ball_points)
+from test_geometry import BOUNDARY, EPS, SEEDS, points_at_radius
 
 LEFT_INVERSE = "mobius left inverse: (-x) (+) x = 0"
 RIGHT_IDENTITY = "mobius right identity: x (+) 0 = x"
@@ -61,3 +67,47 @@ class TestSampler:
         norms = np.linalg.norm(pts, axis=-1)
         assert np.all(norms <= 0.75 * cfg.radius + 1e-12)
         assert np.all(norms > 0)
+
+
+# ---------------------------------------------------------------------------
+# the identities at the boundary (derandomized property tests)
+
+
+@st.composite
+def point_pairs(draw):
+    """(ball, x, y): c on CURVATURE_GRID and 1 to 8 pairs of 8-wide points,
+    verify's width, each point at a drawn fraction of the radius up to 0.999
+    in a seeded uniform direction."""
+    cfg = BallConfig(c=draw(st.sampled_from(CURVATURE_GRID)))
+    n = draw(st.integers(1, 8))
+    fracs = np.array([[draw(st.floats(0.0, 0.999))] for _ in range(2 * n)])
+    pts = points_at_radius(np.random.default_rng(draw(SEEDS)), (2 * n, 8), fracs, cfg)
+    return cfg, pts[:n], pts[n:]
+
+
+#: identity name -> its bound from λ = max(λ_x, λ_y) per pair, where rounding
+#: grows like λ² toward the boundary; the other five keep verify's tolerance
+SCALED_BOUNDS = {
+    "exp/log roundtrip: exp_x(log_x(y)) = y": lambda lam, cfg: 8.0 * EPS * lam ** 2 * cfg.radius,
+    "conformal relation: lambda_x ||log_x(y)|| = d(x, y)": lambda lam, cfg: 8.0 * EPS * lam ** 2,
+}
+
+
+def test_scaled_bounds_name_identities_of_verify():
+    assert set(SCALED_BOUNDS) < {name for name, _, _ in verify._IDENTITIES}
+
+
+@pytest.mark.parametrize("name,tol,error", verify._IDENTITIES,
+                         ids=[name.split(":")[0] for name, _, _ in verify._IDENTITIES])
+@BOUNDARY
+@given(point_pairs())
+def test_identity_holds_up_to_0999_of_the_radius(name, tol, error, case):
+    cfg, x, y = case
+    err = np.abs(error(x, y, cfg)).reshape(len(x), -1)
+    if name in SCALED_BOUNDS:
+        lam = np.maximum(conformal_factor(x, cfg, keepdims=True),
+                         conformal_factor(y, cfg, keepdims=True))
+        bound = SCALED_BOUNDS[name](lam, cfg)
+    else:
+        bound = tol
+    assert np.all(err <= bound), np.max(err / bound)
