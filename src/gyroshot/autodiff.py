@@ -33,16 +33,19 @@ downstream adjoints and no stored gradient is ever written through an
 alias. A node that no contribution reached runs no adjoint and ends the
 sweep with a zero gradient.
 
-Softmax, `linear` (product, bias, activation), `conv2d` (with a bias),
-single-head attention, normalization (with its scale, shift, relu and
+Softmax, `linear` (product and bias), the two-layer perceptron `mlp`
+(with its activations and output scale), `conv2d` (with a bias), the
+single-head `self_attention` sublayer (projections, attention, output
+layer and residual), normalization (with its scale, shift, relu and
 dropout mask) and the episode loss `cross_entropy` are fused: each is one
 node with a hand-written adjoint whose forward runs the composite form's
-arithmetic, so untaped results are unchanged. `attention` keeps no T×T array
-and `normalize` only μ and σ; the adjoints rebuild what they need per call
-(attention's P block by block, normalize's x̂) and keep nothing after, and an
-activation's adjoint reads its derivative off the node's own value, so no
-pre-activation array or mask is kept. `conv2d` treats the leading axes of
-its input as batch axes.
+arithmetic, so untaped results are unchanged. `mlp` and `self_attention`
+keep only their operands and `normalize` only μ and σ; the adjoints
+recompute what they need per call (the hidden layer; q, k, v and each
+attention block's P and output; normalize's x̂) and keep nothing after,
+and an activation's adjoint reads its derivative off the node's own value,
+so no pre-activation array or mask is kept. `conv2d` treats the leading
+axes of its input as batch axes.
 
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
 gradients have been read breaks that cycle, so the arrays are freed by
@@ -327,24 +330,62 @@ def reshape(x, shape):
 # linear maps
 
 
-def linear(x, w, b=None, act=None):
-    """x @ w, plus the bias b when given, then `act` (None, "tanh" or "relu";
-    see `_activate`) as one node."""
+def _affine(x, w, b=None):
+    """x @ w, then `out += b` when b is given: the forward of every affine
+    layer a fused node runs."""
+    out = x @ w
+    if b is not None:
+        out += b
+    return out
+
+
+def _affine_adjoint(g, x, w, b=None, dx=True):
+    """dx, dw and db of x @ w + b for the output adjoint g; dx is None
+    unless asked for, db None without a bias."""
+    return (_unbroadcast(g @ np.swapaxes(w, -1, -2), np.shape(x)) if dx else None,
+            _unbroadcast(np.swapaxes(x, -1, -2) @ g, np.shape(w)),
+            None if b is None else _unbroadcast(g, np.shape(b)))
+
+
+def linear(x, w, b=None):
+    """x @ w, plus the bias b when given, as one node."""
     xv, wv, bv = val(x), val(w), val(b)
     if np.ndim(xv) < 2 or np.ndim(wv) < 2:
         raise ShapeError("linear operands must have ndim >= 2")
-    out = xv @ wv
-    if b is not None:
-        out += bv
-    pre = _activate(out, act)
+    return _node(_affine(xv, wv, bv), "linear", (x, w, b),
+                 lambda g: _affine_adjoint(g, xv, wv, bv, isinstance(x, Var)))
+
+
+def mlp(x, w1, b1, w2, b2, act=(None, None), scale=None):
+    """act[1](act[0](x @ w1 + b1) @ w2 + b2), times the number `scale` when
+    given, as one node (`act` entries as `_activate`'s; a bias may be None).
+
+    The node keeps only its operands: the adjoint recomputes the hidden
+    layer (and, for act[1], the output) and runs the two affine adjoints
+    with the unfused chain's bits; a constant x gets None.
+    """
+    xv, w1v, b1v, w2v, b2v = val(x), val(w1), val(b1), val(w2), val(b2)
+    if np.ndim(xv) < 2 or np.ndim(w1v) != 2 or np.ndim(w2v) != 2:
+        raise ShapeError("mlp expects an input of ndim >= 2 and two 2-D weights")
+
+    def layer(v, w, b, a):  # (the activated layer, its derivative map)
+        out = _affine(v, w, b)
+        return out, _activate(out, a)
+
+    out = layer(layer(xv, w1v, b1v, act[0])[0], w2v, b2v, act[1])[0]
+    if scale is not None:
+        out *= scale
 
     def adjoint(g):
-        g = pre(g)
-        return (_unbroadcast(g @ np.swapaxes(wv, -1, -2), xv.shape),
-                _unbroadcast(np.swapaxes(xv, -1, -2) @ g, wv.shape),
-                None if b is None else _unbroadcast(g, np.shape(bv)))
+        if scale is not None:
+            g = g * scale
+        h, pre1 = layer(xv, w1v, b1v, act[0])
+        if act[1] is not None:
+            g = layer(h, w2v, b2v, act[1])[1](g)
+        dh, dw2, db2 = _affine_adjoint(g, h, w2v, b2v)
+        return _affine_adjoint(pre1(dh), xv, w1v, b1v, isinstance(x, Var)) + (dw2, db2)
 
-    return _node(out, "linear", (x, w, b), adjoint)
+    return _node(out, "mlp", (x, w1, b1, w2, b2), adjoint)
 
 
 def conv2d(x, k, b=None):
@@ -411,44 +452,63 @@ def _attend(q, k, v):
     return p @ v, p
 
 
-def _attend_adjoint(q, k, v, out, g):
-    """dq, dk, dv of one (T, C) block; its P, rebuilt from q and k, and dS
-    are freed on return, so the adjoint holds two T×T arrays at most."""
-    p = _attend(q, k, v)[1]
+def _attend_adjoint(q, k, v, g):
+    """The output and dq, dk, dv of one (T, C) block; its P, rebuilt with the
+    output from q, k and v, and dS are freed on return, so the adjoint holds
+    two T×T arrays at most."""
+    out, p = _attend(q, k, v)
     gs = g * (1.0 / np.sqrt(q.shape[-1]))
     ds = gs @ v.T
     ds -= np.sum(gs * out, axis=-1, keepdims=True)
     ds *= p
-    return ds @ k, ds.T @ q, p.T @ g
+    return out, ds @ k, ds.T @ q, p.T @ g
 
 
-def attention(q, k, v):
-    """softmax(q kᵀ / √C) v over (..., T, C) stacks, recorded as one node.
+def self_attention(x, wq, bq, wk, wv, bv, wo, bo):
+    """x + softmax(q kᵀ / √C) v wo + bo over (..., T, C) token stacks, with
+    q = x wq + bq, k = x wk and v = x wv + bv, recorded as one node that
+    keeps only its operands (bq, bv and bo may be None).
 
-    Forward and adjoint run one (T, C) block at a time with the composite's
-    arithmetic, and the node keeps no T×T array: the adjoint rebuilds each
-    block's P from q and k. With g = dL/d(out), the score adjoint is
-    dS = P ⊙ (g vᵀ − rowsum(g ⊙ out)) / √C, as rowsum(g ⊙ out) equals
-    rowsum((g vᵀ) ⊙ P); dq = dS k, dk = dSᵀ q and dv = Pᵀ g.
+    Forward and adjoint attend one (T, C) block at a time through `_attend`
+    with the composite's arithmetic, so no T×T stack is ever held. The
+    adjoint recomputes q, k and v, rebuilds each block's P and output, and
+    with a = the attention output and g_a = g woᵀ forms the score adjoint
+    dS = P ⊙ (g_a vᵀ − rowsum(g_a ⊙ a)) / √C, as rowsum(g_a ⊙ a) equals
+    rowsum((g_a vᵀ) ⊙ P); dq = dS k, dk = dSᵀ q and dv = Pᵀ g_a. x collects
+    ((g + dx_v) + dx_k) + dx_q, the unfused sweep's order.
     """
-    qv, kv, vv = val(q), val(k), val(v)
-    if np.ndim(qv) < 2 or np.shape(qv) != np.shape(kv) or np.shape(kv)[:-1] != np.shape(vv)[:-1]:
+    xv, wqv, bqv, wkv, wvv, bvv, wov, bov = (val(a) for a in (x, wq, bq, wk, wv, bv, wo, bo))
+    shapes = [np.shape(a) for a in (xv, wqv, wkv, wvv, wov)]
+    if (np.ndim(xv) < 2 or any(len(s) != 2 for s in shapes[1:]) or shapes[1] != shapes[2]
+            or {shapes[1][0], shapes[3][0], shapes[4][1]} != {shapes[0][-1]}
+            or shapes[3][1] != shapes[4][0]):
         raise ShapeError(
-            f"attention expects q, k of one shape (..., T, C) and v of (..., T, Cv), "
-            f"got {np.shape(qv)}, {np.shape(kv)}, {np.shape(vv)}"
+            f"self_attention expects x (..., T, C), wq and wk (C, D), wv (C, E) and wo (E, C), "
+            f"got {', '.join(map(str, shapes))}"
         )
+
+    def qkv():
+        return _affine(xv, wqv, bqv), _affine(xv, wkv), _affine(xv, wvv, bvv)
 
     def blocks(*arrays):  # zip of the (T, C) blocks of each array
         return zip(*(np.reshape(a, (-1,) + np.shape(a)[-2:]) for a in arrays))
 
-    out = np.reshape([_attend(*b)[0] for b in blocks(qv, kv, vv)],
-                     np.shape(qv)[:-1] + np.shape(vv)[-1:])
+    q, k, v = qkv()
+    a_shape = np.shape(q)[:-1] + np.shape(v)[-1:]
+    out = _affine(np.reshape([_attend(*b)[0] for b in blocks(q, k, v)], a_shape), wov, bov)
+    out += xv
 
     def adjoint(g):
-        per_block = zip(*(_attend_adjoint(*b) for b in blocks(qv, kv, vv, out, g)))
-        return [np.reshape(d, np.shape(a)) for d, a in zip(per_block, (qv, kv, vv))]
+        q, k, v = qkv()
+        outs, dq, dk, dv = zip(*(_attend_adjoint(*b) for b in blocks(
+            q, k, v, g @ np.swapaxes(wov, -1, -2))))
+        _, dwo, dbo = _affine_adjoint(g, np.reshape(outs, a_shape), wov, bov, dx=False)
+        dxq, dwq, dbq = _affine_adjoint(np.reshape(dq, np.shape(q)), xv, wqv, bqv)
+        dxk, dwk, _ = _affine_adjoint(np.reshape(dk, np.shape(k)), xv, wkv)
+        dxv, dwv, dbv = _affine_adjoint(np.reshape(dv, np.shape(v)), xv, wvv, bvv)
+        return ((g + dxv) + dxk) + dxq, dwq, dbq, dwk, dwv, dbv, dwo, dbo
 
-    return _node(out, "attention", (q, k, v), adjoint)
+    return _node(out, "self_attention", (x, wq, bq, wk, wv, bv, wo, bo), adjoint)
 
 
 def normalize(x, axes, eps, gamma, beta=None, act=None, keep=None, stats=None):

@@ -144,10 +144,11 @@ def sinusoidal_grid_encoding(h: int, w: int, c: int) -> np.ndarray:
 class Encoder:
     """Per-patch MLP embedding raw patches into the ball.
 
-    Each layer is one `ad.linear` node with a tanh epilogue. The last tanh
-    bounds the output norm by feature_scale / sqrt(c), so arctanh arguments
-    downstream stay well away from 1. A call raises ConfigError unless
-    feature_scale < 1 - eps, so no output reaches the clip bound.
+    Both layers, their tanhs and the output scale are one `ad.mlp` node.
+    The last tanh bounds the output norm by feature_scale / sqrt(c), so
+    arctanh arguments downstream stay well away from 1. A call raises
+    ConfigError unless feature_scale < 1 - eps, so no output reaches the
+    clip bound.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -167,9 +168,8 @@ class Encoder:
             raise ShapeError(f"encoder expects patch width {self.cfg.in_dim}, got {shape[-1]}")
         if self.cfg.feature_scale >= 1.0 - ball.eps:
             raise ConfigError(f"feature_scale {self.cfg.feature_scale} must lie below 1 - eps")
-        h = ad.linear(x, p["w1"], p["b1"], act="tanh")
-        z = ad.linear(h, p["w2"], p["b2"], act="tanh")
-        out = ad.mul(z, self.cfg.feature_scale * ball.radius / np.sqrt(self.cfg.feat_dim))
+        out = ad.mlp(x, p["w1"], p["b1"], p["w2"], p["b2"], act=("tanh", "tanh"),
+                     scale=self.cfg.feature_scale * ball.radius / np.sqrt(self.cfg.feat_dim))
         if __debug__ and not isinstance(out, ad.Var):
             assert in_ball(out, ball, slack=1e-12)
         return out
@@ -178,12 +178,13 @@ class Encoder:
 class SignatureGenerator:
     """Single-head transformer encoder block over support descriptors.
 
-    Attention is one fused `ad.attention` node that keeps no T×T array, each
-    affine layer one `ad.linear` node and each layer norm one `ad.normalize`
-    node, the feed-forward's relu included. The key projection has no bias
-    (softmax over the keys is invariant to it), and the output layer norm
-    has no shift: the signature only reaches the relation net's first conv,
-    whose batch norm cancels it.
+    The attention sublayer (projections, attention, output layer and
+    residual) is one `ad.self_attention` node and the feed-forward with its
+    relu one `ad.mlp` node, both recomputing their intermediates in
+    backward; each layer norm is one `ad.normalize` node. The key
+    projection has no bias (softmax over the keys is invariant to it), and
+    the output layer norm has no shift: the signature only reaches the
+    relation net's first conv, whose batch norm cancels it.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -207,12 +208,10 @@ class SignatureGenerator:
     def __call__(self, tokens, params=None):
         """One post-LN block on (..., T, C) token stacks."""
         p = params if params is not None else self.params
-        q = ad.linear(tokens, p["wq"], p["bq"])
-        k = ad.linear(tokens, p["wk"])
-        v = ad.linear(tokens, p["wv"], p["bv"])
-        att = ad.linear(ad.attention(q, k, v), p["wo"], p["bo"])
-        h = layer_norm(ad.add(tokens, att), p["ln1_g"], p["ln1_b"])
-        f = ad.linear(ad.linear(h, p["ffw1"], p["ffb1"], act="relu"), p["ffw2"], p["ffb2"])
+        att = ad.self_attention(tokens, p["wq"], p["bq"], p["wk"], p["wv"], p["bv"],
+                                p["wo"], p["bo"])
+        h = layer_norm(att, p["ln1_g"], p["ln1_b"])
+        f = ad.mlp(h, p["ffw1"], p["ffb1"], p["ffw2"], p["ffb2"], act=("relu", None))
         return layer_norm(ad.add(h, f), p["ln2_g"])
 
     def refine(self, proj, params=None):

@@ -22,16 +22,18 @@ def _square(x):
 
 def _exp(x):
     """Taped exp for the reference composites; autodiff fuses every exp it
-    needs into softmax, cross_entropy and attention."""
+    needs into softmax, cross_entropy and self_attention."""
     out = np.exp(val(x))
     return ad._node(out, "exp", (x,), lambda g: (g * out,))
 
 
 def _activated(x, act):
-    """act(x) of a 1-D x as the model records it, the epilogue of a fused
-    linear node: x @ I is exact, so the value is act(x) bit for bit."""
+    """act(x) of a 1-D x as the model records it, the hidden activation of
+    a fused mlp node: x @ I and act(x) @ I are exact, so the value is act(x)
+    bit for bit."""
     n = np.shape(val(x))[-1]
-    return ad.reshape(ad.linear(ad.reshape(x, (1, n)), np.eye(n), act=act), (n,))
+    eye = np.eye(n)
+    return ad.reshape(ad.mlp(ad.reshape(x, (1, n)), eye, None, eye, None, act=(act, None)), (n,))
 
 
 def test_hand_worked_gradient():
@@ -84,8 +86,9 @@ _MULTI_OPERAND = {
     "mul": ((2, 2), ad.mul),
     "div": ((2, 2), ad.div),
     "linear": ((2, 2), lambda a, b: ad.linear(a, a, b)),
+    "mlp": ((2, 2), lambda a, b: ad.mlp(a, a, a, a, b)),
     "conv2d": ((1, 1, 1, 1), ad.conv2d),
-    "attention": ((2, 2), lambda a, b: ad.attention(a, b, b)),
+    "self_attention": ((2, 2), lambda a, b: ad.self_attention(a, a, a, a, a, a, a, b)),
     "normalize": ((2, 2), lambda a, b: ad.normalize(a, -1, 1e-5, b)[0]),
     "geodesic_distance": ((2, 2), lambda a, b: geodesic_distance(a, b, BallConfig(c=1.0))),
     "log_map": ((2, 2), lambda a, b: log_map(a, b, BallConfig(c=1.0))),
@@ -104,7 +107,7 @@ def test_mixed_tapes_rejected(op):
 _X = np.array([[0.2, 0.5], [0.3, 0.1]])
 #: an inverted-dropout mask for _X's shape, p = 0.5
 _KEEP = np.array([[2.0, 0.0], [2.0, 2.0]])
-#: the activation epilogues of linear and normalize, which the table covers
+#: the activation epilogues of mlp and normalize, which the table covers
 #: under their own names
 _EPILOGUES = {"tanh", "relu"}
 
@@ -114,7 +117,7 @@ _CONSTANT_CALLS = {
     "sub": lambda: ad.sub(_X, 1.0),
     "mul": lambda: ad.mul(2.0, _X),
     "div": lambda: ad.div(_X, _X),
-    "tanh": lambda: ad.linear(_X, _X, _X[0], act="tanh"),
+    "tanh": lambda: ad.mlp(_X, _X, _X[0], _X, None, act=("tanh", None)),
     "sigmoid": lambda: ad.sigmoid(_X),
     "relu": lambda: ad.normalize(_X - 0.25, -1, 1e-5, _X[0], act="relu", keep=_KEEP,
                                  stats=(_X[1], _X[0]))[0],
@@ -123,10 +126,11 @@ _CONSTANT_CALLS = {
     "norm": lambda: ad.norm(_X),
     "reshape": lambda: ad.reshape(_X, (4,)),
     "linear": lambda: ad.linear(_X, _X, _X[0]),
+    "mlp": lambda: ad.mlp(_X, _X, _X[0], _X, _X[1], act=("tanh", "relu"), scale=0.5),
     "conv2d": lambda: ad.conv2d(_X[None, :, :, None], np.ones((1, 2, 1, 3)), _X[0, :1]),
     "softmax": lambda: ad.softmax(_X),
     "cross_entropy": lambda: ad.cross_entropy(_X, [1, 0], -1.0),
-    "attention": lambda: ad.attention(_X, _X, _X),
+    "self_attention": lambda: ad.self_attention(_X, _X, _X[0], _X, _X, _X[1], _X, _X[0]),
     "normalize": lambda: ad.normalize(_X, -1, 1e-5, _X[0], _X[1])[0],
     "geodesic_distance": lambda: geodesic_distance(_X, _X[::-1], BallConfig(c=1.0)),
     "log_map": lambda: log_map(_X, _X[::-1], BallConfig(c=1.0)),
@@ -381,14 +385,20 @@ def test_repeated_backward_recomputes_instead_of_accumulating():
 
 
 def _attention_inputs(seed=5):
-    """q, k, v of shape (2, 4, 3); query row (0, 1) is saturated: each of
-    its scores is more than 745 below the row's largest, so the shifted exp
-    underflows to exactly 0 everywhere but there."""
+    """x of shape (2, 4, 3) and wq, bq, wk, wv, bv, wo, bo of a 3-wide
+    self-attention sublayer. x's first channel reaches neither k nor v, and
+    k's first channel is x's second, so x[0, 1, 0] = 400 saturates query
+    row (0, 1): each of its scores is more than 745 below the row's largest,
+    so the shifted exp underflows to exactly 0 everywhere but there."""
     rng = np.random.default_rng(seed)
-    q, k, v = (rng.normal(size=(2, 4, 3)) for _ in range(3))
-    q[0, 1] = [400.0, 0.0, 0.0]
-    k[0, :, 0] = [-2.0, -1.0, 3.0, -1.5]
-    return q, k, v
+    x = rng.normal(size=(2, 4, 3))
+    wq, wk, wv, wo = (rng.normal(size=(3, 3)) for _ in range(4))
+    bq, bv, bo = (rng.normal(size=3) for _ in range(3))
+    wk[0] = wv[0] = 0.0
+    wq[0], wk[1], wk[2, 0] = [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0
+    x[0, :, 1] = [-2.0, -1.0, 3.0, -1.5]
+    x[0, 1, 0] = 400.0
+    return x, wq, bq, wk, wv, bv, wo, bo
 
 
 def _composite_attention(q, k, v):
@@ -398,25 +408,76 @@ def _composite_attention(q, k, v):
     return (e / np.sum(e, axis=-1, keepdims=True)) @ v
 
 
+def _composite_sublayer(x, wq, bq, wk, wv, bv, wo, bo):
+    """The unfused sublayer on arrays: projections, attention, output layer
+    and residual."""
+    q, k, v = x @ wq + bq, x @ wk, x @ wv + bv
+    return x + (_composite_attention(q, k, v) @ wo + bo)
+
+
+def _blocks(*arrays):
+    return zip(*(np.reshape(a, (-1,) + np.shape(a)[-2:]) for a in arrays))
+
+
+def _attention_node(q, k, v):
+    """softmax(q kᵀ / √C) v as the one node the unfused sublayer recorded:
+    the value one (T, C) block at a time through `ad._attend`, and an
+    adjoint that rebuilds each block's P and forms dS = P ⊙ (g vᵀ −
+    rowsum(g ⊙ out)) / √C, dq = dS k, dk = dSᵀ q and dv = Pᵀ g."""
+    qv, kv, vv = val(q), val(k), val(v)
+    out = np.reshape([ad._attend(*b)[0] for b in _blocks(qv, kv, vv)],
+                     np.shape(qv)[:-1] + np.shape(vv)[-1:])
+
+    def block_adjoint(q, k, v, out, g):
+        p = ad._attend(q, k, v)[1]
+        gs = g * (1.0 / np.sqrt(q.shape[-1]))
+        ds = gs @ v.T
+        ds -= np.sum(gs * out, axis=-1, keepdims=True)
+        ds *= p
+        return ds @ k, ds.T @ q, p.T @ g
+
+    def adjoint(g):
+        per_block = zip(*(block_adjoint(*b) for b in _blocks(qv, kv, vv, out, g)))
+        return [np.reshape(d, np.shape(a)) for d, a in zip(per_block, (qv, kv, vv))]
+
+    return ad._node(out, "attention", (q, k, v), adjoint)
+
+
+def _taped_sublayer(x, wq, bq, wk, wv, bv, wo, bo):
+    """The sublayer as six nodes: three linears, the attention node, the
+    output linear and the residual add; x feeds four of them."""
+    att = _attention_node(ad.linear(x, wq, bq), ad.linear(x, wk), ad.linear(x, wv, bv))
+    return ad.add(x, ad.linear(att, wo, bo))
+
+
 def test_attention_test_inputs_saturate_one_row():
-    q, k, _ = _attention_inputs()
+    x, wq, bq, wk, *_ = _attention_inputs()
+    q, k = x @ wq + bq, x @ wk
     s = (q[0, 1] @ k[0].T) / np.sqrt(3.0)
     gaps = np.delete(s.max() - s, np.argmax(s))
     assert np.all(gaps > 745.0) and np.all(np.exp(-gaps) == 0.0)
 
 
-@pytest.mark.parametrize("wrt", [0, 1, 2], ids=["q", "k", "v"])
+#: gradient group -> indices into self_attention's operands: the input and
+#: each projection with its bias
+_ATTENTION_GROUPS = {"x": (0,), "q": (1, 2), "k": (3,), "v": (4, 5), "o": (6, 7)}
+
+
+@pytest.mark.parametrize("wrt", list(_ATTENTION_GROUPS))
 def test_attention_gradients_match_finite_differences(wrt):
+    """With x and each weight and bias of the sublayer taped in turn, the
+    saturated row included."""
     args = _attention_inputs()
     w = np.random.default_rng(6).normal(size=(2, 4, 3))
+    for i in _ATTENTION_GROUPS[wrt]:
+        def f(t):
+            out = ad.self_attention(*(t if j == i else a for j, a in enumerate(args)))
+            return ad.sum(ad.mul(out, w))
 
-    def f(x):
-        return ad.sum(ad.mul(ad.attention(*(x if i == wrt else a for i, a in enumerate(args))), w))
-
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        report = finite_diff_check(f, args[wrt].copy())
-    assert report.passed, f"max rel err {report.max_rel_error} flagged {report.flagged}"
-    assert np.all(np.isfinite(report.analytic))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = finite_diff_check(f, args[i].copy())
+        assert report.passed, f"{i}: max rel err {report.max_rel_error} flagged {report.flagged}"
+        assert np.all(np.isfinite(report.analytic))
 
 
 @pytest.mark.parametrize("axes,shape", [(-1, (3, 5)), ((0, 1), (4, 3, 2))],
@@ -437,29 +498,37 @@ def test_normalize_gradients_match_finite_differences(axes, shape):
 
 
 def test_untaped_attention_equals_composite_bit_for_bit():
-    q, k, v = _attention_inputs()
-    np.testing.assert_array_equal(ad.attention(q, k, v), _composite_attention(q, k, v))
+    args = _attention_inputs()
+    np.testing.assert_array_equal(ad.self_attention(*args), _composite_sublayer(*args))
+
+
+def _sublayer_args(rng, shape, width=5):
+    """x of `shape` (..., T, C) and sublayer weights with q and k of width
+    C + 1, v of `width`."""
+    c = shape[-1]
+    return (rng.normal(size=shape), rng.normal(size=(c, c + 1)), rng.normal(size=c + 1),
+            rng.normal(size=(c, c + 1)), rng.normal(size=(c, width)), rng.normal(size=width),
+            rng.normal(size=(width, c)), rng.normal(size=c))
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 3, 4, 3)], ids=["one_block", "two_leading_axes"])
 def test_untaped_attention_blocks_equal_the_taped_stack_bit_for_bit(shape):
     """Taped or not, P is formed one T×T block at a time, and the stacked
     output equals the composite's batched arithmetic."""
-    rng = np.random.default_rng(10)
-    q, k = rng.normal(size=shape), rng.normal(size=shape)
-    v = rng.normal(size=shape[:-1] + (5,))
-    taped = ad.attention(Tape().var(q), k, v).value
-    np.testing.assert_array_equal(taped, _composite_attention(q, k, v))
-    np.testing.assert_array_equal(ad.attention(q, k, v), taped)
+    x, *weights = _sublayer_args(np.random.default_rng(10), shape)
+    taped = ad.self_attention(Tape().var(x), *weights).value
+    np.testing.assert_array_equal(taped, _composite_sublayer(x, *weights))
+    np.testing.assert_array_equal(ad.self_attention(x, *weights), taped)
 
 
 def test_untaped_attention_never_holds_the_whole_score_stack():
-    rng = np.random.default_rng(11)
-    q, k, v = (rng.normal(size=(8, 64, 4)) for _ in range(3))
-    stack_bytes = 8 * 64 * 64 * 8
+    """T = 128 keeps the projections, which the sublayer forms itself,
+    small beside one T×T block."""
+    args = _sublayer_args(np.random.default_rng(11), (8, 128, 4), width=4)
+    stack_bytes = 8 * 128 * 128 * 8
     tracemalloc.start()
     try:
-        ad.attention(q, k, v)
+        ad.self_attention(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -467,17 +536,18 @@ def test_untaped_attention_never_holds_the_whole_score_stack():
 
 
 def test_taped_attention_and_its_backward_never_hold_the_whole_score_stack():
-    """The adjoint rebuilds P block by block, so a taped forward and backward
-    hold at most two T×T blocks at once. Sixteen blocks and C = 2 keep the
-    O(T·C) arrays (output, gradients) small beside one block."""
+    """The adjoint recomputes q, k and v and rebuilds P block by block, so a
+    taped forward and backward hold at most two T×T blocks at once. Sixteen
+    blocks and C = 2 keep the O(T·C) arrays (projections, output,
+    gradients) small beside one block."""
     rng = np.random.default_rng(12)
     tape = Tape()
-    q, k, v = (tape.var(rng.normal(size=(16, 128, 2))) for _ in range(3))
+    args = [tape.var(a) for a in _sublayer_args(rng, (16, 128, 2), width=2)]
     w = rng.normal(size=(16, 128, 2))
     stack_bytes = 16 * 128 * 128 * 8
     tracemalloc.start()
     try:
-        backward(ad.sum(ad.mul(ad.attention(q, k, v), w)))
+        backward(ad.sum(ad.mul(ad.self_attention(*args), w)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -494,11 +564,45 @@ def test_normalize_returns_batch_statistics():
 
 
 def test_attention_rejects_mismatched_shapes():
-    q = np.ones((4, 3))
-    with pytest.raises(ShapeError):
-        ad.attention(q, np.ones((5, 3)), np.ones((5, 3)))
-    with pytest.raises(ShapeError):
-        ad.attention(q, q, np.ones((5, 3)))
+    x, *weights = _sublayer_args(np.random.default_rng(16), (4, 3))
+    bad = (
+        (np.ones((4, 2)), *weights),                                  # x's width
+        (np.ones(3), *weights),                                       # x below 2-D
+        (x, weights[0], weights[1], np.ones((3, 3)), *weights[3:]),   # wk unlike wq
+        (x, *weights[:5], np.ones((4, 3)), weights[6]),               # wo against wv
+        (x, *weights[:5], np.ones((5, 2)), weights[6]),               # wo's output width
+    )
+    for args in bad:
+        with pytest.raises(ShapeError):
+            ad.self_attention(*args)
+
+
+def test_mlp_rejects_operands_below_two_dimensions():
+    w = np.ones((3, 3))
+    for args in ((np.ones(3), w, None, w, None), (np.ones((2, 3)), np.ones(3), None, w, None),
+                 (np.ones((2, 3)), w, None, np.ones(3), None)):
+        with pytest.raises(ShapeError):
+            ad.mlp(*args)
+
+
+def test_a_constant_input_gets_no_contribution(monkeypatch):
+    """linear and mlp on a constant x, as the encoder's first layer reads
+    its data, return None as x's contribution, so g @ wᵀ is never formed;
+    every taped operand gets its own."""
+    adjoints, record = [], ad.record
+
+    def capturing(value, pulls, tape, op="op"):
+        adjoints.append(pulls[1])
+        return record(value, pulls, tape, op)
+
+    monkeypatch.setattr(ad, "record", capturing)
+    rng = np.random.default_rng(17)
+    x, b = rng.normal(size=(2, 4, 3)), rng.normal(size=3)
+    w = Tape().var(rng.normal(size=(3, 3)))
+    outs = [ad.linear(x, w, b), ad.mlp(x, w, b, w, b, act=("tanh", None))]
+    for adjoint, out in zip(adjoints, outs, strict=True):
+        first, *rest = adjoint(np.ones_like(out.value))
+        assert first is None and all(isinstance(c, np.ndarray) for c in rest)
 
 
 def _log_softmax(x):
@@ -543,27 +647,29 @@ def test_fused_cross_entropy_equals_the_composite_bit_for_bit(temperature):
 
 
 def _fused_tape():
-    """Every fused op and epilogue on one tape: relu after a linear and,
-    with a dropout mask, after a normalize; a conv with a bias; a normalize
-    over running statistics; tanh after a linear."""
+    """Every fused op and epilogue on one tape: the self-attention
+    sublayer; a relu perceptron; relu with a dropout mask after a
+    normalize; a conv with a bias; a normalize over running statistics; a
+    tanh perceptron with an output scale."""
     tape = Tape()
-    q, k, v = (tape.var(a) for a in _attention_inputs())
+    sublayer = [tape.var(a) for a in _attention_inputs()]
     gamma, beta, w, b = (tape.var(a) for a in _affine_params())
     keep, mean, var = _epilogue_inputs()
-    h = ad.normalize(ad.attention(q, k, v), -1, 1e-5, gamma, beta)[0]
-    y = ad.normalize(ad.linear(h, w, b, act="relu"), (0, 1), 1e-5, gamma, act="relu",
-                     keep=keep)[0]
+    h = ad.normalize(ad.self_attention(*sublayer), -1, 1e-5, gamma, beta)[0]
+    y = ad.normalize(ad.mlp(h, w, b, w, b, act=("relu", None)), (0, 1), 1e-5, gamma,
+                     act="relu", keep=keep)[0]
     c = ad.conv2d(ad.reshape(h, (2, 4, 1, 3)), ad.reshape(w, (1, 1, 3, 3)), b)
     s = ad.normalize(ad.reshape(c, (2, 4, 3)), (0, 1), 1e-5, gamma, beta, stats=(mean, var))[0]
     # every pair of rows, both operands taped, well inside the c = 0.7 ball
-    d = geodesic_distance(ad.reshape(ad.mul(ad.linear(y, w, act="tanh"), 0.3), (2, 4, 1, 3)),
-                          ad.reshape(ad.mul(ad.linear(s, w, b, act="tanh"), 0.3), (2, 1, 4, 3)),
-                          BallConfig(c=0.7))
+    d = geodesic_distance(
+        ad.reshape(ad.mlp(y, w, None, w, b, act=("tanh", "tanh"), scale=0.3), (2, 4, 1, 3)),
+        ad.reshape(ad.mlp(s, w, b, w, None, act=("relu", "tanh"), scale=0.3), (2, 1, 4, 3)),
+        BallConfig(c=0.7))
     rng = np.random.default_rng(9)
     losses = [ad.add(ad.sum(ad.mul(y, rng.normal(size=(2, 4, 3)))),
                      ad.sum(ad.mul(d, rng.normal(size=(2, 4, 4)))))
               for _ in range(2)]
-    return (q, k, v, gamma, beta, w, b), losses
+    return (*sublayer, gamma, beta, w, b), losses
 
 
 def _affine_params():
@@ -598,15 +704,19 @@ def test_fused_ops_keep_nothing_between_backward_calls():
 
 
 def test_fused_ops_do_not_write_through_their_inputs():
-    arrays = _attention_inputs() + _affine_params() + _epilogue_inputs()
+    sublayer, affine, epilogue = _attention_inputs(), _affine_params(), _epilogue_inputs()
+    arrays = sublayer + affine + epilogue
     saved = [a.copy() for a in arrays]
-    ad.attention(*arrays[:3])
-    ad.normalize(arrays[0], -1, 1e-5, arrays[3], arrays[4])
-    ad.normalize(arrays[0], -1, 1e-5, arrays[3], arrays[4], act="relu", keep=arrays[7],
-                 stats=arrays[8:])
-    for act in (None, "tanh", "relu"):
-        ad.linear(arrays[0], arrays[5], arrays[6], act=act)
-    ad.conv2d(arrays[0][..., None, :], arrays[5][None, None], arrays[6])
+    x = sublayer[0]
+    gamma, beta, w, b = affine
+    keep, mean, var = epilogue
+    ad.self_attention(*sublayer)
+    ad.normalize(x, -1, 1e-5, gamma, beta)
+    ad.normalize(x, -1, 1e-5, gamma, beta, act="relu", keep=keep, stats=(mean, var))
+    ad.linear(x, w, b)
+    for act, scale in (((None, None), None), (("tanh", "tanh"), 0.3), (("relu", None), None)):
+        ad.mlp(x, w, b, w, b, act=act, scale=scale)
+    ad.conv2d(x[..., None, :], w[None, None], b)
     leaves, (loss, _) = _fused_tape()
     values = [x.value.copy() for x in leaves]
     backward(loss)
@@ -617,19 +727,20 @@ def test_fused_ops_do_not_write_through_their_inputs():
 
 
 # ---------------------------------------------------------------------------
-# activation epilogues, conv bias and running statistics
+# fused perceptrons and sublayer, activation epilogues, conv bias and
+# running statistics
 
 
 def _tanh(x):
     """Taped tanh for the reference composites; the model applies every tanh
-    as the epilogue of a fused linear node."""
+    inside a fused mlp node."""
     out = np.tanh(val(x))
     return ad._node(out, "tanh", (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def _relu(x):
     """Taped relu for the reference composites; the model applies every
-    relu as the epilogue of a fused linear or normalize node."""
+    relu inside a fused mlp node or as the epilogue of a normalize node."""
     xv = val(x)
     return ad._node(np.maximum(xv, 0.0), "relu", (x,), lambda g: (g * (xv > 0),))
 
@@ -648,7 +759,9 @@ def _stats_composite(x, gamma, beta, mean, var, eps=1e-5):
 
 def _epilogue_case(seed):
     """Operands of every fused form, and positive weights `p` for
-    `adaptive_combine`. The (4, 5, 3) normalize input drops all of its
+    `adaptive_combine`: w, b, w2 and b2 make a 3 → 4 → 3 perceptron, and
+    the self-attention weights have q and k of width 4 and v of width 2.
+    The (4, 5, 3) normalize input drops all of its
     channel 0, where γ is positive and the weights of the loss are negative,
     so the relu-and-mask adjoint meets negative adjoints at dropped
     positions."""
@@ -660,21 +773,37 @@ def _epilogue_case(seed):
     weights[..., 0] = -np.abs(weights[..., 0]) - 0.1
     gamma = rng.normal(size=3)
     gamma[0] = np.abs(gamma[0]) + 0.1
-    return dict(
+    case = dict(
         x=x, keep=keep, weights=weights,
         w=rng.normal(size=(3, 4)), b=rng.normal(size=4), gamma=gamma,
         beta=rng.normal(size=3), mean=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3),
         img=rng.normal(size=(2, 3, 4, 2)), k=rng.normal(size=(2, 2, 2, 3)),
         kb=rng.normal(size=(2, 1, 3, 3)), p=rng.uniform(0.5, 2.0, size=(4, 5, 3)))
+    case.update(
+        w2=rng.normal(size=(4, 3)), b2=rng.normal(size=3),
+        wq=rng.normal(size=(3, 4)), bq=rng.normal(size=4), wk=rng.normal(size=(3, 4)),
+        wv=rng.normal(size=(3, 2)), bv=rng.normal(size=2), wo=rng.normal(size=(2, 3)),
+        bo=rng.normal(size=3))
+    return case
 
 
 #: name -> (operand names, fused form, composite form); each form maps the
 #: case and the operands, Vars or arrays, to one output
 _FUSED_FORMS = {
-    "linear_tanh": (("x", "w", "b"), lambda c, x, w, b: ad.linear(x, w, b, act="tanh"),
-                    lambda c, x, w, b: _tanh(ad.linear(x, w, b))),
-    "linear_relu": (("x", "w", "b"), lambda c, x, w, b: ad.linear(x, w, b, act="relu"),
-                    lambda c, x, w, b: _relu(ad.linear(x, w, b))),
+    # the encoder's perceptron
+    "mlp_tanh": (
+        ("x", "w", "b", "w2", "b2"),
+        lambda c, x, w, b, w2, b2: ad.mlp(x, w, b, w2, b2, act=("tanh", "tanh"), scale=0.3),
+        lambda c, x, w, b, w2, b2: ad.mul(_tanh(ad.linear(_tanh(ad.linear(x, w, b)), w2, b2)),
+                                          0.3)),
+    # the signature's feed-forward
+    "mlp_relu": (
+        ("x", "w", "b", "w2", "b2"),
+        lambda c, x, w, b, w2, b2: ad.mlp(x, w, b, w2, b2, act=("relu", None)),
+        lambda c, x, w, b, w2, b2: ad.linear(_relu(ad.linear(x, w, b)), w2, b2)),
+    "self_attention": (("x", "wq", "bq", "wk", "wv", "bv", "wo", "bo"),
+                       lambda c, *args: ad.self_attention(*args),
+                       lambda c, *args: _taped_sublayer(*args)),
     "conv2d_bias": (("img", "k", "kb"), lambda c, x, k, b: ad.conv2d(x, k, b),
                     lambda c, x, k, b: ad.add(ad.conv2d(x, k), b)),
     "normalize_relu_keep": (
@@ -740,9 +869,7 @@ def test_dropped_positions_carry_the_sign_of_their_adjoint():
         assert np.all(dx0 == 0.0) and 0 < np.sum(np.signbit(dx0)) < dx0.size
 
 
-@pytest.mark.parametrize("form", ["linear_tanh", "linear_relu", "conv2d_bias",
-                                  "normalize_relu_keep", "normalize_stats",
-                                  "normalize_stats_relu"])
+@pytest.mark.parametrize("form", sorted(_FUSED_FORMS))
 def test_fused_epilogue_gradients_match_finite_differences(form):
     """With each operand taped in turn; no pre-activation lies within a step
     of the relu's kink."""
@@ -759,9 +886,14 @@ def test_fused_epilogue_gradients_match_finite_differences(form):
 
 
 def test_epilogue_rejects_unknown_activations_and_a_mask_without_relu():
-    x = np.ones((2, 3))
-    with pytest.raises(ConfigError, match="sigmoid"):
-        ad.linear(x, np.ones((3, 3)), act="sigmoid")
+    """linear has no epilogue left; mlp's activations are checked as
+    normalize's are."""
+    x, w = np.ones((2, 3)), np.ones((3, 3))
+    with pytest.raises(TypeError, match="act"):
+        ad.linear(x, w, act="tanh")
+    for act in (("sigmoid", None), (None, "sigmoid")):
+        with pytest.raises(ConfigError, match="sigmoid"):
+            ad.mlp(x, w, None, w, None, act=act)
     with pytest.raises(ConfigError, match="dropout mask"):
         ad.normalize(x, -1, 1e-5, np.ones(3), keep=np.ones((2, 3)))
 
@@ -803,9 +935,9 @@ _CONTRACT = {
     "adaptive_combine": (("x", "p"), lambda c, x, p: adaptive_combine(x, p)),
     **{op.__name__: (("x", "y"), lambda c, x, y, op=op: op(x, y))
        for op in (ad.add, ad.sub, ad.mul, ad.div)},
-    "attention": (("x", "weights", "keep"), lambda c, q, k, v: ad.attention(q, k, v)),
     **{name: _FUSED_FORMS[name][:2] for name in
-       ("linear_tanh", "linear_relu", "conv2d_bias", "normalize_relu_keep", "normalize_stats")},
+       ("mlp_tanh", "mlp_relu", "self_attention", "conv2d_bias", "normalize_relu_keep",
+        "normalize_stats")},
 }
 #: the rows that record more than one node
 _COMPOSITES = {"flat_distance", "pairwise_matrix", "project_support", "adaptive_combine"}

@@ -38,7 +38,7 @@ def _sqrt(x):
 
 def _relu(x):
     """Taped relu for the reference composites; the package applies every
-    relu as the epilogue of a fused linear or normalize node."""
+    relu inside a fused mlp node or as the epilogue of a normalize node."""
     xv = ad.val(x)
     return ad._node(np.maximum(xv, 0.0), "relu", (x,), lambda g: (g * (xv > 0),))
 

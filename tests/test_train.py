@@ -565,7 +565,7 @@ def _eager_backward(root):
 
 def _exp(x):
     """Taped exp for the reference composite; autodiff fuses every exp it
-    needs into softmax, cross_entropy and attention."""
+    needs into softmax, cross_entropy and self_attention."""
     out = np.exp(ad.val(x))
     return ad._node(out, "exp", (x,), lambda g: (g * out,))
 
@@ -620,7 +620,9 @@ def _default_param_grads(cfg, sweep=ad.backward):
 def test_taped_app2s_episode_keeps_little_beside_its_node_values():
     """What a taped default app2s forward holds besides the values of the
     nodes it recorded, mostly arrays its adjoints keep in their closures,
-    stays under 4 MB (about 1.9 MB). Attention's 15×225×225 probabilities
+    stays under 4 MB (about 1.5 MB; 1.9 MB before the attention sublayer
+    and the perceptrons were fused, so those recompute nodes moved nothing
+    into a closure). Attention's 15×225×225 probabilities
     (6.1 MB) or the pairwise geodesic's broadcast x − y (3.9 MB) kept for
     backward would exceed it."""
     cfg = tr.TrainConfig(ball=BallConfig(c=0.7))
@@ -643,9 +645,11 @@ def test_taped_app2s_episode_keeps_little_beside_its_node_values():
     assert held - values < 4e6
 
 
-def test_taped_app2s_forward_and_backward_peak_under_32_mb():
+def test_taped_app2s_forward_and_backward_peak_under_20_mb():
     """tracemalloc's peak over a taped default app2s forward and backward is
-    about 21.2 MB. It was 29.7 MB when each activation and dropout mask
+    about 18.2 MB. It was 21.2 MB when the signature's q, k and v, its
+    attention output, output layer, residual and feed-forward hidden layer
+    were nodes of their own, 29.7 MB when each activation and dropout mask
     recorded a node of its own, and 37.8 MB when each affine layer also
     recorded a product and a bias node and each normalization a scale and a
     shift node beside its normalize node, each keeping a full-size value and
@@ -666,23 +670,40 @@ def test_taped_app2s_forward_and_backward_peak_under_32_mb():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 20e6
 
 
-def test_taped_app2s_episode_holds_at_most_24_mb_after_backward():
-    """The values and gradients of every node of a default taped app2s
-    episode after its backward sweep, what the benchmark's peak_tape_mb
-    counts, take about 23.97 MB. They took 32.42 MB when each activation
-    and dropout mask was a node of its own, keeping the pre-activation
-    array and its gradient."""
+def _tape_bytes_after_backward(cfg):
+    """Value and gradient bytes of every node of a default taped episode
+    after its backward sweep, what the benchmark's peak_tape_mb counts."""
     sizes = []
 
     def sweep(loss):
         ad.backward(loss)
         sizes.append(sum(n.value.nbytes + n.grad.nbytes for n in loss.tape.nodes))
 
-    _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)), sweep)
-    assert sizes[0] <= 24.0e6
+    _default_param_grads(cfg, sweep)
+    (size,) = sizes
+    return size
+
+
+def test_taped_app2s_episode_holds_at_most_16_mb_after_backward():
+    """A default taped app2s episode holds about 15.92 MB after backward:
+    the signature's attention sublayer and feed-forward and the encoder are
+    one recompute node each. It held 23.97 MB when q, k, v, the attention
+    output, the output layer, the residual and each hidden layer kept a
+    value and a gradient of their own, and 32.42 MB when each activation
+    and dropout mask was a node of its own, keeping the pre-activation
+    array and its gradient."""
+    assert _tape_bytes_after_backward(tr.TrainConfig(ball=BallConfig(c=0.7))) <= 16.0e6
+
+
+def test_taped_prototype_episode_holds_at_most_0135_mb_after_backward():
+    """A default taped prototype episode holds about 0.129 MB after
+    backward (0.406 MB when each encoder layer was a node of its own and
+    its output scale a third)."""
+    cfg = tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")
+    assert _tape_bytes_after_backward(cfg) <= 0.135e6
 
 
 @pytest.mark.parametrize("name", sorted(tr.VARIANTS))
@@ -719,11 +740,13 @@ def test_signature_attention_is_not_one_hot(name, monkeypatch):
     assert np.median(np.concatenate(probs)) < 0.5
 
 
-def test_refine_records_at_most_15_nodes(monkeypatch):
-    """The signature stage of a default app2s episode records 15 nodes: one
-    fused attention node, one linear node per affine layer and one normalize
-    node per layer norm (23 with the bias, scale and shift as nodes of
-    their own)."""
+def test_refine_records_at_most_8_nodes(monkeypatch):
+    """The signature stage of a default app2s episode records 8 nodes: the
+    positional add and two reshapes around the block, one self_attention
+    node for the attention sublayer, one mlp node for the feed-forward, its
+    residual add and one normalize node per layer norm (14 with the
+    attention, each affine layer and the first residual as nodes of their
+    own, 22 with each bias, scale and shift as a node of its own too)."""
     refine, counts = netmods.SignatureGenerator.refine, []
 
     def counted(self, proj, params=None):
@@ -734,7 +757,7 @@ def test_refine_records_at_most_15_nodes(monkeypatch):
 
     monkeypatch.setattr(netmods.SignatureGenerator, "refine", counted)
     _default_param_grads(tr.TrainConfig(ball=BallConfig(c=0.7)))
-    assert len(counts) == 1 and counts[0] <= 15
+    assert len(counts) == 1 and counts[0] <= 8
 
 
 def test_midpoint_records_one_node_per_call(monkeypatch):
@@ -768,23 +791,26 @@ def _episode_tape_size(cfg):
     return size
 
 
-def test_prototype_episode_records_at_most_18_nodes():
+def test_prototype_episode_records_at_most_14_nodes():
     """A default taped prototype episode, its 4 encoder leaves included,
-    records 18 nodes: 3 per encoder call (two linear nodes with their tanh
-    and the scale), one per midpoint, three reshapes, the geodesic and one
-    loss node (22 with each tanh a node of its own, 74 with the composite
+    records 14 nodes: one mlp node per encoder call (both layers, their
+    tanhs and the scale), one per midpoint, three reshapes, the geodesic and
+    one loss node (18 with a linear node per layer and the scale a node of
+    its own, 22 with each tanh a node of its own too, 74 with the composite
     midpoints and the 5-op loss, 100 through the forward Klein map, 82 with
     the encoder's biases and the composite log-softmax as nodes of their
     own)."""
-    assert _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")) <= 18
+    assert _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")) <= 14
 
 
-def test_app2s_episode_records_at_most_86_nodes(monkeypatch):
+def test_app2s_episode_records_at_most_76_nodes(monkeypatch):
     """A default taped app2s episode, its 30 parameter leaves included,
-    records 86 nodes (96 with each tanh, relu and dropout mask and the
-    relation net's sum of its two first convs as nodes of their own, 116
-    with the composite midpoint and the 5-op loss,
-    179 with the composite log map and the relation net
+    records 76 nodes (86 with each encoder layer, the encoder's output
+    scale, each signature projection, the attention, its output layer, its
+    residual and each feed-forward layer as nodes of their own, 96 with
+    each tanh, relu and dropout mask and the relation net's sum of its two
+    first convs as nodes of their own too, 116 with the composite midpoint
+    and the 5-op loss, 179 with the composite log map and the relation net
     on concatenated pairs, 146 with the midpoint through the forward Klein
     map, 140 with the relation net's first kernel cut in two on the tape,
     139 with it stored as two halves, while biases, scales, shifts and the
@@ -802,7 +828,7 @@ def test_app2s_episode_records_at_most_86_nodes(monkeypatch):
     monkeypatch.setattr(netmods, "project_support", counted)
     size = _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)))
     assert len(counts) == 1 and counts[0] <= 2
-    assert size <= 86
+    assert size <= 76
 
 
 def _perfbench_tracing():
@@ -874,7 +900,7 @@ def test_lazy_backward_matches_eager_sweep_bit_for_bit(monkeypatch):
     """Same tape, two engines: parameter gradients of one default app2s
     episode agree exactly. The tape uses the composite softmax and geodesic,
     whose many nodes and fan-outs exercise accumulation, and the fused
-    attention, normalize, linear, midpoint and loss nodes, each of whose
+    self_attention, mlp, normalize, linear, midpoint and loss nodes, each of whose
     adjoints returns the contributions of all its operands in one call."""
     monkeypatch.setattr(ad, "softmax", _composite_softmax)
     monkeypatch.setattr(metrics, "geodesic_distance", _composite_geodesic)
