@@ -10,7 +10,7 @@ identical gradients bit for bit.
 Every public op accepts either `Var` operands or plain numpy arrays / scalars
 (treated as constants), so the same code path serves taped training and
 untaped evaluation. A `Var` has no arithmetic operators: every taped
-expression names its op (`add`, `sub`, `mul`, `div`, ...), so `v * 2.0`,
+expression names its op (`add`, `mul`, `div`, `sum`, ...), so `v * 2.0`,
 `2.0 * v` and `np.ones(3) * v` all raise TypeError; `__array_ufunc__ = None`
 keeps numpy from absorbing a `Var` into an object array instead.
 
@@ -60,8 +60,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TapeError
-
-_SAFE_NORM_FLOOR = 1e-15
 
 
 class Tape:
@@ -215,12 +213,6 @@ def add(a, b):
         _unbroadcast(g, np.shape(av)), _unbroadcast(g, np.shape(bv))))
 
 
-def sub(a, b):
-    av, bv = val(a), val(b)
-    return _node(av - bv, "sub", (a, b), lambda g: (
-        _unbroadcast(g, np.shape(av)), _unbroadcast(-g, np.shape(bv))))
-
-
 def mul(a, b):
     av, bv = val(a), val(b)
     return _node(av * bv, "mul", (a, b), lambda g: (
@@ -298,23 +290,6 @@ def mean(x, axis=None, keepdims=False):
         [xv.shape[a] for a in _normalize_axes(axis, xv.ndim)]
     )
     return mul(sum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
-def norm(x, keepdims=False):
-    """Euclidean norm over the last axis, with a gradient safe at zero.
-
-    d||x||/dx = x/||x||; the denominator is floored at 1e-15 so a zero vector
-    yields a zero (sub)gradient instead of NaN.
-    """
-    xv = val(x)
-    out_keep = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True))
-
-    def adjoint(g):
-        if not keepdims:
-            g = np.asarray(g)[..., None]
-        return (g * xv / np.maximum(out_keep, _SAFE_NORM_FLOOR),)
-
-    return _node(out_keep if keepdims else out_keep[..., 0], "norm", (x,), adjoint)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ Core formulas:
 As c -> 0 the distance tends to 2||x - y|| and Mobius addition to x + y;
 `flat_distance` implements that limit for the euclidean_ap2s variant.
 
-`geodesic_distance`, `log_map` and `einstein_midpoint` are fused: each
-records one tape node with a hand-written adjoint, and its forward runs the
-arithmetic of the composite form, so untaped results are the composite's
-bits. None keeps an array of the broadcast (..., C) size but one: the
-geodesic rebuilds x - y in its adjoint, the log map keeps m = (-x) (+) y,
-and the midpoint keeps its input. `flat_distance` records its ops.
+`geodesic_distance`, `flat_distance`, `log_map` and `einstein_midpoint` are
+fused: each records one tape node with a hand-written adjoint, and its
+forward runs the arithmetic of the composite form, so untaped results are
+the composite's bits. None keeps an array of the broadcast (..., C) size but
+one: the two distances rebuild x - y in their adjoints, the log map keeps
+m = (-x) (+) y, and the midpoint keeps its input.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def geodesic_distance(x, y, cfg: BallConfig):
     With a = 1 - c||x||^2, b = 1 - c||y||^2 and s = ||x - y||^2, the adjoint
     is dd/dx = 4 sqrt(c) (x - y + (c s / a) x) / (a b sinh(sqrt(c) d)), and
     dd/dy the same with x and y swapped. The sinh is floored at 1e-15, as
-    `ad.norm` floors its denominator, so x == y yields a zero gradient.
+    `flat_distance` floors its norm, so x == y yields a zero gradient.
     The node keeps no array of the broadcast (..., C) size: the adjoint
     rebuilds x - y once per call and shares w (x - y) between both operands.
     Symmetric bit for bit, zero iff x == y. Raises DomainError when an
@@ -159,9 +159,21 @@ def geodesic_distance(x, y, cfg: BallConfig):
 
 
 def flat_distance(x, y):
-    """Euclidean limit of the geodesic distance: 2 ||x - y||."""
+    """2 ||x - y||, the c -> 0 limit of the geodesic distance, as one tape
+    node. Its adjoint rebuilds x - y and forms w = (2 g) (x - y) / ||x - y||
+    in the sweep order of the composite 2 * norm(x - y), the norm floored at
+    1e-15 so that x == y yields a zero gradient; x gets w and y gets -w."""
     _check_same_width(x, y, "flat_distance")
-    return ad.mul(2.0, ad.norm(ad.sub(x, y)))
+    xv, yv = val(x), val(y)
+    n = np.sqrt(_sq_dist(xv, yv))
+
+    def adjoint(g):
+        w = xv - yv
+        w *= (g * 2.0)[..., None]
+        w /= np.maximum(n, _TINY)
+        return ad._unbroadcast(w, np.shape(xv)), ad._unbroadcast(-w, np.shape(yv))
+
+    return ad._node(2.0 * n[..., 0], "flat", (x, y), adjoint)
 
 
 def klein_to_poincare(k, cfg: BallConfig):

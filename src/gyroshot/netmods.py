@@ -6,22 +6,22 @@ directly, or a caller-supplied dict mapping the same keys to tape Vars when
 gradients are wanted. Dropout draws from an explicit Generator and is off
 whenever `rng` is None, so evaluation and gradient checks are deterministic.
 
-The four modules:
+The four modules, and the call that runs each:
 
   Encoder            per-patch 2-layer MLP, tanh-bounded output scaled to
-                     feature_scale * ball radius, inside the ball.
+  (called)           feature_scale * ball radius, inside the ball.
   SignatureGenerator one single-head transformer encoder block (post-LN,
-                     feed-forward width 4*C) over all support descriptors
+  (.refine)          feed-forward width 4*C) over all support descriptors
                      jointly, with fixed sinusoidal 2-D positional encodings.
   RelationGenerator  conv(k1) -> BN -> relu -> dropout(0.5) -> conv(k2) -> BN
-                     -> sigmoid, collapsing the grid to one score per sample.
+  (relation_scores)  -> sigmoid, collapsing the grid to one score per sample.
                      The first conv reads a map beside its class signature;
                      conv is linear in its input channels, so it runs as
                      conv(map, W_map) + conv(signature, W_sig) with the two
                      halves of its kernel stored apart, and the signature
                      half once per (query, class) pair rather than per map.
   S2SNetwork         linear(HW^2 -> HW) -> BN -> relu -> dropout(0.5) ->
-                     linear(HW -> 1) -> BN, reading a flattened distance
+  (called)           linear(HW -> 1) -> BN, reading a flattened distance
                      matrix and emitting a scalar set-to-set distance.
 """
 
@@ -205,32 +205,25 @@ class SignatureGenerator:
         )
         self.buffers: dict[str, np.ndarray] = {}
 
-    def __call__(self, tokens, params=None):
-        """One post-LN block on (..., T, C) token stacks."""
-        p = params if params is not None else self.params
-        att = ad.self_attention(tokens, p["wq"], p["bq"], p["wk"], p["wv"], p["bv"],
-                                p["wo"], p["bo"])
-        h = layer_norm(att, p["ln1_g"], p["ln1_b"])
-        f = ad.mlp(h, p["ffw1"], p["ffb1"], p["ffw2"], p["ffb2"], act=("relu", None))
-        return layer_norm(ad.add(h, f), p["ln2_g"])
-
     def refine(self, proj, params=None):
-        """Attend jointly over all support maps.
+        """One post-LN block attending jointly over all support maps.
 
         proj is (..., M, HW, C): M support maps of HW descriptors each. The
         positional table is added per grid position, the M*HW tokens attend
         in one block, and the output is reshaped back. Permuting the M maps
         permutes the output the same way.
         """
+        p = params if params is not None else self.params
         shape = np.shape(val(proj))
         if len(shape) < 3 or shape[-2] != self.cfg.hw or shape[-1] != self.cfg.feat_dim:
             raise ShapeError(
                 f"refine expects (..., M, {self.cfg.hw}, {self.cfg.feat_dim}), got {shape}"
             )
-        x = ad.add(proj, self.pos)
-        t = ad.reshape(x, shape[:-3] + (shape[-3] * shape[-2], shape[-1]))
-        y = self(t, params=params)
-        return ad.reshape(y, shape)
+        t = ad.reshape(ad.add(proj, self.pos), shape[:-3] + (shape[-3] * shape[-2], shape[-1]))
+        att = ad.self_attention(t, p["wq"], p["bq"], p["wk"], p["wv"], p["bv"], p["wo"], p["bo"])
+        h = layer_norm(att, p["ln1_g"], p["ln1_b"])
+        f = ad.mlp(h, p["ffw1"], p["ffb1"], p["ffw2"], p["ffb2"], act=("relu", None))
+        return ad.reshape(layer_norm(ad.add(h, f), p["ln2_g"]), shape)
 
 
 def project_support(support, qbar, cfg: BallConfig):
@@ -245,7 +238,8 @@ def project_support(support, qbar, cfg: BallConfig):
 
 
 class RelationGenerator:
-    """Convolutional scorer of (projected map, class signature) agreement.
+    """Parameters and BN buffers of the convolutional scorer of (projected
+    map, class signature) agreement; `relation_scores` runs it.
 
     The first conv reads a map and its signature side by side, which it
     computes as conv(map, conv1_map_w) with conv(signature, conv1_sig_w) as
@@ -279,55 +273,32 @@ class RelationGenerator:
             "bn2_var": np.ones(1),
         }
 
-    def __call__(self, maps, signature, train: bool = False, rng=None, params=None):
-        """maps (..., H, W, C) and signatures (..., H, W, C) -> scores (...)
-        in (0, 1), one per map.
-
-        The leading axes of `signature` broadcast against those of `maps`
-        (a class's signature as (B, 1, H, W, C) against its maps as
-        (B, K, H, W, C)); the scores have the leading shape of `maps`.
-        """
-        p = params if params is not None else self.params
-        shape, sig_shape = np.shape(val(maps)), np.shape(val(signature))
-        c = self.cfg.feat_dim
-        cell = self.cfg.grid + (c,)
-        lead, sig_lead = shape[:-3], sig_shape[:-3]
-        if (len(shape) < 4 or shape[-3:] != cell or sig_shape[-3:] != cell
-                or len(sig_lead) > len(lead)
-                or any(n not in (1, m) for n, m in zip(sig_lead[::-1], lead[::-1]))):
-            raise ShapeError(
-                f"relation inputs must be maps (..., {cell[0]}, {cell[1]}, {c}) and "
-                f"signatures broadcasting against them, got {shape} and {sig_shape}"
-            )
-        x = ad.conv2d(maps, p["conv1_map_w"], ad.conv2d(signature, p["conv1_sig_w"]))
-        x = batch_norm(x, p["bn1_g"], p["bn1_b"], self.buffers["bn1_mean"],
-                       self.buffers["bn1_var"], train, act="relu",
-                       keep=dropout(np.shape(val(x)), 0.5, rng if train else None))
-        x = ad.conv2d(x, p["conv2_w"])
-        x = batch_norm(x, p["bn2_g"], p["bn2_b"], self.buffers["bn2_mean"],
-                       self.buffers["bn2_var"], train)
-        s = ad.sigmoid(x)
-        return ad.reshape(s, lead)
-
 
 def relation_scores(proj, signature, relation: RelationGenerator,
                     train: bool = False, rng=None, params=None):
     """Adaptive weights for one class (or a batch of classes).
 
     proj (..., K, HW, C) are the class's projected support maps, `signature`
-    (..., HW, C) its signature. The relation net scores each map against the
-    signature on the grid, as (B, K, H, W, C) maps against (B, 1, H, W, C)
-    signatures with the leading axes flattened to B, and the K scores
-    softmax to weights that sum to 1.
+    (..., HW, C) its signature, with the same leading axes. The relation net
+    scores each map against the signature on the grid, as (B, K, H, W, C)
+    maps against (B, 1, H, W, C) signatures with the leading axes flattened
+    to B, and the K scores, each in (0, 1), softmax to weights that sum to 1.
     """
-    shape = np.shape(val(proj))
-    h, w = relation.cfg.grid
-    k, c = shape[-3], shape[-1]
-    maps = ad.reshape(proj, (-1, k, h, w, c))
+    p = params if params is not None else relation.params
+    buf, (h, w), c = relation.buffers, relation.cfg.grid, relation.cfg.feat_dim
+    shape, sig_shape = np.shape(val(proj)), np.shape(val(signature))
+    if len(shape) < 3 or shape[-2:] != (h * w, c) or sig_shape != shape[:-3] + (h * w, c):
+        raise ShapeError(f"relation_scores expects maps (..., K, {h * w}, {c}) and signatures "
+                         f"(..., {h * w}, {c}) alike in their leading axes, got {shape} and "
+                         f"{sig_shape}")
+    maps = ad.reshape(proj, (-1, shape[-3], h, w, c))
     sig = ad.reshape(signature, (-1, 1, h, w, c))
-    scores = relation(maps, sig, train=train, rng=rng, params=params)
-    scores = ad.reshape(scores, shape[:-2])
-    return ad.softmax(scores, axis=-1)
+    x = ad.conv2d(maps, p["conv1_map_w"], ad.conv2d(sig, p["conv1_sig_w"]))
+    x = batch_norm(x, p["bn1_g"], p["bn1_b"], buf["bn1_mean"], buf["bn1_var"], train,
+                   act="relu", keep=dropout(np.shape(val(x)), 0.5, rng if train else None))
+    x = ad.conv2d(x, p["conv2_w"])
+    x = batch_norm(x, p["bn2_g"], p["bn2_b"], buf["bn2_mean"], buf["bn2_var"], train)
+    return ad.softmax(ad.reshape(ad.sigmoid(x), shape[:-2]), axis=-1)
 
 
 class S2SNetwork:

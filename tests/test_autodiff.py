@@ -13,18 +13,9 @@ from gyroshot.errors import ConfigError, ShapeError, TapeError
 from gyroshot.geometry import (BallConfig, einstein_midpoint, flat_distance, geodesic_distance,
                                log_map)
 from gyroshot.metrics import adaptive_combine, pairwise_matrix
-from gyroshot.netmods import project_support
+from gyroshot.netmods import ModelConfig, RelationGenerator, project_support, relation_scores
 
-
-def _square(x):
-    return ad.mul(x, x)
-
-
-def _exp(x):
-    """Taped exp for the reference composites; autodiff fuses every exp it
-    needs into softmax, cross_entropy and self_attention."""
-    out = np.exp(val(x))
-    return ad._node(out, "exp", (x,), lambda g: (g * out,))
+import _refops as ref
 
 
 def _activated(x, act):
@@ -62,7 +53,7 @@ def test_reverse_order_is_topological_and_deterministic():
     def build():
         tape = Tape()
         x = tape.var(np.array([0.3, -0.2, 0.9]))
-        y = ad.sum(ad.div(_activated(ad.mul(x, 2.0), "tanh"), ad.add(_exp(ad.mul(-1.0, x)), 1.0)))
+        y = ad.sum(ad.div(_activated(ad.mul(x, 2.0), "tanh"), ad.add(ref.exp(ad.mul(-1.0, x)), 1.0)))
         backward(y)
         return x.grad.copy()
 
@@ -82,7 +73,6 @@ def test_backward_requires_scalar_root():
 #: takes more than one operand that may be a Var
 _MULTI_OPERAND = {
     "add": ((2, 2), ad.add),
-    "sub": ((2, 2), ad.sub),
     "mul": ((2, 2), ad.mul),
     "div": ((2, 2), ad.div),
     "linear": ((2, 2), lambda a, b: ad.linear(a, a, b)),
@@ -91,6 +81,7 @@ _MULTI_OPERAND = {
     "self_attention": ((2, 2), lambda a, b: ad.self_attention(a, a, a, a, a, a, a, b)),
     "normalize": ((2, 2), lambda a, b: ad.normalize(a, -1, 1e-5, b)[0]),
     "geodesic_distance": ((2, 2), lambda a, b: geodesic_distance(a, b, BallConfig(c=1.0))),
+    "flat_distance": ((2, 2), flat_distance),
     "log_map": ((2, 2), lambda a, b: log_map(a, b, BallConfig(c=1.0))),
 }
 
@@ -114,7 +105,6 @@ _EPILOGUES = {"tanh", "relu"}
 #: public op name -> call on constant operands only
 _CONSTANT_CALLS = {
     "add": lambda: ad.add(_X, _X),
-    "sub": lambda: ad.sub(_X, 1.0),
     "mul": lambda: ad.mul(2.0, _X),
     "div": lambda: ad.div(_X, _X),
     "tanh": lambda: ad.mlp(_X, _X, _X[0], _X, None, act=("tanh", None)),
@@ -123,7 +113,6 @@ _CONSTANT_CALLS = {
                                  stats=(_X[1], _X[0]))[0],
     "sum": lambda: ad.sum(_X, axis=0),
     "mean": lambda: ad.mean(_X, axis=-1),
-    "norm": lambda: ad.norm(_X),
     "reshape": lambda: ad.reshape(_X, (4,)),
     "linear": lambda: ad.linear(_X, _X, _X[0]),
     "mlp": lambda: ad.mlp(_X, _X, _X[0], _X, _X[1], act=("tanh", "relu"), scale=0.5),
@@ -133,6 +122,7 @@ _CONSTANT_CALLS = {
     "self_attention": lambda: ad.self_attention(_X, _X, _X[0], _X, _X, _X[1], _X, _X[0]),
     "normalize": lambda: ad.normalize(_X, -1, 1e-5, _X[0], _X[1])[0],
     "geodesic_distance": lambda: geodesic_distance(_X, _X[::-1], BallConfig(c=1.0)),
+    "flat_distance": lambda: flat_distance(_X, _X[::-1]),
     "log_map": lambda: log_map(_X, _X[::-1], BallConfig(c=1.0)),
 }
 
@@ -152,7 +142,8 @@ def test_contract_tables_cover_every_public_op():
         if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")
     }
     not_ops = {"val", "record", "backward", "finite_diff_check"}
-    assert public - not_ops == set(_CONSTANT_CALLS) - {"geodesic_distance", "log_map"} - _EPILOGUES
+    geometry = {"geodesic_distance", "flat_distance", "log_map"}
+    assert public - not_ops == set(_CONSTANT_CALLS) - geometry - _EPILOGUES
 
 
 def test_broadcast_gradients_have_operand_shapes():
@@ -174,16 +165,15 @@ def test_broadcast_gradients_have_operand_shapes():
         ("tanh", lambda x: ad.sum(_activated(x, "tanh")), -2.0, 2.0),
         ("sigmoid", lambda x: ad.sum(ad.sigmoid(x)), -3.0, 3.0),
         ("relu", lambda x: ad.sum(_activated(x, "relu")), 0.1, 2.0),
-        ("norm", lambda x: ad.sum(ad.norm(x)), 0.2, 1.0),
         ("mean", lambda x: ad.mean(ad.mul(x, x)), -2.0, 2.0),
-        ("softmax", lambda x: ad.sum(_square(ad.softmax(x, axis=-1))), -2.0, 2.0),
+        ("softmax", lambda x: ad.sum(ref.square(ad.softmax(x, axis=-1))), -2.0, 2.0),
         ("softmax_axis0",
          lambda x: ad.sum(ad.mul(ad.softmax(x, axis=0), np.arange(8.0).reshape(2, 4))),
          -2.0, 2.0),
         ("cross_entropy", lambda x: ad.mul(ad.cross_entropy(x, [3, 0], -1.7), 0.3), -2.0, 2.0),
         ("div", lambda x: ad.sum(ad.div(x, ad.add(x, 2.0))), -1.0, 1.0),
         ("reshape",
-         lambda x: ad.sum(ad.mul(_square(ad.reshape(x, (2, 3))), np.arange(6.0).reshape(2, 3))),
+         lambda x: ad.sum(ad.mul(ref.square(ad.reshape(x, (2, 3))), np.arange(6.0).reshape(2, 3))),
          -1.0, 1.0),
     ],
 )
@@ -202,7 +192,7 @@ def test_linear_gradients_and_broadcasting():
     args = (rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5))
     for wrt, name in enumerate("xwb"):
         def f(t):
-            return ad.sum(_square(ad.linear(*(t if i == wrt else a for i, a in enumerate(args)))))
+            return ad.sum(ref.square(ad.linear(*(t if i == wrt else a for i, a in enumerate(args)))))
 
         report = finite_diff_check(f, args[wrt].copy())
         assert report.passed, f"{name}: max rel err {report.max_rel_error}"
@@ -233,8 +223,8 @@ def test_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(2, 3, 3, 2))
     k0 = rng.normal(size=(2, 2, 2, 3))
-    assert finite_diff_check(lambda x: ad.sum(_square(ad.conv2d(x, k0))), x0).passed
-    assert finite_diff_check(lambda k: ad.sum(_square(ad.conv2d(x0, k))), k0).passed
+    assert finite_diff_check(lambda x: ad.sum(ref.square(ad.conv2d(x, k0))), x0).passed
+    assert finite_diff_check(lambda k: ad.sum(ref.square(ad.conv2d(x0, k))), k0).passed
 
 
 def test_conv2d_leading_axes_are_batch_axes():
@@ -256,15 +246,6 @@ def test_conv2d_shape_errors():
         ad.conv2d(np.ones((1, 2, 2, 3)), np.ones((3, 3, 3, 2)))
     with pytest.raises(ShapeError):
         ad.conv2d(np.ones((2, 3)), np.ones((1, 1, 3, 2)))
-
-
-def test_norm_zero_vector_has_safe_gradient():
-    tape = Tape()
-    x = tape.var(np.zeros(4))
-    y = ad.sum(ad.norm(ad.reshape(x, (1, 4))))
-    backward(y)
-    assert np.all(np.isfinite(x.grad))
-    assert np.array_equal(x.grad, np.zeros(4))
 
 
 def test_softmax_rows_sum_to_one():
@@ -731,20 +712,6 @@ def test_fused_ops_do_not_write_through_their_inputs():
 # running statistics
 
 
-def _tanh(x):
-    """Taped tanh for the reference composites; the model applies every tanh
-    inside a fused mlp node."""
-    out = np.tanh(val(x))
-    return ad._node(out, "tanh", (x,), lambda g: (g * (1.0 - out * out),))
-
-
-def _relu(x):
-    """Taped relu for the reference composites; the model applies every
-    relu inside a fused mlp node or as the epilogue of a normalize node."""
-    xv = val(x)
-    return ad._node(np.maximum(xv, 0.0), "relu", (x,), lambda g: (g * (xv > 0),))
-
-
 def _masked(x, keep):
     """Taped inverted dropout for the reference composites: x times its
     mask, one node whose adjoint multiplies by the mask."""
@@ -754,13 +721,15 @@ def _masked(x, keep):
 def _stats_composite(x, gamma, beta, mean, var, eps=1e-5):
     """Batch norm over running statistics as four ops: shift, scale by the
     running σ, γ and β."""
-    return ad.add(ad.mul(gamma, ad.div(ad.sub(x, mean), np.sqrt(var + eps))), beta)
+    return ad.add(ad.mul(gamma, ad.div(ref.sub(x, mean), np.sqrt(var + eps))), beta)
 
 
 def _epilogue_case(seed):
     """Operands of every fused form, and positive weights `p` for
     `adaptive_combine`: w, b, w2 and b2 make a 3 → 4 → 3 perceptron, and
-    the self-attention weights have q and k of width 4 and v of width 2.
+    the self-attention weights have q and k of width 4 and v of width 2,
+    and `maps` and `sig` are 4×5 classes of 3 support maps and their
+    signatures on a 2×2 grid of 2 channels for `relation_scores`.
     The (4, 5, 3) normalize input drops all of its
     channel 0, where γ is positive and the weights of the loss are negative,
     so the relu-and-mask adjoint meets negative adjoints at dropped
@@ -784,6 +753,8 @@ def _epilogue_case(seed):
         wq=rng.normal(size=(3, 4)), bq=rng.normal(size=4), wk=rng.normal(size=(3, 4)),
         wv=rng.normal(size=(3, 2)), bv=rng.normal(size=2), wo=rng.normal(size=(2, 3)),
         bo=rng.normal(size=3))
+    case.update(maps=rng.normal(size=(4, 5, 3, 4, 2)) * 0.3,
+                sig=rng.normal(size=(4, 5, 4, 2)) * 0.3)
     return case
 
 
@@ -794,13 +765,13 @@ _FUSED_FORMS = {
     "mlp_tanh": (
         ("x", "w", "b", "w2", "b2"),
         lambda c, x, w, b, w2, b2: ad.mlp(x, w, b, w2, b2, act=("tanh", "tanh"), scale=0.3),
-        lambda c, x, w, b, w2, b2: ad.mul(_tanh(ad.linear(_tanh(ad.linear(x, w, b)), w2, b2)),
+        lambda c, x, w, b, w2, b2: ad.mul(ref.tanh(ad.linear(ref.tanh(ad.linear(x, w, b)), w2, b2)),
                                           0.3)),
     # the signature's feed-forward
     "mlp_relu": (
         ("x", "w", "b", "w2", "b2"),
         lambda c, x, w, b, w2, b2: ad.mlp(x, w, b, w2, b2, act=("relu", None)),
-        lambda c, x, w, b, w2, b2: ad.linear(_relu(ad.linear(x, w, b)), w2, b2)),
+        lambda c, x, w, b, w2, b2: ad.linear(ref.relu(ad.linear(x, w, b)), w2, b2)),
     "self_attention": (("x", "wq", "bq", "wk", "wv", "bv", "wo", "bo"),
                        lambda c, *args: ad.self_attention(*args),
                        lambda c, *args: _taped_sublayer(*args)),
@@ -809,7 +780,7 @@ _FUSED_FORMS = {
     "normalize_relu_keep": (
         ("x", "gamma", "beta"),
         lambda c, x, g, b: ad.normalize(x, (0, 1), 1e-5, g, b, act="relu", keep=c["keep"])[0],
-        lambda c, x, g, b: _masked(_relu(ad.normalize(x, (0, 1), 1e-5, g, b)[0]), c["keep"])),
+        lambda c, x, g, b: _masked(ref.relu(ad.normalize(x, (0, 1), 1e-5, g, b)[0]), c["keep"])),
     "normalize_stats": (
         ("x", "gamma", "beta"),
         lambda c, x, g, b: ad.normalize(x, (0, 1), 1e-5, g, b, stats=(c["mean"], c["var"]))[0],
@@ -818,7 +789,7 @@ _FUSED_FORMS = {
         ("x", "gamma", "beta"),
         lambda c, x, g, b: ad.normalize(x, (0, 1), 1e-5, g, b, act="relu",
                                         stats=(c["mean"], c["var"]))[0],
-        lambda c, x, g, b: _relu(_stats_composite(x, g, b, c["mean"], c["var"]))),
+        lambda c, x, g, b: ref.relu(_stats_composite(x, g, b, c["mean"], c["var"]))),
 }
 
 
@@ -924,7 +895,9 @@ def test_normalize_over_running_statistics_keeps_its_own_copies():
 #: sets of 3-wide points for pairwise_matrix, 4 maps of 5 support patches
 #: against 4×5 query bases for project_support, and 4×5 rows of 3
 #: set-to-set values and their weights for adaptive_combine (constant
-#: weights are the p2s_uniform path).
+#: weights are the p2s_uniform path). relation_scores scores the case's maps
+#: against its signatures with a freshly drawn net in eval mode.
+_RELATION_CFG = ModelConfig(in_dim=1, grid=(2, 2), feat_dim=2, relation_filters=3)
 _CONTRACT = {
     "flat_distance": (("x", "y"), lambda c, x, y: flat_distance(x, y)),
     "geodesic_distance": (("x", "y"), lambda c, x, y: geodesic_distance(x, y, BallConfig(c=0.7))),
@@ -933,14 +906,16 @@ _CONTRACT = {
     "project_support": (("x", "y"), lambda c, x, y: project_support(
         ad.reshape(x, (4, 1, 5, 3)), y, BallConfig(c=0.7))),
     "adaptive_combine": (("x", "p"), lambda c, x, p: adaptive_combine(x, p)),
+    "relation_scores": (("maps", "sig"), lambda c, m, s: relation_scores(
+        m, s, RelationGenerator(_RELATION_CFG, np.random.default_rng(9)))),
     **{op.__name__: (("x", "y"), lambda c, x, y, op=op: op(x, y))
-       for op in (ad.add, ad.sub, ad.mul, ad.div)},
+       for op in (ad.add, ad.mul, ad.div)},
     **{name: _FUSED_FORMS[name][:2] for name in
        ("mlp_tanh", "mlp_relu", "self_attention", "conv2d_bias", "normalize_relu_keep",
         "normalize_stats")},
 }
 #: the rows that record more than one node
-_COMPOSITES = {"flat_distance", "pairwise_matrix", "project_support", "adaptive_combine"}
+_COMPOSITES = {"pairwise_matrix", "project_support", "adaptive_combine", "relation_scores"}
 
 
 @pytest.mark.parametrize("op", sorted(_CONTRACT))

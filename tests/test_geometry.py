@@ -29,6 +29,8 @@ from gyroshot.geometry import (
 )
 from gyroshot.verify import CURVATURE_GRID
 
+import _refops as ref
+
 CURVATURES = (0.01, 0.05, 0.1, 0.5, 0.7)
 EPS = np.finfo(np.float64).eps
 
@@ -392,23 +394,16 @@ def test_midpoint_gradient_at_the_boundary(case, seed):
     assert report.passed, report.max_rel_error
 
 
-def _sqrt(x):
-    """Taped sqrt for the reference composite; the midpoint, the one op of
-    the geometry that takes a square root on the tape, is fused."""
-    out = np.sqrt(val(x))
-    return ad._node(out, "sqrt", (x,), lambda g: (g * 0.5 / out,))
-
-
 def composite_midpoint(points, cfg):
     """The 17-op taped midpoint whose reverse sweep the fused adjoint
     replays: 5 ops for the conformal factors, 5 for the two weighted sums
     and their quotient, and 7 for the map back to the ball."""
     sq = ad.sum(ad.mul(points, points), axis=-1, keepdims=True)
-    lam = ad.div(2.0, ad.sub(1.0, ad.mul(cfg.c, sq)))
-    weighted, gamma = ad.mul(lam, points), ad.sub(lam, 1.0)
+    lam = ad.div(2.0, ref.sub(1.0, ad.mul(cfg.c, sq)))
+    weighted, gamma = ad.mul(lam, points), ref.sub(lam, 1.0)
     k = ad.div(ad.sum(weighted, axis=-2), ad.sum(gamma, axis=-2))
-    inside = ad.sub(1.0, ad.mul(cfg.c, ad.sum(ad.mul(k, k), axis=-1, keepdims=True)))
-    return ad.div(k, ad.add(1.0, _sqrt(inside)))
+    inside = ref.sub(1.0, ad.mul(cfg.c, ad.sum(ad.mul(k, k), axis=-1, keepdims=True)))
+    return ad.div(k, ad.add(1.0, ref.sqrt(inside)))
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (5, 5, 16), (2, 3, 4, 4)],
@@ -559,6 +554,63 @@ def test_taped_distance_matches_untaped():
 
 
 # ---------------------------------------------------------------------------
+# the fused flat distance
+
+
+def _composite_flat_distance(x, y):
+    """The three-op flat distance that the fused node replaces."""
+    return ad.mul(2.0, ref.norm(ref.sub(x, y)))
+
+
+def _flat_points(seed):
+    """Query and support patches in pairwise_matrix's layout, one pair
+    coincident, and weights of the distances."""
+    xs, ys = GEODESIC_LAYOUTS["pairwise"]
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.uniform(-0.5, 0.5, size=xs), rng.uniform(-0.5, 0.5, size=ys)
+    x0.reshape(-1, 4)[0] = y0.reshape(-1, 4)[0]
+    return x0, y0, rng.uniform(0.5, 1.5, size=np.broadcast_shapes(xs, ys)[:-1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_flat_distance_equals_the_composite_bit_for_bit(seed):
+    """One node whose value, taped and untaped, and both operand gradients
+    carry the bits of 2 * norm(x - y), the coincident pair included."""
+    x0, y0, w = _flat_points(seed)
+    runs = []
+    for f in (flat_distance, _composite_flat_distance):
+        tape = Tape()
+        x, y = tape.var(x0), tape.var(y0)
+        d = f(x, y)
+        runs.append([len(tape) - 2])
+        backward(ad.sum(ad.mul(d, w)))
+        runs[-1] += [d.value, x.grad, y.grad]
+    (nodes, *fused), (ref_nodes, *composite) = runs
+    assert nodes == 1 and ref_nodes == 3
+    for a, b in zip(fused + [flat_distance(x0, y0)], composite + [composite[0]]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_fused_flat_distance_gradients_match_finite_differences():
+    x0, y0, w = _flat_points(3)
+    for point, f in ((x0, lambda x: flat_distance(x, y0)), (y0, lambda y: flat_distance(x0, y))):
+        report = finite_diff_check(lambda p: ad.sum(ad.mul(f(p), w)), point)
+        assert report.passed, f"max rel err {report.max_rel_error} at {report.flagged}"
+
+
+def test_fused_flat_distance_of_coincident_points_has_zero_gradient():
+    """The norm is floored at 1e-15 in the adjoint, so x == y gives a zero
+    gradient rather than 0/0."""
+    p = np.array([0.3, -0.2, 0.0, 0.5])
+    tape = Tape()
+    x, y = tape.var(p), tape.var(p.copy())
+    d = flat_distance(x, y)
+    backward(d)
+    assert float(val(d)) == 0.0
+    assert np.array_equal(x.grad, np.zeros(4)) and np.array_equal(y.grad, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
 # the fused log map
 
 
@@ -566,7 +618,7 @@ def _composite_log_map(x, y, cfg):
     """The unfused log map: Mobius addition, floored norm, conformal factor
     and arctanh as separate ops."""
     m = mobius_add(-1.0 * x, y, cfg)
-    n = ad.norm(m, keepdims=True)
+    n = ref.norm(m, keepdims=True)
     n_safe = np.where(n > 1e-15, n, np.ones_like(n))
     lam = conformal_factor(x, cfg, keepdims=True)
     coef = (2.0 / (cfg.sqrt_c * lam)) * np.arctanh(cfg.sqrt_c * n) / n_safe

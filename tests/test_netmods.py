@@ -25,22 +25,10 @@ from gyroshot.netmods import (
     sinusoidal_grid_encoding,
 )
 
+import _refops as ref
+
 BALL = BallConfig(c=0.7)
 CFG = ModelConfig(in_dim=5, grid=(2, 3), feat_dim=4, enc_hidden=6, relation_filters=4)
-
-
-def _sqrt(x):
-    """Taped sqrt for the reference composites; the package fuses every
-    square root the model takes into normalize and the Einstein midpoint."""
-    out = np.sqrt(ad.val(x))
-    return ad._node(out, "sqrt", (x,), lambda g: (g * 0.5 / out,))
-
-
-def _relu(x):
-    """Taped relu for the reference composites; the package applies every
-    relu inside a fused mlp node or as the epilogue of a normalize node."""
-    xv = ad.val(x)
-    return ad._node(np.maximum(xv, 0.0), "relu", (x,), lambda g: (g * (xv > 0),))
 
 
 def rng(seed=0):
@@ -179,17 +167,17 @@ class TestNormalization:
     @staticmethod
     def _composite_layer_norm(x, gamma, beta, eps=1e-5):
         mu = ad.mean(x, axis=-1, keepdims=True)
-        d = ad.sub(x, mu)
+        d = ref.sub(x, mu)
         var = ad.mean(ad.mul(d, d), axis=-1, keepdims=True)
-        return ad.add(ad.mul(gamma, ad.div(d, _sqrt(ad.add(var, eps)))), beta)
+        return ad.add(ad.mul(gamma, ad.div(d, ref.sqrt(ad.add(var, eps)))), beta)
 
     @staticmethod
     def _composite_batch_norm(x, gamma, beta, eps=1e-5):
         axes = tuple(range(np.ndim(ad.val(x)) - 1))
         mu = ad.mean(x, axis=axes, keepdims=True)
-        d = ad.sub(x, mu)
+        d = ref.sub(x, mu)
         var = ad.mean(ad.mul(d, d), axis=axes, keepdims=True)
-        return ad.add(ad.mul(gamma, ad.div(d, _sqrt(ad.add(var, eps)))), beta), mu, var
+        return ad.add(ad.mul(gamma, ad.div(d, ref.sqrt(ad.add(var, eps)))), beta), mu, var
 
     def test_fused_forms_equal_composites_bit_for_bit(self):
         r = rng(9)
@@ -316,17 +304,18 @@ class TestRelationGenerator:
             assert rel.k1[0] + rel.k2[0] == grid[0] + 1
             assert rel.k1[1] + rel.k2[1] == grid[1] + 1
 
-    def test_scores_in_unit_interval(self):
-        rel = RelationGenerator(CFG, rng(25))
-        g = rng(26).standard_normal((7, 2, 3, 2 * CFG.feat_dim))
-        s = np.asarray(rel(g[..., :CFG.feat_dim], g[..., CFG.feat_dim:]))
-        assert s.shape == (7,)
+    def test_scores_in_unit_interval(self, monkeypatch):
+        scores = _captured_scores(monkeypatch)
+        proj = rng(26).standard_normal((7, 2, CFG.hw, CFG.feat_dim))
+        relation_scores(proj, proj.mean(axis=-3), RelationGenerator(CFG, rng(25)))
+        (s,) = scores
+        assert s.shape == (7, 2)
         assert np.all((s > 0) & (s < 1))
 
     def test_bad_input_shape_rejected(self):
         rel = RelationGenerator(CFG, rng(27))
         with pytest.raises(ShapeError):
-            rel(np.zeros((2, 3, 3, CFG.feat_dim)), np.zeros((2, 3, 3, CFG.feat_dim)))
+            relation_scores(np.zeros((2, 3, 9, CFG.feat_dim)), np.zeros((2, 9, CFG.feat_dim)), rel)
 
     def test_relation_scores_sum_to_one(self):
         rel = RelationGenerator(CFG, rng(28))
@@ -342,6 +331,19 @@ class TestRelationGenerator:
         proj = np.broadcast_to(one, (4, CFG.hw, CFG.feat_dim)).copy()
         w = np.asarray(relation_scores(proj, one, rel))
         np.testing.assert_allclose(w, 0.25, rtol=1e-12)
+
+
+def _captured_scores(monkeypatch):
+    """A list that collects each input of `ad.softmax`: the relation net's
+    scores, as `relation_scores` hands them over to become weights."""
+    scores, softmax = [], ad.softmax
+
+    def captured(x, axis=-1):
+        scores.append(x)
+        return softmax(x, axis=axis)
+
+    monkeypatch.setattr(ad, "softmax", captured)
+    return scores
 
 
 def _joint_kernel(rel):
@@ -363,7 +365,7 @@ def _concat_relation(rel, maps, sig, train=False, rng=None, params=None):
     x = batch_norm(ad.conv2d(g, p["conv1_w"]), p["bn1_g"], p["bn1_b"],
                    rel.buffers["bn1_mean"], rel.buffers["bn1_var"], train)
     keep = dropout(np.shape(ad.val(x)), 0.5, rng if train else None)
-    x = _relu(x) if keep is None else _relu(x) * keep
+    x = ref.relu(x) if keep is None else ref.relu(x) * keep
     x = batch_norm(ad.conv2d(x, p["conv2_w"]), p["bn2_g"], p["bn2_b"],
                    rel.buffers["bn2_mean"], rel.buffers["bn2_var"], train)
     return ad.reshape(ad.sigmoid(x), shape[:2])
@@ -381,7 +383,7 @@ def _relation_case(seed=40):
 
 class TestFactoredRelation:
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-    def test_matches_the_concatenated_input(self, train):
+    def test_matches_the_concatenated_input(self, train, monkeypatch):
         """Scores, weights and the BN buffers a call leaves behind."""
         cfg, maps, sig = _relation_case()
 
@@ -394,26 +396,29 @@ class TestFactoredRelation:
         def drop():
             return rng(42) if train else None
 
-        nets = [net() for _ in range(4)]
-        factored = nets[0](maps, sig[:, None], train=train, rng=drop())
+        nets = [net() for _ in range(2)]
         pairs = _concat_relation(nets[1], maps, sig, train=train, rng=drop())
+        pair_weights = ad.softmax(pairs)
+        scores = _captured_scores(monkeypatch)
         weights = relation_scores(maps.reshape(15, 5, 5, 9, 16), sig.reshape(15, 5, 9, 16),
-                                  nets[2], train=train, rng=drop())
-        pair_weights = ad.softmax(_concat_relation(nets[3], maps, sig, train=train, rng=drop()))
-        np.testing.assert_allclose(factored, pairs, rtol=0, atol=1e-15)
+                                  nets[0], train=train, rng=drop())
+        np.testing.assert_allclose(scores[0].reshape(75, 5), pairs, rtol=0, atol=1e-15)
         np.testing.assert_allclose(weights.reshape(75, 5), pair_weights, rtol=0, atol=1e-15)
         for name, buf in nets[0].buffers.items():
-            for other in nets[1:]:
-                np.testing.assert_allclose(buf, other.buffers[name], rtol=0, atol=1e-15,
-                                           err_msg=name)
+            np.testing.assert_allclose(buf, nets[1].buffers[name], rtol=0, atol=1e-15,
+                                       err_msg=name)
 
-    def test_conv1_gradient_matches_the_concatenated_input(self):
+    def test_conv1_gradient_matches_the_concatenated_input(self, monkeypatch):
+        """Of the scores, which reach the softmax as one (15, 5, 5) node."""
         cfg, maps, sig = _relation_case(43)
         w = rng(44).standard_normal((75, 5))
         net = RelationGenerator(cfg, rng(45))
         tape = ad.Tape()
         params = {k: tape.var(v) for k, v in net.params.items()}
-        ad.backward(ad.sum(ad.mul(net(maps, sig[:, None], train=True, params=params), w)))
+        scores = _captured_scores(monkeypatch)
+        relation_scores(maps.reshape(15, 5, 5, 9, 16), sig.reshape(15, 5, 9, 16), net,
+                        train=True, params=params)
+        ad.backward(ad.sum(ad.mul(scores[0], w.reshape(15, 5, 5))))
         factored = np.concatenate([params["conv1_map_w"].grad, params["conv1_sig_w"].grad],
                                   axis=2)
         net = RelationGenerator(cfg, rng(45))
@@ -459,14 +464,19 @@ class TestFactoredRelation:
         for name in ("conv1_map_w", "conv1_sig_w"):
             assert net.params[name].flags.c_contiguous and net.params[name].flags.owndata
 
-    def test_signature_must_broadcast_against_the_maps(self):
+    def test_signature_must_match_the_maps_leading_axes(self):
+        """One signature per class of maps: (15, 5, 5, 9, 16) maps take
+        (15, 5, 9, 16) signatures, and no other leading shape, not even
+        one that broadcasts against theirs."""
         cfg, maps, sig = _relation_case(48)
         net = RelationGenerator(cfg, rng(49))
-        for bad in (np.zeros((75, 2, 3, 3, 16)), np.zeros((2, 75, 1, 3, 3, 16))):
+        maps = maps.reshape(15, 5, 5, 9, 16)
+        for bad in ((15, 1, 9, 16), (1, 5, 9, 16), (5, 9, 16), (15, 5, 1, 9, 16),
+                    (2, 15, 5, 9, 16), (15, 5, 9, 8), (15, 5, 3, 3, 16)):
             with pytest.raises(ShapeError):
-                net(maps, bad)
+                relation_scores(maps, np.zeros(bad), net)
         with pytest.raises(ShapeError):
-            net(maps[:, :1], np.zeros((75, 5, 3, 3, 16)))
+            relation_scores(maps.reshape(15, 5, 5, 3, 3, 16), sig.reshape(15, 5, 3, 3, 16), net)
 
 
 class TestS2SNetwork:

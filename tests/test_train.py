@@ -25,6 +25,8 @@ from gyroshot.errors import ConfigError, InsufficientDataError, TrainingDiverged
 from gyroshot.geometry import BallConfig, einstein_midpoint, geodesic_distance
 from gyroshot.netmods import ModelBundle, ModelConfig
 
+import _refops as ref
+
 BALL = BallConfig(c=0.5)
 MODEL = ModelConfig(in_dim=3, grid=(2, 2), feat_dim=4, enc_hidden=6, relation_filters=4)
 
@@ -563,23 +565,9 @@ def _eager_backward(root):
             node._backward(node.grad)
 
 
-def _exp(x):
-    """Taped exp for the reference composite; autodiff fuses every exp it
-    needs into softmax, cross_entropy and self_attention."""
-    out = np.exp(ad.val(x))
-    return ad._node(out, "exp", (x,), lambda g: (g * out,))
-
-
-def _arctanh(x):
-    """Taped arctanh for the reference composite; the log map, the one op of
-    the model that takes an arctanh, is fused."""
-    xv = ad.val(x)
-    return ad._node(np.arctanh(xv), "arctanh", (x,), lambda g: (g / (1.0 - xv * xv),))
-
-
 def _composite_softmax(x, axis=-1):
     shift = np.max(ad.val(x), axis=axis, keepdims=True)
-    e = _exp(ad.sub(x, shift))
+    e = ref.exp(ref.sub(x, shift))
     return ad.div(e, ad.sum(e, axis=axis, keepdims=True))
 
 
@@ -592,13 +580,13 @@ def _mobius_add(x, y, cfg):
     xy = ad.sum(ad.mul(x, y), axis=-1, keepdims=True)
     denom = ad.add(ad.add(1.0, ad.mul(2.0 * c, xy)), ad.mul(ad.mul(c * c, x2), y2))
     num = ad.add(ad.mul(ad.add(ad.add(1.0, ad.mul(2.0 * c, xy)), ad.mul(c, y2)), x),
-                 ad.mul(ad.sub(1.0, ad.mul(c, x2)), y))
+                 ad.mul(ref.sub(1.0, ad.mul(c, x2)), y))
     return ad.div(num, denom)
 
 
 def _composite_geodesic(x, y, cfg):
     m = _mobius_add(ad.mul(-1.0, x), y, cfg)
-    return ad.mul(2.0 / cfg.sqrt_c, _arctanh(ad.mul(cfg.sqrt_c, ad.norm(m))))
+    return ad.mul(2.0 / cfg.sqrt_c, ref.arctanh(ad.mul(cfg.sqrt_c, ref.norm(m))))
 
 
 def _default_param_grads(cfg, sweep=ad.backward):
@@ -688,7 +676,7 @@ def _tape_bytes_after_backward(cfg):
 
 
 def test_taped_app2s_episode_holds_at_most_16_mb_after_backward():
-    """A default taped app2s episode holds about 15.92 MB after backward:
+    """A default taped app2s episode holds about 15.91 MB after backward:
     the signature's attention sublayer and feed-forward and the encoder are
     one recompute node each. It held 23.97 MB when q, k, v, the attention
     output, the output layer, the residual and each hidden layer kept a
@@ -696,6 +684,15 @@ def test_taped_app2s_episode_holds_at_most_16_mb_after_backward():
     and dropout mask was a node of its own, keeping the pre-activation
     array and its gradient."""
     assert _tape_bytes_after_backward(tr.TrainConfig(ball=BallConfig(c=0.7))) <= 16.0e6
+
+
+def test_taped_euclidean_ap2s_episode_holds_at_most_16_mb_after_backward():
+    """A default taped euclidean_ap2s episode holds about 15.91 MB after
+    backward, as app2s does. It held 24.18 MB when its flat distance kept
+    the broadcast (15, 5, 5, 9, 9, 16) x − y as a node value with its
+    gradient (3.9 MB each)."""
+    cfg = tr.TrainConfig(ball=BallConfig(c=0.7)).variant("euclidean_ap2s")
+    assert _tape_bytes_after_backward(cfg) <= 16.0e6
 
 
 def test_taped_prototype_episode_holds_at_most_0135_mb_after_backward():
@@ -803,9 +800,10 @@ def test_prototype_episode_records_at_most_14_nodes():
     assert _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)).variant("prototype")) <= 14
 
 
-def test_app2s_episode_records_at_most_76_nodes(monkeypatch):
+def test_app2s_episode_records_at_most_75_nodes(monkeypatch):
     """A default taped app2s episode, its 30 parameter leaves included,
-    records 76 nodes (86 with each encoder layer, the encoder's output
+    records 75 nodes (76 with the relation net's scores reshaped twice on
+    their way to the softmax, 86 with each encoder layer, the encoder's output
     scale, each signature projection, the attention, its output layer, its
     residual and each feed-forward layer as nodes of their own, 96 with
     each tanh, relu and dropout mask and the relation net's sum of its two
@@ -828,7 +826,15 @@ def test_app2s_episode_records_at_most_76_nodes(monkeypatch):
     monkeypatch.setattr(netmods, "project_support", counted)
     size = _episode_tape_size(tr.TrainConfig(ball=BallConfig(c=0.7)))
     assert len(counts) == 1 and counts[0] <= 2
-    assert size <= 76
+    assert size <= 75
+
+
+def test_euclidean_ap2s_episode_records_at_most_75_nodes():
+    """A default taped euclidean_ap2s episode records as many nodes as
+    app2s: the flat distance is one node, as the geodesic is (78 with it as
+    2 * norm(x - y), three nodes, and the relation scores reshaped twice)."""
+    cfg = tr.TrainConfig(ball=BallConfig(c=0.7)).variant("euclidean_ap2s")
+    assert _episode_tape_size(cfg) <= 75
 
 
 def _perfbench_tracing():
