@@ -229,14 +229,6 @@ def div(a, b):
 # elementwise
 
 
-def sigmoid(x):
-    xv = val(x)
-    # exp only of non-positive numbers: stable for large |x|
-    z = np.exp(-np.abs(xv))
-    out = np.where(xv >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return _node(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
-
-
 def _activate(out, act, keep=None):
     """Apply a fused node's epilogue to its fresh value `out` in place: `act`
     (None, "tanh" or "relu"), then, after a relu, the inverted-dropout mask

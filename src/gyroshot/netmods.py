@@ -13,8 +13,8 @@ The four modules, and the call that runs each:
   SignatureGenerator one single-head transformer encoder block (post-LN,
   (.refine)          feed-forward width 4*C) over all support descriptors
                      jointly, with fixed sinusoidal 2-D positional encodings.
-  RelationGenerator  conv(k1) -> BN -> relu -> dropout(0.5) -> conv(k2) -> BN
-  (relation_scores)  -> sigmoid, collapsing the grid to one score per sample.
+  RelationGenerator  conv(k1) -> BN -> relu -> dropout(0.5) -> conv(k2) -> BN,
+  (relation_scores)  collapsing the grid to one score per sample.
                      The first conv reads a map beside its class signature;
                      conv is linear in its input channels, so it runs as
                      conv(map, W_map) + conv(signature, W_sig) with the two
@@ -246,7 +246,10 @@ class RelationGenerator:
     its bias: its (kh, kw, 2C, F) kernel is drawn whole and stored as its two
     channel halves, so the signature half runs once per signature rather
     than once per map. No conv has a learned bias: each feeds straight into
-    batch norm, whose node also applies the relu and the dropout mask.
+    batch norm, whose node also applies the relu and the dropout mask. The
+    last batch norm has no shift: the scores go straight into a softmax over
+    the K maps, which cancels a shift shared by all K, so its scale bn2_g is
+    the softmax's learned inverse temperature.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -264,7 +267,6 @@ class RelationGenerator:
             "bn1_b": np.zeros(f),
             "conv2_w": _conv_init(rng, self.k2[0], self.k2[1], f, 1),
             "bn2_g": np.ones(1),
-            "bn2_b": np.zeros(1),
         }
         self.buffers = {
             "bn1_mean": np.zeros(f),
@@ -282,7 +284,7 @@ def relation_scores(proj, signature, relation: RelationGenerator,
     (..., HW, C) its signature, with the same leading axes. The relation net
     scores each map against the signature on the grid, as (B, K, H, W, C)
     maps against (B, 1, H, W, C) signatures with the leading axes flattened
-    to B, and the K scores, each in (0, 1), softmax to weights that sum to 1.
+    to B, and the K scores softmax to weights that sum to 1.
     """
     p = params if params is not None else relation.params
     buf, (h, w), c = relation.buffers, relation.cfg.grid, relation.cfg.feat_dim
@@ -297,8 +299,8 @@ def relation_scores(proj, signature, relation: RelationGenerator,
     x = batch_norm(x, p["bn1_g"], p["bn1_b"], buf["bn1_mean"], buf["bn1_var"], train,
                    act="relu", keep=dropout(np.shape(val(x)), 0.5, rng if train else None))
     x = ad.conv2d(x, p["conv2_w"])
-    x = batch_norm(x, p["bn2_g"], p["bn2_b"], buf["bn2_mean"], buf["bn2_var"], train)
-    return ad.softmax(ad.reshape(ad.sigmoid(x), shape[:-2]), axis=-1)
+    x = batch_norm(x, p["bn2_g"], None, buf["bn2_mean"], buf["bn2_var"], train)
+    return ad.softmax(ad.reshape(x, shape[:-2]), axis=-1)
 
 
 class S2SNetwork:

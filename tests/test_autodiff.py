@@ -12,8 +12,9 @@ from gyroshot.autodiff import Tape, backward, finite_diff_check, val
 from gyroshot.errors import ConfigError, ShapeError, TapeError
 from gyroshot.geometry import (BallConfig, einstein_midpoint, flat_distance, geodesic_distance,
                                log_map)
-from gyroshot.metrics import adaptive_combine, pairwise_matrix
-from gyroshot.netmods import ModelConfig, RelationGenerator, project_support, relation_scores
+from gyroshot.metrics import adaptive_combine, pairwise_matrix, s2s_learned
+from gyroshot.netmods import (Encoder, ModelConfig, RelationGenerator, S2SNetwork,
+                              SignatureGenerator, project_support, relation_scores)
 
 import _refops as ref
 
@@ -108,7 +109,6 @@ _CONSTANT_CALLS = {
     "mul": lambda: ad.mul(2.0, _X),
     "div": lambda: ad.div(_X, _X),
     "tanh": lambda: ad.mlp(_X, _X, _X[0], _X, None, act=("tanh", None)),
-    "sigmoid": lambda: ad.sigmoid(_X),
     "relu": lambda: ad.normalize(_X - 0.25, -1, 1e-5, _X[0], act="relu", keep=_KEEP,
                                  stats=(_X[1], _X[0]))[0],
     "sum": lambda: ad.sum(_X, axis=0),
@@ -163,7 +163,6 @@ def test_broadcast_gradients_have_operand_shapes():
     "name,fn,low,high",
     [
         ("tanh", lambda x: ad.sum(_activated(x, "tanh")), -2.0, 2.0),
-        ("sigmoid", lambda x: ad.sum(ad.sigmoid(x)), -3.0, 3.0),
         ("relu", lambda x: ad.sum(_activated(x, "relu")), 0.1, 2.0),
         ("mean", lambda x: ad.mean(ad.mul(x, x)), -2.0, 2.0),
         ("softmax", lambda x: ad.sum(ref.square(ad.softmax(x, axis=-1))), -2.0, 2.0),
@@ -254,12 +253,6 @@ def test_softmax_rows_sum_to_one():
     s = ad.softmax(x, axis=-1)
     assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(s >= 0.0)
-
-
-def test_sigmoid_stable_for_extreme_inputs():
-    out = ad.sigmoid(np.array([-1e4, 0.0, 1e4]))
-    assert np.all(np.isfinite(out))
-    assert out[0] == 0.0 and out[2] == 1.0 and out[1] == 0.5
 
 
 def test_finite_diff_report_flags_kink():
@@ -729,7 +722,9 @@ def _epilogue_case(seed):
     `adaptive_combine`: w, b, w2 and b2 make a 3 → 4 → 3 perceptron, and
     the self-attention weights have q and k of width 4 and v of width 2,
     and `maps` and `sig` are 4×5 classes of 3 support maps and their
-    signatures on a 2×2 grid of 2 channels for `relation_scores`.
+    signatures on a 2×2 grid of 2 channels for `relation_scores` (and
+    `refine`), and `d` 4×5 distance matrices of those 2×2 grids for
+    `s2s_learned`.
     The (4, 5, 3) normalize input drops all of its
     channel 0, where γ is positive and the weights of the loss are negative,
     so the relu-and-mask adjoint meets negative adjoints at dropped
@@ -755,6 +750,7 @@ def _epilogue_case(seed):
         bo=rng.normal(size=3))
     case.update(maps=rng.normal(size=(4, 5, 3, 4, 2)) * 0.3,
                 sig=rng.normal(size=(4, 5, 4, 2)) * 0.3)
+    case.update(d=rng.uniform(0.0, 2.0, size=(4, 5, 4, 4)))
     return case
 
 
@@ -895,9 +891,28 @@ def test_normalize_over_running_statistics_keeps_its_own_copies():
 #: sets of 3-wide points for pairwise_matrix, 4 maps of 5 support patches
 #: against 4×5 query bases for project_support, and 4×5 rows of 3
 #: set-to-set values and their weights for adaptive_combine (constant
-#: weights are the p2s_uniform path). relation_scores scores the case's maps
-#: against its signatures with a freshly drawn net in eval mode.
-_RELATION_CFG = ModelConfig(in_dim=1, grid=(2, 2), feat_dim=2, relation_filters=3)
+#: weights are the p2s_uniform path). The network rows draw a fresh module
+#: and run it in eval mode: relation_scores scores the case's maps against
+#: its signatures, and the encoder, refine and s2s_learned each take their
+#: input and one parameter passed through `params`.
+_NET_CFG = ModelConfig(in_dim=3, grid=(2, 2), feat_dim=2, enc_hidden=4, relation_filters=3)
+
+
+def _encoder_row(c, x, w):
+    enc = Encoder(_NET_CFG, np.random.default_rng(10))
+    return enc(x, BallConfig(c=0.7), params={**enc.params, "w1": w})
+
+
+def _refine_row(c, maps, bv):
+    sg = SignatureGenerator(_NET_CFG, np.random.default_rng(11))
+    return sg.refine(maps, params={**sg.params, "bv": bv})
+
+
+def _s2s_row(c, d, b):
+    net = S2SNetwork(_NET_CFG, np.random.default_rng(12))
+    return s2s_learned(d, net, params={**net.params, "bn1_g": b})
+
+
 _CONTRACT = {
     "flat_distance": (("x", "y"), lambda c, x, y: flat_distance(x, y)),
     "geodesic_distance": (("x", "y"), lambda c, x, y: geodesic_distance(x, y, BallConfig(c=0.7))),
@@ -907,7 +922,10 @@ _CONTRACT = {
         ad.reshape(x, (4, 1, 5, 3)), y, BallConfig(c=0.7))),
     "adaptive_combine": (("x", "p"), lambda c, x, p: adaptive_combine(x, p)),
     "relation_scores": (("maps", "sig"), lambda c, m, s: relation_scores(
-        m, s, RelationGenerator(_RELATION_CFG, np.random.default_rng(9)))),
+        m, s, RelationGenerator(_NET_CFG, np.random.default_rng(9)))),
+    "Encoder.__call__": (("x", "w"), _encoder_row),
+    "SignatureGenerator.refine": (("maps", "bv"), _refine_row),
+    "s2s_learned": (("d", "b"), _s2s_row),
     **{op.__name__: (("x", "y"), lambda c, x, y, op=op: op(x, y))
        for op in (ad.add, ad.mul, ad.div)},
     **{name: _FUSED_FORMS[name][:2] for name in
@@ -915,7 +933,8 @@ _CONTRACT = {
         "normalize_stats")},
 }
 #: the rows that record more than one node
-_COMPOSITES = {"pairwise_matrix", "project_support", "adaptive_combine", "relation_scores"}
+_COMPOSITES = {"pairwise_matrix", "project_support", "adaptive_combine", "relation_scores",
+               "SignatureGenerator.refine", "s2s_learned"}
 
 
 @pytest.mark.parametrize("op", sorted(_CONTRACT))

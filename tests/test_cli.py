@@ -438,7 +438,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("role,expected", [
         ("dataset", "bad.bin: not a dataset: 2 names missing (first ['features'])"),
-        ("checkpoint", "bad.bin: state mismatch: 38 names missing"),
+        ("checkpoint", "bad.bin: state mismatch: 37 names missing"),
     ], ids=["checkpoint-as-dataset", "dataset-as-checkpoint"])
     def test_wrong_kind_of_file_reported(self, tmp_path, capsys, role, expected):
         other = {"dataset": "checkpoint", "checkpoint": "dataset"}[role]
@@ -469,6 +469,16 @@ class TestErrors:
             write_unchecked_tensors(path, tensors)
         err = self._artifact_error(tmp_path, capsys, role, write)
         assert f"tensor {name} holds NaN or inf" in err
+
+    def test_checkpoint_with_the_relation_shift_reported(self, tmp_path, capsys):
+        """A checkpoint written while the relation net's last batch norm had
+        a shift holds relation.bn2_b, which `eval` refuses."""
+        def write(good, path):
+            save_tensors(path, dict(load_tensors(good["checkpoint"]),
+                                    **{"relation.bn2_b": np.zeros(1)}))
+        err = self._artifact_error(tmp_path, capsys, "checkpoint", write)
+        assert ("bad.bin: state mismatch: 0 names missing (first []), "
+                "1 unexpected (first ['relation.bn2_b'])") in err
 
     def test_old_dataset_layout_reported(self, tmp_path, capsys):
         """The packed-record layout that preceded tensor files."""

@@ -304,13 +304,21 @@ class TestRelationGenerator:
             assert rel.k1[0] + rel.k2[0] == grid[0] + 1
             assert rel.k1[1] + rel.k2[1] == grid[1] + 1
 
-    def test_scores_in_unit_interval(self, monkeypatch):
-        scores = _captured_scores(monkeypatch)
+    def test_last_gain_is_the_softmax_inverse_temperature(self, monkeypatch):
+        """The last batch norm has no shift, so scaling its gain bn2_g by t
+        scales every score by t, bit for bit; at a large t the weights of a
+        class spread past the ratio e that a sigmoid on the scores caps."""
         proj = rng(26).standard_normal((7, 2, CFG.hw, CFG.feat_dim))
-        relation_scores(proj, proj.mean(axis=-3), RelationGenerator(CFG, rng(25)))
-        (s,) = scores
-        assert s.shape == (7, 2)
-        assert np.all((s > 0) & (s < 1))
+        rel = RelationGenerator(CFG, rng(25))
+        gain = rel.params["bn2_g"]
+        scores, temps = _captured_scores(monkeypatch), (1.0, 3.0, 50.0)
+        for t in temps:
+            rel.params["bn2_g"] = gain * t
+            w = relation_scores(proj, proj.mean(axis=-3), rel)
+        assert scores[0].shape == (7, 2)
+        for s, t in zip(scores, temps):
+            np.testing.assert_array_equal(s, scores[0] * t)
+        assert np.all(w.max(axis=-1) / w.min(axis=-1) > np.e)
 
     def test_bad_input_shape_rejected(self):
         rel = RelationGenerator(CFG, rng(27))
@@ -366,9 +374,9 @@ def _concat_relation(rel, maps, sig, train=False, rng=None, params=None):
                    rel.buffers["bn1_mean"], rel.buffers["bn1_var"], train)
     keep = dropout(np.shape(ad.val(x)), 0.5, rng if train else None)
     x = ref.relu(x) if keep is None else ref.relu(x) * keep
-    x = batch_norm(ad.conv2d(x, p["conv2_w"]), p["bn2_g"], p["bn2_b"],
+    x = batch_norm(ad.conv2d(x, p["conv2_w"]), p["bn2_g"], None,
                    rel.buffers["bn2_mean"], rel.buffers["bn2_var"], train)
-    return ad.reshape(ad.sigmoid(x), shape[:2])
+    return ad.reshape(x, shape[:2])
 
 
 def _relation_case(seed=40):
@@ -402,7 +410,8 @@ class TestFactoredRelation:
         scores = _captured_scores(monkeypatch)
         weights = relation_scores(maps.reshape(15, 5, 5, 9, 16), sig.reshape(15, 5, 9, 16),
                                   nets[0], train=train, rng=drop())
-        np.testing.assert_allclose(scores[0].reshape(75, 5), pairs, rtol=0, atol=1e-15)
+        # 4e-15 on the raw scores implies 1e-15 on any sigmoid of them (slope <= 1/4)
+        np.testing.assert_allclose(scores[0].reshape(75, 5), pairs, rtol=0, atol=4e-15)
         np.testing.assert_allclose(weights.reshape(75, 5), pair_weights, rtol=0, atol=1e-15)
         for name, buf in nets[0].buffers.items():
             np.testing.assert_allclose(buf, nets[1].buffers[name], rtol=0, atol=1e-15,
@@ -566,6 +575,16 @@ class TestModelBundle:
         assert msg.startswith(f"{path}: state mismatch: {n} names missing")
         assert "2 unexpected (first ['features'])" in msg
         assert len(msg) < 200 and "\n" not in msg
+
+    def test_load_refuses_a_checkpoint_that_holds_the_relation_shift(self, tmp_path):
+        """Checkpoints written while the relation net's last batch norm had a
+        shift hold relation.bn2_b; loading one fails on that name alone."""
+        path = tmp_path / "old.bin"
+        save_tensors(path, dict(ModelBundle(CFG).state_dict(), **{"relation.bn2_b": np.zeros(1)}))
+        with pytest.raises(DataFormatError) as info:
+            ModelBundle.load(path, CFG)
+        assert str(info.value) == (f"{path}: state mismatch: 0 names missing (first []), "
+                                   "1 unexpected (first ['relation.bn2_b'])")
 
     def test_copy_state_detached(self):
         bundle = ModelBundle(CFG, seed=0)
