@@ -33,19 +33,19 @@ downstream adjoints and no stored gradient is ever written through an
 alias. A node that no contribution reached runs no adjoint and ends the
 sweep with a zero gradient.
 
-Softmax, `linear` (product and bias), the two-layer perceptron `mlp`
-(with its activations and output scale), `conv2d` (with a bias), the
-single-head `self_attention` sublayer (projections, attention, output
-layer and residual), normalization (with its scale, shift, relu and
-dropout mask) and the episode loss `cross_entropy` are fused: each is one
-node with a hand-written adjoint whose forward runs the composite form's
-arithmetic, so untaped results are unchanged. `mlp` and `self_attention`
-keep only their operands and `normalize` only μ and σ; the adjoints
-recompute what they need per call (the hidden layer; q, k, v and each
-attention block's P and output; normalize's x̂) and keep nothing after,
-and an activation's adjoint reads its derivative off the node's own value,
-so no pre-activation array or mask is kept. `conv2d` treats the leading
-axes of its input as batch axes.
+`linear` (product and bias), the two-layer perceptron `mlp` (with its
+activations and output scale), the single-head `self_attention` sublayer
+(projections, attention, output layer and residual), normalization (with
+its scale, shift, relu and dropout mask) and the episode loss
+`cross_entropy` are fused: each is one node with a hand-written adjoint
+whose forward runs the composite form's arithmetic, so untaped results are
+unchanged. `mlp` and `self_attention` keep only their operands and
+`normalize` only μ and σ; the adjoints recompute what they need per call
+(the hidden layer; q, k, v and each attention block's P and output;
+normalize's x̂) and keep nothing after, and an activation's adjoint reads
+its derivative off the node's own value, so no pre-activation array or
+mask is kept. The convolution and the softmax are no tape ops: `_conv`,
+`_softmax` and their adjoints serve the relation net's node in `netmods`.
 
 A Tape and its Vars reference each other. Clearing `tape.nodes` once the
 gradients have been read breaks that cycle, so the arrays are freed by
@@ -355,58 +355,41 @@ def mlp(x, w1, b1, w2, b2, act=(None, None), scale=None):
     return _node(out, "mlp", (x, w1, b1, w2, b2), adjoint)
 
 
-def conv2d(x, k, b=None):
-    """Valid-padding stride-1 convolution, channels last, plus b when given.
+def _conv(x, k):
+    """Valid stride-1 convolution, channels last: x (..., H, W, Cin) with k
+    (kh, kw, Cin, Cout) -> (..., H-kh+1, W-kw+1, Cout); leading axes are batch axes."""
+    ho, wo = x.shape[-3] - k.shape[0] + 1, x.shape[-2] - k.shape[1] + 1
+    out = np.zeros(x.shape[:-3] + (ho, wo, k.shape[-1]))
+    for di in range(k.shape[0]):
+        for dj in range(k.shape[1]):
+            out += x[..., di:di + ho, dj:dj + wo, :] @ k[di, dj]
+    return out
 
-    x: (..., H, W, Cin), k: (kh, kw, Cin, Cout) -> (..., H-kh+1, W-kw+1, Cout);
-    the leading axes of x are batch axes. b, which may be another conv's
-    output, broadcasts against the kernel sum as `linear`'s bias does.
-    """
-    xv, kv, bv = val(x), val(k), val(b)
-    if np.ndim(xv) < 3 or np.ndim(kv) != 4:
-        raise ShapeError("conv2d expects a (..., H, W, Cin) input and a 4-D kernel")
-    *lead, H, W, Ci = xv.shape
-    kh, kw, Ck, Co = kv.shape
-    if Ck != Ci:
-        raise ShapeError(f"conv2d channel mismatch: input {Ci}, kernel {Ck}")
-    Ho, Wo = H - kh + 1, W - kw + 1
-    if Ho < 1 or Wo < 1:
-        raise ShapeError(f"conv2d kernel ({kh},{kw}) larger than input ({H},{W})")
-    out = np.zeros((*lead, Ho, Wo, Co))
+
+def _conv_adjoint(g, x, k):
+    """dx and dk of `_conv(x, k)` for the output adjoint g."""
+    gx, gk = np.zeros_like(x), np.zeros_like(k)
+    (kh, kw), (ho, wo), axes = k.shape[:2], g.shape[-3:-1], list(range(x.ndim - 1))
     for di in range(kh):
         for dj in range(kw):
-            out += xv[..., di:di + Ho, dj:dj + Wo, :] @ kv[di, dj]
-
-    def adjoint(g):
-        gx, gk = np.zeros_like(xv), np.zeros_like(kv)
-        axes = list(range(xv.ndim - 1))
-        for di in range(kh):
-            for dj in range(kw):
-                gx[..., di:di + Ho, dj:dj + Wo, :] += g @ kv[di, dj].T
-                gk[di, dj] = np.tensordot(xv[..., di:di + Ho, dj:dj + Wo, :], g, axes=(axes, axes))
-        return gx, gk, None if b is None else _unbroadcast(g, np.shape(bv))
-
-    if b is not None:
-        out += bv
-    return _node(out, "conv2d", (x, k, b), adjoint)
+            gx[..., di:di + ho, dj:dj + wo, :] += g @ k[di, dj].T
+            gk[di, dj] = np.tensordot(x[..., di:di + ho, dj:dj + wo, :], g, axes=(axes, axes))
+    return gx, gk
 
 
 # ---------------------------------------------------------------------------
 # composites
 
 
-def softmax(x, axis=-1):
-    """Softmax along `axis`, recorded as one node that keeps only the output.
+def _softmax(x, axis=-1):
+    """Softmax along `axis`, shifted by the max so that exp stays finite."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
 
-    The max shift keeps exp finite and does not change the result. The
-    adjoint of P = softmax(x) is P * (g - sum(g * P, axis)), so no
-    intermediate of the forward pass stays on the tape.
-    """
-    xv = val(x)
-    e = np.exp(xv - np.max(xv, axis=axis, keepdims=True))
-    out = e / np.sum(e, axis=axis, keepdims=True)
-    return _node(out, "softmax", (x,),
-                 lambda g: (out * (g - np.sum(g * out, axis=axis, keepdims=True)),))
+
+def _softmax_adjoint(g, out, axis=-1):
+    """The adjoint of out = softmax(x): out * (g - sum(g * out, axis))."""
+    return out * (g - np.sum(g * out, axis=axis, keepdims=True))
 
 
 def _attend(q, k, v):
@@ -486,9 +469,7 @@ def normalize(x, axes, eps, gamma, beta=None, act=None, keep=None, stats=None):
     with kept dimensions, by the composite form's arithmetic; `stats` =
     (mean, var) takes copies of those instead. `act` and `keep` add
     `_activate`'s epilogue. The node keeps μ and σ; the adjoint maps g
-    through the epilogue, rebuilds x̂ from x and, with gx = g ⊙ γ, gives
-    dx = (gx − mean(gx) − x̂ · mean(gx ⊙ x̂)) / σ (gx / σ with `stats`),
-    dγ = Σ g ⊙ x̂ and dβ = Σ g.
+    through the epilogue and rebuilds x̂ from x for `_normalize_adjoint`.
     """
     xv, gv, bv = val(x), val(gamma), val(beta)
     axes = _normalize_axes(axes, np.ndim(xv))
@@ -506,20 +487,24 @@ def normalize(x, axes, eps, gamma, beta=None, act=None, keep=None, stats=None):
         out += bv
     pre = _activate(out, act, keep)
 
-    def adjoint(g):
-        g = pre(g)
-        xhat = (xv - mu) / sigma
-        gx = g * gv
-        if stats is None:
-            mean_g = np.sum(gx, axis=axes, keepdims=True) * inv_n
-            mean_gx = np.sum(gx * xhat, axis=axes, keepdims=True) * inv_n
-            dx = (gx - mean_g - xhat * mean_gx) / sigma
-        else:
-            dx = gx / sigma
-        return (dx, _unbroadcast(g * xhat, np.shape(gv)),
-                None if beta is None else _unbroadcast(g, np.shape(bv)))
+    return _node(out, "normalize", (x, gamma, beta), lambda g: _normalize_adjoint(
+        pre(g), (xv - mu) / sigma, sigma, gv, bv, axes, stats is None)), mu, var
 
-    return _node(out, "normalize", (x, gamma, beta), adjoint), mu, var
+
+def _normalize_adjoint(g, xhat, sigma, gamma, beta, axes, batch):
+    """With gx = g ⊙ γ: dx = (gx − mean(gx) − x̂ · mean(gx ⊙ x̂)) / σ when
+    μ and σ are x's own `batch` statistics, else gx / σ; dγ = Σ g ⊙ x̂ and
+    dβ = Σ g (None without a shift)."""
+    gx = g * gamma
+    if batch:
+        inv_n = 1.0 / float(np.prod([xhat.shape[a] for a in axes]))
+        mean_g = np.sum(gx, axis=axes, keepdims=True) * inv_n
+        mean_gx = np.sum(gx * xhat, axis=axes, keepdims=True) * inv_n
+        dx = (gx - mean_g - xhat * mean_gx) / sigma
+    else:
+        dx = gx / sigma
+    return (dx, _unbroadcast(g * xhat, np.shape(gamma)),
+            None if beta is None else _unbroadcast(g, np.shape(beta)))
 
 
 def cross_entropy(x, labels, scale):

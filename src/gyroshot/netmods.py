@@ -14,7 +14,7 @@ The four modules, and the call that runs each:
   (.refine)          feed-forward width 4*C) over all support descriptors
                      jointly, with fixed sinusoidal 2-D positional encodings.
   RelationGenerator  conv(k1) -> BN -> relu -> dropout(0.5) -> conv(k2) -> BN,
-  (relation_scores)  collapsing the grid to one score per sample.
+  (relation_scores)  collapsing the grid to one score per sample, as one node.
                      The first conv reads a map beside its class signature;
                      conv is linear in its input channels, so it runs as
                      conv(map, W_map) + conv(signature, W_sig) with the two
@@ -102,6 +102,11 @@ def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool, act=None, keep=No
     then the dropout mask `keep`. A bias that feeds straight into batch norm
     is cancelled by its mean subtraction, so the layers before it have none.
     """
+    return _batch_norm(x, gamma, beta, mean_buf, var_buf, train, act, keep)[0]
+
+
+def _batch_norm(x, gamma, beta, mean_buf, var_buf, train, act=None, keep=None):
+    """`batch_norm`'s output with the μ and var it normalized by."""
     out, mu, var = ad.normalize(x, tuple(range(np.ndim(val(x)) - 1)), _BN_EPS, gamma, beta,
                                 act=act, keep=keep,
                                 stats=None if train else (mean_buf, var_buf))
@@ -110,7 +115,7 @@ def batch_norm(x, gamma, beta, mean_buf, var_buf, train: bool, act=None, keep=No
         mean_buf += _BN_MOMENTUM * mu.reshape(-1)
         var_buf *= 1.0 - _BN_MOMENTUM
         var_buf += _BN_MOMENTUM * var.reshape(-1)
-    return out
+    return out, mu, var
 
 
 def sinusoidal_grid_encoding(h: int, w: int, c: int) -> np.ndarray:
@@ -179,9 +184,9 @@ class SignatureGenerator:
     """Single-head transformer encoder block over support descriptors.
 
     The attention sublayer (projections, attention, output layer and
-    residual) is one `ad.self_attention` node and the feed-forward with its
-    relu one `ad.mlp` node, both recomputing their intermediates in
-    backward; each layer norm is one `ad.normalize` node. The key
+    residual) is one `ad.self_attention` node, its layer norm one
+    `ad.normalize` node, and the feed-forward sublayer with its residual and
+    layer norm one `feed_forward` node; both sublayers recompute. The key
     projection has no bias (softmax over the keys is invariant to it), and
     the output layer norm has no shift: the signature only reaches the
     relation net's first conv, whose batch norm cancels it.
@@ -222,8 +227,32 @@ class SignatureGenerator:
         t = ad.reshape(ad.add(proj, self.pos), shape[:-3] + (shape[-3] * shape[-2], shape[-1]))
         att = ad.self_attention(t, p["wq"], p["bq"], p["wk"], p["wv"], p["bv"], p["wo"], p["bo"])
         h = layer_norm(att, p["ln1_g"], p["ln1_b"])
-        f = ad.mlp(h, p["ffw1"], p["ffb1"], p["ffw2"], p["ffb2"], act=("relu", None))
-        return ad.reshape(layer_norm(ad.add(h, f), p["ln2_g"]), shape)
+        return ad.reshape(feed_forward(h, p["ffw1"], p["ffb1"], p["ffw2"], p["ffb2"], p["ln2_g"]),
+                          shape)
+
+
+def feed_forward(h, w1, b1, w2, b2, gamma):
+    """LN(h + relu(h w1 + b1) w2 + b2), LN without a shift, as one node that
+    keeps its operands and LN's μ and σ: the adjoint recomputes the hidden
+    and output layers once each for the unfused chain's LN and affine adjoints."""
+    hv, w1v, b1v, w2v, b2v, gv = (val(a) for a in (h, w1, b1, w2, b2, gamma))
+
+    def residual():  # the hidden layer, its relu's derivative map, and h + output
+        hidden = ad._affine(hv, w1v, b1v)
+        relu = ad._activate(hidden, "relu")
+        return hidden, relu, hv + ad._affine(hidden, w2v, b2v)
+
+    out, mu, var = ad.normalize(residual()[2], -1, 1e-5, gv)
+    sigma = np.sqrt(var + 1e-5)
+
+    def adjoint(g):
+        hidden, relu, r = residual()
+        dr, dg, _ = ad._normalize_adjoint(g, (r - mu) / sigma, sigma, gv, None, (-1,), True)
+        dhidden, dw2, db2 = ad._affine_adjoint(dr, hidden, w2v, b2v)
+        dh, dw1, db1 = ad._affine_adjoint(relu(dhidden), hv, w1v, b1v)
+        return dr + dh, dw1, db1, dw2, db2, dg
+
+    return ad._node(out, "feed_forward", (h, w1, b1, w2, b2, gamma), adjoint)
 
 
 def project_support(support, qbar, cfg: BallConfig):
@@ -239,17 +268,18 @@ def project_support(support, qbar, cfg: BallConfig):
 
 class RelationGenerator:
     """Parameters and BN buffers of the convolutional scorer of (projected
-    map, class signature) agreement; `relation_scores` runs it.
+    map, class signature) agreement; `relation_scores` runs it as one node
+    that keeps its first conv's output and the dropout mask as bools.
 
     The first conv reads a map and its signature side by side, which it
     computes as conv(map, conv1_map_w) with conv(signature, conv1_sig_w) as
     its bias: its (kh, kw, 2C, F) kernel is drawn whole and stored as its two
     channel halves, so the signature half runs once per signature rather
     than once per map. No conv has a learned bias: each feeds straight into
-    batch norm, whose node also applies the relu and the dropout mask. The
-    last batch norm has no shift: the scores go straight into a softmax over
-    the K maps, which cancels a shift shared by all K, so its scale bn2_g is
-    the softmax's learned inverse temperature.
+    batch norm, and the first batch norm applies the relu and the dropout
+    mask. The last batch norm has no shift: the scores go straight into a
+    softmax over the K maps, which cancels a shift shared by all K, so its
+    scale bn2_g is the softmax's learned inverse temperature.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -285,6 +315,10 @@ def relation_scores(proj, signature, relation: RelationGenerator,
     scores each map against the signature on the grid, as (B, K, H, W, C)
     maps against (B, 1, H, W, C) signatures with the leading axes flattened
     to B, and the K scores softmax to weights that sum to 1.
+
+    One node: the forward runs on plain arrays, updating the BN buffers and
+    drawing the mask once; the adjoint rebuilds the first BN's output in
+    place and runs each layer's adjoint, last to first, with unfused bits.
     """
     p = params if params is not None else relation.params
     buf, (h, w), c = relation.buffers, relation.cfg.grid, relation.cfg.feat_dim
@@ -293,14 +327,35 @@ def relation_scores(proj, signature, relation: RelationGenerator,
         raise ShapeError(f"relation_scores expects maps (..., K, {h * w}, {c}) and signatures "
                          f"(..., {h * w}, {c}) alike in their leading axes, got {shape} and "
                          f"{sig_shape}")
-    maps = ad.reshape(proj, (-1, shape[-3], h, w, c))
-    sig = ad.reshape(signature, (-1, 1, h, w, c))
-    x = ad.conv2d(maps, p["conv1_map_w"], ad.conv2d(sig, p["conv1_sig_w"]))
-    x = batch_norm(x, p["bn1_g"], p["bn1_b"], buf["bn1_mean"], buf["bn1_var"], train,
-                   act="relu", keep=dropout(np.shape(val(x)), 0.5, rng if train else None))
-    x = ad.conv2d(x, p["conv2_w"])
-    x = batch_norm(x, p["bn2_g"], None, buf["bn2_mean"], buf["bn2_var"], train)
-    return ad.softmax(ad.reshape(x, shape[:-2]), axis=-1)
+    names = ("conv1_map_w", "conv1_sig_w", "bn1_g", "bn1_b", "conv2_w", "bn2_g")
+    km, ks, g1, b1, k2, g2 = (val(p[n]) for n in names)
+    maps = np.reshape(val(proj), (-1, shape[-3], h, w, c))
+    sig = np.reshape(val(signature), (-1, 1, h, w, c))
+    x1 = ad._conv(maps, km)
+    x1 += ad._conv(sig, ks)
+    keep = dropout(x1.shape, 0.5, rng if train else None)
+    y1, mu1, var1 = _batch_norm(x1, g1, b1, buf["bn1_mean"], buf["bn1_var"], train, "relu", keep)
+    x2 = ad._conv(y1, k2)
+    scores, mu2, var2 = _batch_norm(x2, g2, None, buf["bn2_mean"], buf["bn2_var"], train)
+    out = ad._softmax(np.reshape(scores, shape[:-2]), axis=-1)
+    sig1, sig2 = np.sqrt(var1 + _BN_EPS), np.sqrt(var2 + _BN_EPS)
+    mask, scale = (None, None) if keep is None else (keep > 0, np.max(keep))
+
+    def adjoint(g):
+        d2, dg2, _ = ad._normalize_adjoint(np.reshape(ad._softmax_adjoint(g, out), x2.shape),
+                                           (x2 - mu2) / sig2, sig2, g2, None, (0, 1, 2, 3), train)
+        xhat1 = x1 - mu1
+        xhat1 /= sig1
+        y1 = xhat1 * g1  # the first batch norm's output, rebuilt in place
+        y1 += b1
+        pre1 = ad._activate(y1, "relu", None if mask is None else mask * scale)
+        dy1, dk2 = ad._conv_adjoint(d2, y1, k2)
+        d1, dg1, db1 = ad._normalize_adjoint(pre1(dy1), xhat1, sig1, g1, b1, (0, 1, 2, 3), train)
+        dm, dkm = ad._conv_adjoint(d1, maps, km)
+        ds, dks = ad._conv_adjoint(ad._unbroadcast(d1, sig.shape[:2] + x1.shape[2:]), sig, ks)
+        return np.reshape(dm, shape), np.reshape(ds, sig_shape), dkm, dks, dg1, db1, dk2, dg2
+
+    return ad._node(out, "relation", (proj, signature) + tuple(p[n] for n in names), adjoint)
 
 
 class S2SNetwork:

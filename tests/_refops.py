@@ -1,8 +1,8 @@
 """Taped reference primitives for the tests' composite forms.
 
 The package records only the ops the model needs and fuses the rest into
-larger nodes (the distances, the midpoint, the log map, normalize, softmax,
-mlp, ...). The tests check each fused node against the composite of small
+larger nodes (the distances, the midpoint, the log map, normalize, mlp, the
+relation net, ...). The tests check each fused node against the composite of small
 ops it replaces, bit for bit where they can; these are the small ops the
 package does not export. Each is one `ad._node` with the arithmetic and the
 adjoint that the package's own op of that name had, so a composite built
@@ -62,3 +62,21 @@ def norm(x, keepdims=False):
         return (g * xv / np.maximum(out_keep, 1e-15),)
 
     return ad._node(out_keep if keepdims else out_keep[..., 0], "norm", (x,), adjoint)
+
+
+def conv2d(x, k, b=None):
+    """Valid-padding stride-1 convolution, channels last, plus b when given,
+    as one node over the package's conv helpers; b, which may be another
+    conv's output, broadcasts against the kernel sum."""
+    xv, kv, bv = val(x), val(k), val(b)
+    out = ad._conv(xv, kv)
+    if b is not None:
+        out += bv
+    return ad._node(out, "conv2d", (x, k, b), lambda g: ad._conv_adjoint(g, xv, kv) + (
+        None if b is None else ad._unbroadcast(g, np.shape(bv)),))
+
+
+def softmax(x, axis=-1):
+    """Softmax along `axis` as one node that keeps only its output."""
+    out = ad._softmax(val(x), axis=axis)
+    return ad._node(out, "softmax", (x,), lambda g: (ad._softmax_adjoint(g, out, axis=axis),))

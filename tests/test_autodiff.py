@@ -14,7 +14,8 @@ from gyroshot.geometry import (BallConfig, einstein_midpoint, flat_distance, geo
                                log_map)
 from gyroshot.metrics import adaptive_combine, pairwise_matrix, s2s_learned
 from gyroshot.netmods import (Encoder, ModelConfig, RelationGenerator, S2SNetwork,
-                              SignatureGenerator, project_support, relation_scores)
+                              SignatureGenerator, batch_norm, dropout, feed_forward, layer_norm,
+                              project_support, relation_scores)
 
 import _refops as ref
 
@@ -78,12 +79,14 @@ _MULTI_OPERAND = {
     "div": ((2, 2), ad.div),
     "linear": ((2, 2), lambda a, b: ad.linear(a, a, b)),
     "mlp": ((2, 2), lambda a, b: ad.mlp(a, a, a, a, b)),
-    "conv2d": ((1, 1, 1, 1), ad.conv2d),
+    "feed_forward": ((2, 2), lambda a, b: feed_forward(a, b, None, b, None, b)),
     "self_attention": ((2, 2), lambda a, b: ad.self_attention(a, a, a, a, a, a, a, b)),
     "normalize": ((2, 2), lambda a, b: ad.normalize(a, -1, 1e-5, b)[0]),
     "geodesic_distance": ((2, 2), lambda a, b: geodesic_distance(a, b, BallConfig(c=1.0))),
     "flat_distance": ((2, 2), flat_distance),
     "log_map": ((2, 2), lambda a, b: log_map(a, b, BallConfig(c=1.0))),
+    "relation_scores": ((1, 4, 2), lambda a, b: relation_scores(
+        a, ad.reshape(b, (4, 2)), RelationGenerator(_NET_CFG, np.random.default_rng(9)))),
 }
 
 
@@ -116,14 +119,17 @@ _CONSTANT_CALLS = {
     "reshape": lambda: ad.reshape(_X, (4,)),
     "linear": lambda: ad.linear(_X, _X, _X[0]),
     "mlp": lambda: ad.mlp(_X, _X, _X[0], _X, _X[1], act=("tanh", "relu"), scale=0.5),
-    "conv2d": lambda: ad.conv2d(_X[None, :, :, None], np.ones((1, 2, 1, 3)), _X[0, :1]),
-    "softmax": lambda: ad.softmax(_X),
     "cross_entropy": lambda: ad.cross_entropy(_X, [1, 0], -1.0),
     "self_attention": lambda: ad.self_attention(_X, _X, _X[0], _X, _X, _X[1], _X, _X[0]),
     "normalize": lambda: ad.normalize(_X, -1, 1e-5, _X[0], _X[1])[0],
     "geodesic_distance": lambda: geodesic_distance(_X, _X[::-1], BallConfig(c=1.0)),
     "flat_distance": lambda: flat_distance(_X, _X[::-1]),
     "log_map": lambda: log_map(_X, _X[::-1], BallConfig(c=1.0)),
+    "relation_scores": lambda: relation_scores(
+        np.full((1, 4, 2), 0.3), np.full((4, 2), 0.1),
+        RelationGenerator(_NET_CFG, np.random.default_rng(9)), train=True,
+        rng=np.random.default_rng(0)),
+    "feed_forward": lambda: feed_forward(_X, _X, _X[0], _X, _X[1], _X[0]),
 }
 
 
@@ -142,8 +148,9 @@ def test_contract_tables_cover_every_public_op():
         if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")
     }
     not_ops = {"val", "record", "backward", "finite_diff_check"}
-    geometry = {"geodesic_distance", "flat_distance", "log_map"}
-    assert public - not_ops == set(_CONSTANT_CALLS) - geometry - _EPILOGUES
+    elsewhere = {"geodesic_distance", "flat_distance", "log_map", "relation_scores",
+                 "feed_forward"}
+    assert public - not_ops == set(_CONSTANT_CALLS) - elsewhere - _EPILOGUES
 
 
 def test_broadcast_gradients_have_operand_shapes():
@@ -165,9 +172,9 @@ def test_broadcast_gradients_have_operand_shapes():
         ("tanh", lambda x: ad.sum(_activated(x, "tanh")), -2.0, 2.0),
         ("relu", lambda x: ad.sum(_activated(x, "relu")), 0.1, 2.0),
         ("mean", lambda x: ad.mean(ad.mul(x, x)), -2.0, 2.0),
-        ("softmax", lambda x: ad.sum(ref.square(ad.softmax(x, axis=-1))), -2.0, 2.0),
+        ("softmax", lambda x: ad.sum(ref.square(ref.softmax(x, axis=-1))), -2.0, 2.0),
         ("softmax_axis0",
-         lambda x: ad.sum(ad.mul(ad.softmax(x, axis=0), np.arange(8.0).reshape(2, 4))),
+         lambda x: ad.sum(ad.mul(ref.softmax(x, axis=0), np.arange(8.0).reshape(2, 4))),
          -2.0, 2.0),
         ("cross_entropy", lambda x: ad.mul(ad.cross_entropy(x, [3, 0], -1.7), 0.3), -2.0, 2.0),
         ("div", lambda x: ad.sum(ad.div(x, ad.add(x, 2.0))), -1.0, 1.0),
@@ -200,10 +207,11 @@ def test_linear_gradients_and_broadcasting():
 
 
 def test_conv2d_matches_loop_oracle():
+    """The relation net's convolution, `ad._conv`."""
     rng = np.random.default_rng(2)
     x = rng.normal(size=(2, 4, 5, 3))
     k = rng.normal(size=(2, 3, 3, 4))
-    out = ad.conv2d(x, k)
+    out = ad._conv(x, k)
     expect = np.zeros((2, 3, 3, 4))
     for b in range(2):
         for i in range(3):
@@ -219,11 +227,12 @@ def test_conv2d_matches_loop_oracle():
 
 
 def test_conv2d_gradients_match_finite_differences():
+    """`ad._conv_adjoint`, through the taped reference conv."""
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(2, 3, 3, 2))
     k0 = rng.normal(size=(2, 2, 2, 3))
-    assert finite_diff_check(lambda x: ad.sum(ref.square(ad.conv2d(x, k0))), x0).passed
-    assert finite_diff_check(lambda k: ad.sum(ref.square(ad.conv2d(x0, k))), k0).passed
+    assert finite_diff_check(lambda x: ad.sum(ref.square(ref.conv2d(x, k0))), x0).passed
+    assert finite_diff_check(lambda k: ad.sum(ref.square(ref.conv2d(x0, k))), k0).passed
 
 
 def test_conv2d_leading_axes_are_batch_axes():
@@ -231,26 +240,18 @@ def test_conv2d_leading_axes_are_batch_axes():
     x0 = rng.normal(size=(2, 3, 3, 4, 2))
     k0 = rng.normal(size=(2, 3, 2, 3))
     w = rng.normal(size=(2, 3, 2, 2, 3))
-    out = ad.conv2d(x0, k0)
-    np.testing.assert_allclose(out.reshape(6, 2, 2, 3), ad.conv2d(x0.reshape(6, 3, 4, 2), k0),
+    out = ad._conv(x0, k0)
+    np.testing.assert_allclose(out.reshape(6, 2, 2, 3), ad._conv(x0.reshape(6, 3, 4, 2), k0),
                                rtol=0, atol=1e-15)
-    assert finite_diff_check(lambda x: ad.sum(ad.mul(ad.conv2d(x, k0), w)), x0).passed
-    assert finite_diff_check(lambda k: ad.sum(ad.mul(ad.conv2d(x0, k), w)), k0).passed
-
-
-def test_conv2d_shape_errors():
-    with pytest.raises(ShapeError):
-        ad.conv2d(np.ones((1, 2, 2, 3)), np.ones((1, 1, 4, 2)))
-    with pytest.raises(ShapeError):
-        ad.conv2d(np.ones((1, 2, 2, 3)), np.ones((3, 3, 3, 2)))
-    with pytest.raises(ShapeError):
-        ad.conv2d(np.ones((2, 3)), np.ones((1, 1, 3, 2)))
+    assert finite_diff_check(lambda x: ad.sum(ad.mul(ref.conv2d(x, k0), w)), x0).passed
+    assert finite_diff_check(lambda k: ad.sum(ad.mul(ref.conv2d(x0, k), w)), k0).passed
 
 
 def test_softmax_rows_sum_to_one():
+    """The relation net's softmax, `ad._softmax`."""
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 7)) * 50.0  # large logits: max-shift keeps exp finite
-    s = ad.softmax(x, axis=-1)
+    s = ad._softmax(x, axis=-1)
     assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(s >= 0.0)
 
@@ -623,27 +624,34 @@ def test_fused_cross_entropy_equals_the_composite_bit_for_bit(temperature):
 def _fused_tape():
     """Every fused op and epilogue on one tape: the self-attention
     sublayer; a relu perceptron; relu with a dropout mask after a
-    normalize; a conv with a bias; a normalize over running statistics; a
-    tanh perceptron with an output scale."""
+    normalize; the feed-forward sublayer; a normalize over running
+    statistics; a tanh perceptron with an output scale; the relation net
+    in train mode, with a dropout mask, on a fresh net each call."""
     tape = Tape()
     sublayer = [tape.var(a) for a in _attention_inputs()]
     gamma, beta, w, b = (tape.var(a) for a in _affine_params())
+    net = RelationGenerator(_NET_CFG, np.random.default_rng(9))
+    relation = {k: tape.var(v) for k, v in net.params.items()}
     keep, mean, var = _epilogue_inputs()
     h = ad.normalize(ad.self_attention(*sublayer), -1, 1e-5, gamma, beta)[0]
     y = ad.normalize(ad.mlp(h, w, b, w, b, act=("relu", None)), (0, 1), 1e-5, gamma,
                      act="relu", keep=keep)[0]
-    c = ad.conv2d(ad.reshape(h, (2, 4, 1, 3)), ad.reshape(w, (1, 1, 3, 3)), b)
-    s = ad.normalize(ad.reshape(c, (2, 4, 3)), (0, 1), 1e-5, gamma, beta, stats=(mean, var))[0]
+    s = ad.normalize(feed_forward(h, w, b, w, b, gamma), (0, 1), 1e-5, gamma, beta,
+                     stats=(mean, var))[0]
+    maps = ad.reshape(y, (1, 3, 4, 2))
+    r = relation_scores(maps, ad.mean(maps, axis=-3), net, train=True,
+                        rng=np.random.default_rng(3), params=relation)
     # every pair of rows, both operands taped, well inside the c = 0.7 ball
     d = geodesic_distance(
         ad.reshape(ad.mlp(y, w, None, w, b, act=("tanh", "tanh"), scale=0.3), (2, 4, 1, 3)),
         ad.reshape(ad.mlp(s, w, b, w, None, act=("relu", "tanh"), scale=0.3), (2, 1, 4, 3)),
         BallConfig(c=0.7))
     rng = np.random.default_rng(9)
-    losses = [ad.add(ad.sum(ad.mul(y, rng.normal(size=(2, 4, 3)))),
-                     ad.sum(ad.mul(d, rng.normal(size=(2, 4, 4)))))
+    losses = [ad.add(ad.add(ad.sum(ad.mul(y, rng.normal(size=(2, 4, 3)))),
+                            ad.sum(ad.mul(d, rng.normal(size=(2, 4, 4))))),
+                     ad.sum(ad.mul(r, rng.normal(size=(1, 3)))))
               for _ in range(2)]
-    return (*sublayer, gamma, beta, w, b), losses
+    return (*sublayer, gamma, beta, w, b, *relation.values()), losses
 
 
 def _affine_params():
@@ -679,7 +687,9 @@ def test_fused_ops_keep_nothing_between_backward_calls():
 
 def test_fused_ops_do_not_write_through_their_inputs():
     sublayer, affine, epilogue = _attention_inputs(), _affine_params(), _epilogue_inputs()
-    arrays = sublayer + affine + epilogue
+    case = _epilogue_case(0)
+    net = RelationGenerator(_NET_CFG, np.random.default_rng(9))
+    arrays = sublayer + affine + epilogue + (case["maps"], case["sig"], *net.params.values())
     saved = [a.copy() for a in arrays]
     x = sublayer[0]
     gamma, beta, w, b = affine
@@ -690,7 +700,8 @@ def test_fused_ops_do_not_write_through_their_inputs():
     ad.linear(x, w, b)
     for act, scale in (((None, None), None), (("tanh", "tanh"), 0.3), (("relu", None), None)):
         ad.mlp(x, w, b, w, b, act=act, scale=scale)
-    ad.conv2d(x[..., None, :], w[None, None], b)
+    feed_forward(x, w, b, w, b, gamma)
+    relation_scores(case["maps"], case["sig"], net, train=True, rng=np.random.default_rng(3))
     leaves, (loss, _) = _fused_tape()
     values = [x.value.copy() for x in leaves]
     backward(loss)
@@ -723,8 +734,9 @@ def _epilogue_case(seed):
     the self-attention weights have q and k of width 4 and v of width 2,
     and `maps` and `sig` are 4×5 classes of 3 support maps and their
     signatures on a 2×2 grid of 2 channels for `relation_scores` (and
-    `refine`), and `d` 4×5 distance matrices of those 2×2 grids for
-    `s2s_learned`.
+    `refine`), with the six parameters of a 3-filter relation net and
+    nontrivial running statistics for it, and `d` 4×5 distance matrices
+    of those 2×2 grids for `s2s_learned`.
     The (4, 5, 3) normalize input drops all of its
     channel 0, where γ is positive and the weights of the loss are negative,
     so the relu-and-mask adjoint meets negative adjoints at dropped
@@ -741,8 +753,7 @@ def _epilogue_case(seed):
         x=x, keep=keep, weights=weights,
         w=rng.normal(size=(3, 4)), b=rng.normal(size=4), gamma=gamma,
         beta=rng.normal(size=3), mean=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3),
-        img=rng.normal(size=(2, 3, 4, 2)), k=rng.normal(size=(2, 2, 2, 3)),
-        kb=rng.normal(size=(2, 1, 3, 3)), p=rng.uniform(0.5, 2.0, size=(4, 5, 3)))
+        p=rng.uniform(0.5, 2.0, size=(4, 5, 3)))
     case.update(
         w2=rng.normal(size=(4, 3)), b2=rng.normal(size=3),
         wq=rng.normal(size=(3, 4)), bq=rng.normal(size=4), wk=rng.normal(size=(3, 4)),
@@ -751,7 +762,48 @@ def _epilogue_case(seed):
     case.update(maps=rng.normal(size=(4, 5, 3, 4, 2)) * 0.3,
                 sig=rng.normal(size=(4, 5, 4, 2)) * 0.3)
     case.update(d=rng.uniform(0.0, 2.0, size=(4, 5, 4, 4)))
+    case.update(conv1_map_w=rng.normal(size=(2, 2, 2, 3)),
+                conv1_sig_w=rng.normal(size=(2, 2, 2, 3)),
+                bn1_g=rng.normal(size=3), bn1_b=rng.normal(size=3),
+                conv2_w=rng.normal(size=(1, 1, 3, 1)), bn2_g=rng.normal(size=1) * 3.0)
+    case.update(relation_buffers=dict(
+        bn1_mean=rng.normal(size=3) * 0.5, bn1_var=rng.uniform(0.5, 2.0, size=3),
+        bn2_mean=rng.normal(size=1) * 0.5, bn2_var=rng.uniform(0.5, 2.0, size=1)))
     return case
+
+
+#: the relation net's parameters in the order of its node's operands
+_RELATION_PARAMS = ("conv1_map_w", "conv1_sig_w", "bn1_g", "bn1_b", "conv2_w", "bn2_g")
+
+
+def _taped_relation(maps, sig, net, train, rng, params):
+    """The relation net as the nine nodes it recorded before it was one:
+    the two reshapes, the signature conv as the map conv's bias, the first
+    batch norm with its relu and dropout mask, the second conv, the last
+    batch norm, the reshape of the scores and their softmax."""
+    p, buf = params, net.buffers
+    shape, (h, w), c = np.shape(val(maps)), net.cfg.grid, net.cfg.feat_dim
+    x = ref.conv2d(ad.reshape(maps, (-1, shape[-3], h, w, c)), p["conv1_map_w"],
+                   ref.conv2d(ad.reshape(sig, (-1, 1, h, w, c)), p["conv1_sig_w"]))
+    x = batch_norm(x, p["bn1_g"], p["bn1_b"], buf["bn1_mean"], buf["bn1_var"], train, act="relu",
+                   keep=dropout(np.shape(val(x)), 0.5, rng if train else None))
+    x = batch_norm(ref.conv2d(x, p["conv2_w"]), p["bn2_g"], None, buf["bn2_mean"],
+                   buf["bn2_var"], train)
+    return ref.softmax(ad.reshape(x, shape[:-2]), axis=-1)
+
+
+def _relation_form(run, train):
+    """A form over the case's maps, signatures and relation parameters:
+    `run` on a fresh relation net, in train mode with one fixed dropout
+    draw, or in eval mode on the case's running statistics."""
+    def form(c, maps, sig, *weights):
+        net = RelationGenerator(_NET_CFG, np.random.default_rng(9))
+        if not train:
+            net.buffers.update({k: v.copy() for k, v in c["relation_buffers"].items()})
+        return run(maps, sig, net, train=train, rng=np.random.default_rng(4) if train else None,
+                   params=dict(zip(_RELATION_PARAMS, weights)))
+
+    return form
 
 
 #: name -> (operand names, fused form, composite form); each form maps the
@@ -763,7 +815,7 @@ _FUSED_FORMS = {
         lambda c, x, w, b, w2, b2: ad.mlp(x, w, b, w2, b2, act=("tanh", "tanh"), scale=0.3),
         lambda c, x, w, b, w2, b2: ad.mul(ref.tanh(ad.linear(ref.tanh(ad.linear(x, w, b)), w2, b2)),
                                           0.3)),
-    # the signature's feed-forward
+    # a relu perceptron
     "mlp_relu": (
         ("x", "w", "b", "w2", "b2"),
         lambda c, x, w, b, w2, b2: ad.mlp(x, w, b, w2, b2, act=("relu", None)),
@@ -771,8 +823,16 @@ _FUSED_FORMS = {
     "self_attention": (("x", "wq", "bq", "wk", "wv", "bv", "wo", "bo"),
                        lambda c, *args: ad.self_attention(*args),
                        lambda c, *args: _taped_sublayer(*args)),
-    "conv2d_bias": (("img", "k", "kb"), lambda c, x, k, b: ad.conv2d(x, k, b),
-                    lambda c, x, k, b: ad.add(ad.conv2d(x, k), b)),
+    # the signature's feed-forward sublayer
+    "feed_forward": (
+        ("x", "w", "b", "w2", "b2", "gamma"),
+        lambda c, *args: feed_forward(*args),
+        lambda c, x, w, b, w2, b2, g: layer_norm(ad.add(x, ad.mlp(x, w, b, w2, b2,
+                                                                  act=("relu", None))), g)),
+    "relation_train": (("maps", "sig") + _RELATION_PARAMS, _relation_form(relation_scores, True),
+                       _relation_form(_taped_relation, True)),
+    "relation_eval": (("maps", "sig") + _RELATION_PARAMS, _relation_form(relation_scores, False),
+                      _relation_form(_taped_relation, False)),
     "normalize_relu_keep": (
         ("x", "gamma", "beta"),
         lambda c, x, g, b: ad.normalize(x, (0, 1), 1e-5, g, b, act="relu", keep=c["keep"])[0],
@@ -929,11 +989,11 @@ _CONTRACT = {
     **{op.__name__: (("x", "y"), lambda c, x, y, op=op: op(x, y))
        for op in (ad.add, ad.mul, ad.div)},
     **{name: _FUSED_FORMS[name][:2] for name in
-       ("mlp_tanh", "mlp_relu", "self_attention", "conv2d_bias", "normalize_relu_keep",
-        "normalize_stats")},
+       ("mlp_tanh", "mlp_relu", "self_attention", "feed_forward", "relation_train",
+        "normalize_relu_keep", "normalize_stats")},
 }
 #: the rows that record more than one node
-_COMPOSITES = {"pairwise_matrix", "project_support", "adaptive_combine", "relation_scores",
+_COMPOSITES = {"pairwise_matrix", "project_support", "adaptive_combine",
                "SignatureGenerator.refine", "s2s_learned"}
 
 

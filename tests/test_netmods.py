@@ -342,15 +342,15 @@ class TestRelationGenerator:
 
 
 def _captured_scores(monkeypatch):
-    """A list that collects each input of `ad.softmax`: the relation net's
+    """A list that collects each input of `ad._softmax`: the relation net's
     scores, as `relation_scores` hands them over to become weights."""
-    scores, softmax = [], ad.softmax
+    scores, softmax = [], ad._softmax
 
     def captured(x, axis=-1):
         scores.append(x)
         return softmax(x, axis=axis)
 
-    monkeypatch.setattr(ad, "softmax", captured)
+    monkeypatch.setattr(ad, "_softmax", captured)
     return scores
 
 
@@ -370,11 +370,11 @@ def _concat_relation(rel, maps, sig, train=False, rng=None, params=None):
     shape = maps.shape
     pairs = np.concatenate([maps, np.broadcast_to(sig[:, None], shape)], axis=-1)
     g = pairs.reshape((-1,) + shape[2:-1] + (2 * shape[-1],))
-    x = batch_norm(ad.conv2d(g, p["conv1_w"]), p["bn1_g"], p["bn1_b"],
+    x = batch_norm(ref.conv2d(g, p["conv1_w"]), p["bn1_g"], p["bn1_b"],
                    rel.buffers["bn1_mean"], rel.buffers["bn1_var"], train)
     keep = dropout(np.shape(ad.val(x)), 0.5, rng if train else None)
     x = ref.relu(x) if keep is None else ref.relu(x) * keep
-    x = batch_norm(ad.conv2d(x, p["conv2_w"]), p["bn2_g"], None,
+    x = batch_norm(ref.conv2d(x, p["conv2_w"]), p["bn2_g"], None,
                    rel.buffers["bn2_mean"], rel.buffers["bn2_var"], train)
     return ad.reshape(x, shape[:2])
 
@@ -406,7 +406,7 @@ class TestFactoredRelation:
 
         nets = [net() for _ in range(2)]
         pairs = _concat_relation(nets[1], maps, sig, train=train, rng=drop())
-        pair_weights = ad.softmax(pairs)
+        pair_weights = ad._softmax(pairs)
         scores = _captured_scores(monkeypatch)
         weights = relation_scores(maps.reshape(15, 5, 5, 9, 16), sig.reshape(15, 5, 9, 16),
                                   nets[0], train=train, rng=drop())
@@ -417,48 +417,87 @@ class TestFactoredRelation:
             np.testing.assert_allclose(buf, nets[1].buffers[name], rtol=0, atol=1e-15,
                                        err_msg=name)
 
-    def test_conv1_gradient_matches_the_concatenated_input(self, monkeypatch):
-        """Of the scores, which reach the softmax as one (15, 5, 5) node."""
+    def test_conv1_gradient_matches_the_concatenated_input(self):
+        """Of the weights, the relation node's output, in train mode."""
         cfg, maps, sig = _relation_case(43)
         w = rng(44).standard_normal((75, 5))
         net = RelationGenerator(cfg, rng(45))
         tape = ad.Tape()
         params = {k: tape.var(v) for k, v in net.params.items()}
-        scores = _captured_scores(monkeypatch)
-        relation_scores(maps.reshape(15, 5, 5, 9, 16), sig.reshape(15, 5, 9, 16), net,
-                        train=True, params=params)
-        ad.backward(ad.sum(ad.mul(scores[0], w.reshape(15, 5, 5))))
+        weights = relation_scores(maps.reshape(15, 5, 5, 9, 16), sig.reshape(15, 5, 9, 16), net,
+                                  train=True, params=params)
+        ad.backward(ad.sum(ad.mul(weights, w.reshape(15, 5, 5))))
         factored = np.concatenate([params["conv1_map_w"].grad, params["conv1_sig_w"].grad],
                                   axis=2)
         net = RelationGenerator(cfg, rng(45))
         tape = ad.Tape()
         params = {k: tape.var(v) for k, v in net.params.items()}
         params["conv1_w"] = tape.var(_joint_kernel(net))
-        ad.backward(ad.sum(ad.mul(_concat_relation(net, maps, sig, train=True, params=params), w)))
+        pairs = _concat_relation(net, maps, sig, train=True, params=params)
+        ad.backward(ad.sum(ad.mul(ref.softmax(pairs, axis=-1), w)))
         joint = params["conv1_w"].grad
         rel_err = np.max(np.abs(factored - joint)) / np.max(np.abs(joint))
         assert rel_err < 1e-12
 
-    def test_signature_half_runs_once_per_signature(self):
-        """No node broadcasts or concatenates the signature: the signature
-        conv sees (75, 1, 3, 3, 16), and nothing on the tape is above 5-D."""
+    def test_signature_half_runs_once_per_signature(self, monkeypatch):
+        """Nothing broadcasts or concatenates the signature: forward and
+        backward, the signature's half of the first conv sees (75, 1, 3, 3,
+        16), its kernel enters uncut, and no conv reads or forms an array
+        above 5-D. The relation net records one node, over the maps, the
+        signatures and the six parameters."""
         cfg, maps, sig = _relation_case(46)
         net = RelationGenerator(cfg, rng(47))
+        calls = []
+
+        def watched(name):
+            helper = getattr(ad, name)
+
+            def call(*args):
+                out = helper(*args)
+                calls.append((name, args, out if isinstance(out, tuple) else (out,)))
+                return out
+
+            monkeypatch.setattr(ad, name, call)
+
+        for name in ("_conv", "_conv_adjoint"):
+            watched(name)
         tape = ad.Tape()
         params = {k: tape.var(v) for k, v in net.params.items()}
-        relation_scores(tape.var(maps.reshape(15, 5, 5, 9, 16)),
-                        tape.var(sig.reshape(15, 5, 9, 16)), net, params=params)
-        ops = [n.op for n in tape.nodes]
-        assert "broadcast" not in ops and "concat" not in ops
-        assert max(n.value.ndim for n in tape.nodes) == 5
-        sig_conv, map_conv = [n for n in tape.nodes if n.op == "conv2d"][:2]
-        assert [c.parents[0].value.shape for c in (map_conv, sig_conv)] == [
-            (75, 5, 3, 3, 16), (75, 1, 3, 3, 16)]
-        # each half of the first kernel enters its conv as a leaf, uncut
-        assert [c.parents[1] for c in (map_conv, sig_conv)] == [params["conv1_map_w"],
-                                                                params["conv1_sig_w"]]
-        # and the signature conv enters the map conv as its bias, with no add
-        assert map_conv.parents[2] is sig_conv and "add" not in ops
+        proj = tape.var(maps.reshape(15, 5, 5, 9, 16))
+        signature = tape.var(sig.reshape(15, 5, 9, 16))
+        n_leaves = len(tape)
+        out = relation_scores(proj, signature, net, params=params)
+        assert [n.op for n in tape.nodes[n_leaves:]] == ["relation"]
+        assert out.parents == (proj, signature, *(params[k] for k in (
+            "conv1_map_w", "conv1_sig_w", "bn1_g", "bn1_b", "conv2_w", "bn2_g")))
+        ad.backward(ad.sum(out))
+        inputs = {(name, args[-1] is params["conv1_sig_w"].value): args[-2].shape
+                  for name, args, _ in calls if args[-1] is not params["conv2_w"].value}
+        assert inputs == {("_conv", False): (75, 5, 3, 3, 16), ("_conv", True): (75, 1, 3, 3, 16),
+                          ("_conv_adjoint", False): (75, 5, 3, 3, 16),
+                          ("_conv_adjoint", True): (75, 1, 3, 3, 16)}
+        assert sorted(name for name, _, _ in calls) == ["_conv"] * 3 + ["_conv_adjoint"] * 3
+        assert max(np.ndim(a) for _, args, outs in calls for a in args + outs) == 5
+
+    def test_taped_call_touches_buffers_and_dropout_stream_once(self):
+        """One taped train-mode forward and backward leaves the BN buffers
+        and the dropout Generator as one untaped train-mode call does, bit
+        for bit: the forward updates the buffers and draws the mask once,
+        and the adjoint rebuilds the first batch norm's output from what the
+        node kept."""
+        cfg, maps, sig = _relation_case(51)
+        maps, sig = maps.reshape(15, 5, 5, 9, 16), sig.reshape(15, 5, 9, 16)
+        nets, streams = [RelationGenerator(cfg, rng(52)) for _ in range(2)], [rng(53), rng(53)]
+        relation_scores(maps, sig, nets[0], train=True, rng=streams[0])
+        tape = ad.Tape()
+        params = {k: tape.var(v) for k, v in nets[1].params.items()}
+        out = relation_scores(tape.var(maps), tape.var(sig), nets[1], train=True,
+                              rng=streams[1], params=params)
+        ad.backward(ad.sum(ad.mul(out, rng(54).standard_normal((15, 5, 5)))))
+        for name, buf in nets[0].buffers.items():
+            np.testing.assert_array_equal(nets[1].buffers[name], buf, err_msg=name)
+            assert not np.array_equal(buf, RelationGenerator(cfg, rng(52)).buffers[name])
+        assert streams[0].bit_generator.state == streams[1].bit_generator.state
 
     def test_first_kernel_is_drawn_whole_and_stored_as_halves(self):
         """One (kh, kw, 2C, F) draw, as before the split, then conv2_w from
